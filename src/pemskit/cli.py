@@ -27,9 +27,9 @@ from . import svgplot
 from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (Dataset, OPTIONAL_TARGET, PREDICTORS, PROCESS_PREDICTORS,
                      TARGET, load_dataset)
-from .screening import ForestConfig, screen_predictors
-from .stats import (DEFAULT_HIGH_NOX_QUANTILE, correlation_matrix,
-                    flag_high_nox, summarize)
+from .screening import ForestConfig, ScreeningResult, screen_predictors
+from .stats import (DEFAULT_HIGH_NOX_QUANTILE, VariableSummary,
+                    correlation_matrix, flag_high_nox, summarize)
 from .varclus import DEFAULT_THRESHOLD, cluster_variables, dependence_tag
 
 ENV_DATA_DIR = "PEMSKIT_DATA_DIR"
@@ -341,9 +341,12 @@ def _load(config: RunConfig) -> Dataset:
     return load_dataset(config.data_dir, config.years)
 
 
-def _summary_tables(ds: Dataset, config: RunConfig) -> dict[str, Table]:
+def _summaries(ds: Dataset, config: RunConfig) -> list[VariableSummary]:
     variables = list(config.resolved_predictors()) + [config.target]
-    summaries = summarize(ds, variables=variables)
+    return summarize(ds, variables=variables)
+
+
+def _summary_tables(summaries: Sequence[VariableSummary]) -> dict[str, Table]:
     stat_rows = []
     hist_rows = []
     for s in summaries:
@@ -387,41 +390,44 @@ def _cluster_tables(ds: Dataset, config: RunConfig) -> dict[str, Table]:
     }
 
 
-def _screen_tables(ds: Dataset, config: RunConfig) -> dict[str, Table]:
+def _screening(ds: Dataset, config: RunConfig) -> ScreeningResult:
     cfg = ForestConfig(n_trees=config.trees, seed=config.seed)
-    result = screen_predictors(ds, config.resolved_predictors(),
-                               config.target, cfg)
+    return screen_predictors(ds, config.resolved_predictors(), config.target,
+                             cfg)
+
+
+def _screen_tables(result: ScreeningResult) -> dict[str, Table]:
     rows = [[r.rank, r.predictor, r.contribution, r.portion]
             for r in result.rows]
     return {"screening": _table(
         ["rank", "predictor", "contribution", "portion"], rows)}
 
 
-def _drift_tables(ds: Dataset, config: RunConfig,
-                  with_scores: bool) -> dict[str, Table]:
+def _drift(ds: Dataset, config: RunConfig) -> drift_mod.DriftReport:
     scale = drift_mod.DEFAULT_TEP_SCALE if config.tep_unit == "bar" else 1.0
     ref = config.reference_year if config.reference_year is not None \
         else ds.years[0]
-    report = drift_mod.drift_report(ds, ref, config.resolved_predictors(),
-                                    x_unit_scale=scale)
+    return drift_mod.drift_report(ds, ref, config.resolved_predictors(),
+                                  x_unit_scale=scale)
+
+
+def _drift_tables(report: drift_mod.DriftReport) -> dict[str, Table]:
     fit_rows = [[yd.year, yd.fit.n, yd.fit.intercept, yd.fit.slope,
                  yd.fit.r_squared] for yd in report.years]
     centroid_rows = [[yd.year, yd.centroid[0], yd.centroid[1],
                       yd.displacement] for yd in report.years]
-    tables = {
+    return {
         "drift_fits": _table(
             ["year", "n", "intercept", "slope", "r_squared"], fit_rows),
         "drift_centroids": _table(
             ["year", "pc1", "pc2", "displacement"], centroid_rows),
     }
-    if with_scores:
-        model = drift_mod.fit_pca(ds.for_year(ref), report.variables)
-        scores = drift_mod.project(model, ds, 2)
-        score_rows = [[i, int(ds.year[i]), float(scores[i, 0]),
-                       float(scores[i, 1])] for i in range(ds.n_records)]
-        tables["drift_scores"] = _table(["row", "year", "pc1", "pc2"],
-                                        score_rows)
-    return tables
+
+
+def _drift_score_table(ds: Dataset, scores) -> Table:
+    rows = [[i, int(ds.year[i]), float(scores[i, 0]), float(scores[i, 1])]
+            for i in range(ds.n_records)]
+    return _table(["row", "year", "pc1", "pc2"], rows)
 
 
 def _metrics_row(scope: str, k, partition: str,
@@ -431,27 +437,18 @@ def _metrics_row(scope: str, k, partition: str,
 
 def _knn_tables(ds: Dataset, config: RunConfig
                 ) -> tuple[dict[str, Table], knn_mod.KnnModel,
-                           knn_mod.SplitAssignment]:
+                           knn_mod.ResidualTable]:
+    """Metric and selection tables, the final model, and its residuals,
+    all from one all-records prediction pass of that model."""
     names = config.resolved_predictors()
     metrics_rows: list[list] = []
     selection_rows: list[list] = []
 
-    if config.k is not None:
-        assignment = knn_mod.split(ds, config.split, config.seed)
-        model = knn_mod.fit_knn(ds, assignment, names, config.target,
-                                config.k, config.weighting,
-                                config.leave_self_out)
-        for part, m in knn_mod.evaluate_all(model, ds, assignment,
-                                            config.target).items():
-            metrics_rows.append(_metrics_row("pooled", config.k, part, m))
-    elif len(ds.years) >= 2:
+    if config.k is None and len(ds.years) >= 2:
         cmp = knn_mod.compare_pooled_vs_yearly(
             ds, config.split, config.seed, config.k_max, names,
             config.target, config.weighting, config.leave_self_out)
-        assignment = cmp.assignment
-        model = knn_mod.fit_knn(ds, assignment, names, config.target,
-                                cmp.pooled.chosen_k, config.weighting,
-                                config.leave_self_out)
+        model, res = cmp.pooled_model, cmp.pooled_residuals
         for evaluation in (cmp.pooled, *cmp.yearly):
             for k, rase in evaluation.curve.points:
                 selection_rows.append([evaluation.label, k, rase])
@@ -463,18 +460,20 @@ def _knn_tables(ds: Dataset, config: RunConfig
                                              part, m))
     else:
         assignment = knn_mod.split(ds, config.split, config.seed)
-        curve = knn_mod.select_k(ds, assignment, names, config.target,
-                                 config.k_max, config.weighting,
-                                 config.leave_self_out)
-        model = knn_mod.fit_knn(ds, assignment, names, config.target,
-                                curve.chosen_k, config.weighting,
-                                config.leave_self_out)
-        for k, rase in curve.points:
-            selection_rows.append(["pooled", k, rase])
-        for part, m in knn_mod.evaluate_all(model, ds, assignment,
-                                            config.target).items():
-            metrics_rows.append(_metrics_row("pooled", curve.chosen_k,
-                                             part, m))
+        k = config.k
+        if k is None:
+            curve = knn_mod.select_k(ds, assignment, names, config.target,
+                                     config.k_max, config.weighting,
+                                     config.leave_self_out)
+            k = curve.chosen_k
+            for kk, rase in curve.points:
+                selection_rows.append(["pooled", kk, rase])
+        model = knn_mod.fit_knn(ds, assignment, names, config.target, k,
+                                config.weighting, config.leave_self_out)
+        metrics, res = knn_mod._evaluate_with_residuals(
+            model, ds, assignment, config.target)
+        for part, m in metrics.items():
+            metrics_rows.append(_metrics_row("pooled", k, part, m))
 
     tables = {"knn_metrics": _table(
         ["scope", "partition", "k", "freq", "r_squared", "rase", "aae"],
@@ -482,13 +481,10 @@ def _knn_tables(ds: Dataset, config: RunConfig
     if selection_rows:
         tables["knn_selection"] = _table(
             ["scope", "k", "validation_rase"], selection_rows)
-    return tables, model, assignment
+    return tables, model, res
 
 
-def _residual_table(model: knn_mod.KnnModel, ds: Dataset,
-                    assignment: knn_mod.SplitAssignment,
-                    target: str) -> Table:
-    res = knn_mod.residuals(model, ds, assignment, target)
+def _residual_table(res: knn_mod.ResidualTable, ds: Dataset) -> Table:
     rows = [[int(res.rows[i]), int(ds.year[i]), res.partitions[i],
              float(res.actual[i]), float(res.predicted[i]),
              float(res.residual[i])] for i in range(ds.n_records)]
@@ -503,9 +499,8 @@ def _emit_plot(out_dir: Path, name: str, content: str,
     written.append(_write_text(out_dir / f"{name}.svg", content))
 
 
-def _summary_plots(ds, config, out_dir, written):
-    variables = list(config.resolved_predictors()) + [config.target]
-    for s in summarize(ds, variables=variables):
+def _summary_plots(summaries, out_dir, written):
+    for s in summaries:
         lo = [b[0] for b in s.histogram]
         hi = [b[1] for b in s.histogram]
         counts = [b[2] for b in s.histogram]
@@ -528,10 +523,7 @@ def _correlate_plots(ds, config, out_dir, written):
                                    name, config.target), written)
 
 
-def _screen_plots(ds, config, out_dir, written):
-    cfg = ForestConfig(n_trees=config.trees, seed=config.seed)
-    result = screen_predictors(ds, config.resolved_predictors(),
-                               config.target, cfg)
+def _screen_plots(result, out_dir, written):
     lo = [float(r.rank) - 0.5 for r in result.rows]
     hi = [float(r.rank) + 0.5 for r in result.rows]
     portions = [r.portion for r in result.rows]
@@ -542,14 +534,8 @@ def _screen_plots(ds, config, out_dir, written):
                             "rank", "portion"), written)
 
 
-def _drift_plots(ds, config, out_dir, written):
-    scale = drift_mod.DEFAULT_TEP_SCALE if config.tep_unit == "bar" else 1.0
-    ref = config.reference_year if config.reference_year is not None \
-        else ds.years[0]
-    report = drift_mod.drift_report(ds, ref, config.resolved_predictors(),
-                                    x_unit_scale=scale)
-    model = drift_mod.fit_pca(ds.for_year(ref), report.variables)
-    scores = drift_mod.project(model, ds, 2)
+def _drift_plots(ds, report, scores, out_dir, written):
+    ref = report.reference_year
     series = []
     for year in ds.years:
         mask = ds.year == year
@@ -609,10 +595,11 @@ def _emit_tables(tables: dict[str, Table], config: RunConfig,
 
 def cmd_summary(config: RunConfig) -> list[Path]:
     ds = _load(config)
+    summaries = _summaries(ds, config)
     written: list[Path] = []
-    _emit_tables(_summary_tables(ds, config), config, written)
+    _emit_tables(_summary_tables(summaries), config, written)
     if config.plots:
-        _summary_plots(ds, config, Path(config.out_dir), written)
+        _summary_plots(summaries, Path(config.out_dir), written)
     return written
 
 
@@ -634,27 +621,32 @@ def cmd_cluster_vars(config: RunConfig) -> list[Path]:
 
 def cmd_screen(config: RunConfig) -> list[Path]:
     ds = _load(config)
+    result = _screening(ds, config)
     written: list[Path] = []
-    _emit_tables(_screen_tables(ds, config), config, written)
+    _emit_tables(_screen_tables(result), config, written)
     if config.plots:
-        _screen_plots(ds, config, Path(config.out_dir), written)
+        _screen_plots(result, Path(config.out_dir), written)
     return written
 
 
 def cmd_drift(config: RunConfig) -> list[Path]:
     ds = _load(config)
+    report = _drift(ds, config)
+    scores = drift_mod.project(report.pca, ds, 2)
     written: list[Path] = []
-    _emit_tables(_drift_tables(ds, config, with_scores=True), config, written)
+    _emit_tables({**_drift_tables(report),
+                  "drift_scores": _drift_score_table(ds, scores)},
+                 config, written)
     if config.plots:
-        _drift_plots(ds, config, Path(config.out_dir), written)
+        _drift_plots(ds, report, scores, Path(config.out_dir), written)
     return written
 
 
 def cmd_knn(config: RunConfig) -> list[Path]:
     ds = _load(config)
     written: list[Path] = []
-    tables, model, assignment = _knn_tables(ds, config)
-    residual_table = _residual_table(model, ds, assignment, config.target)
+    tables, model, res = _knn_tables(ds, config)
+    residual_table = _residual_table(res, ds)
     tables["knn_residuals"] = residual_table
     _emit_tables(tables, config, written)
     model_path = Path(config.out_dir) / "model.json"
@@ -689,11 +681,11 @@ def cmd_report(config: RunConfig) -> list[Path]:
     ds = _load(config)
     knn_tables, _, _ = _knn_tables(ds, config)
     report = {
-        "summary": _summary_tables(ds, config),
+        "summary": _summary_tables(_summaries(ds, config)),
         "correlations": _correlation_tables(ds, config),
         "clusters": _cluster_tables(ds, config),
-        "screening": _screen_tables(ds, config),
-        "drift": _drift_tables(ds, config, with_scores=False),
+        "screening": _screen_tables(_screening(ds, config)),
+        "drift": _drift_tables(_drift(ds, config)),
         "knn": knn_tables,
     }
     out_dir = Path(config.out_dir)
@@ -730,7 +722,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, PemskitError) as exc:
+    except (PemskitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

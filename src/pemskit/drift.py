@@ -14,7 +14,7 @@ Two complementary views of drift:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +79,7 @@ class DriftReport:
     y_name: str
     x_unit_scale: float
     years: tuple[YearDrift, ...]
+    pca: PcaModel = field(compare=False, repr=False)   # reference-year frame
 
     def for_year(self, year: int) -> YearDrift:
         for yd in self.years:
@@ -199,4 +200,4 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
         c = centroids[year]
         disp = math.hypot(c[0] - ref_c[0], c[1] - ref_c[1])
         rows.append(YearDrift(year, c, disp, fits[year]))
-    return DriftReport(ref, names, x, y, x_unit_scale, tuple(rows))
+    return DriftReport(ref, names, x, y, x_unit_scale, tuple(rows), model)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -26,28 +25,6 @@ import numpy as np
 from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import Dataset, ObservationRecord, PREDICTORS, TARGET
 from .rng import SplitMix64, derive_seed
-
-# workqueue needs no external threading runtime and behaves identically
-# for our kernels (per-query outputs are independent of scheduling)
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:      # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 PARTITIONS = ("Training", "Validation", "Test")
 TOTAL = "Total"
@@ -188,45 +165,13 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
 
 # ------------------------------------------------------ neighbor search
 
-@njit(cache=True, parallel=True)
-def _scan_kernel(train_z, train_rows, q_z, self_rows, k):
+def _scan(train_z, train_rows, q_z, self_rows, k):
     """Top-k neighbors per query by (squared distance, training index).
 
-    Squared distance accumulates predictor by predictor; insertion into
-    the sorted top-k keeps earlier training rows on distance ties.
+    Squared distance accumulates predictor by predictor in declared
+    order; distance ties keep the earlier training row.  Queries run in
+    chunks so the distance block stays near 32 MB.
     """
-    n_q = q_z.shape[0]
-    n_t = train_z.shape[0]
-    p = train_z.shape[1]
-    out_d2 = np.empty((n_q, k), np.float64)
-    out_ix = np.empty((n_q, k), np.int64)
-    for qi in prange(n_q):
-        best_d2 = np.full(k, np.inf)
-        best_ix = np.full(k, -1, np.int64)
-        me = self_rows[qi]
-        for t in range(n_t):
-            if train_rows[t] == me:
-                continue
-            d2 = 0.0
-            for j in range(p):
-                diff = q_z[qi, j] - train_z[t, j]
-                d2 += diff * diff
-            if d2 < best_d2[k - 1]:
-                pos = k - 1
-                while pos > 0 and d2 < best_d2[pos - 1]:
-                    best_d2[pos] = best_d2[pos - 1]
-                    best_ix[pos] = best_ix[pos - 1]
-                    pos -= 1
-                best_d2[pos] = d2
-                best_ix[pos] = t
-        for j in range(k):
-            out_d2[qi, j] = best_d2[j]
-            out_ix[qi, j] = best_ix[j]
-    return out_d2, out_ix
-
-
-def _scan_numpy(train_z, train_rows, q_z, self_rows, k):
-    """Chunked numpy fallback; bit-identical to the jitted kernel."""
     n_q = q_z.shape[0]
     n_t = train_z.shape[0]
     out_d2 = np.empty((n_q, k), np.float64)
@@ -261,9 +206,8 @@ def _neighbors(model: KnnModel, q_z: np.ndarray, self_rows: np.ndarray,
             and k > model.n_training - 1:
         raise DegenerateDataError(
             "k exceeds available neighbors under leave-self-out")
-    scan = _scan_kernel if _HAVE_NUMBA else _scan_numpy
-    return scan(model.train_z, model.train_rows,
-                np.ascontiguousarray(q_z), self_rows, k)
+    return _scan(model.train_z, model.train_rows, np.ascontiguousarray(q_z),
+                 self_rows, k)
 
 
 def _fold_prediction(d2_row, ix_row, train_y, k: int, weighting: str) -> float:
@@ -455,14 +399,18 @@ class ResidualTable:
                    float(self.residual[i]))
 
 
+def _residual_table(assignment: SplitAssignment, actual: np.ndarray,
+                    predicted: np.ndarray) -> ResidualTable:
+    rows = np.arange(assignment.n_records, dtype=np.int64)
+    return ResidualTable(rows, tuple(assignment.labels()), actual, predicted,
+                         actual - predicted)
+
+
 def residuals(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
               target: str = TARGET) -> ResidualTable:
     """actual − predicted for every record, all partitions."""
-    rows = np.arange(ds.n_records, dtype=np.int64)
-    predicted = predict_rows(model, ds, rows)
-    actual = ds.column(target).copy()
-    return ResidualTable(rows, tuple(assignment.labels()), actual, predicted,
-                         actual - predicted)
+    return _residual_table(assignment, ds.column(target).copy(),
+                           predict_rows(model, ds))
 
 
 # ----------------------------------------------------------- comparison
@@ -481,6 +429,8 @@ class PooledVsYearly:
     yearly: tuple[ModelEvaluation, ...]
     by_year_aggregate: dict[str, EvalMetrics]
     assignment: SplitAssignment
+    pooled_model: KnnModel
+    pooled_residuals: ResidualTable    # from the pooled Total pass
     predictors: tuple[str, ...]
     target: str
     weighting: str
@@ -517,6 +467,14 @@ def evaluate_all(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
     return metrics
 
 
+def _evaluate_with_residuals(model: KnnModel, ds: Dataset,
+                             assignment: SplitAssignment, target: str
+                             ) -> tuple[dict[str, EvalMetrics], ResidualTable]:
+    """evaluate_all() and residuals() from the same single pass."""
+    metrics, errors = _evaluate_all_errors(model, ds, assignment, target)
+    return metrics, _residual_table(assignment, *errors[TOTAL])
+
+
 def compare_pooled_vs_yearly(ds: Dataset,
                              fractions: Sequence[float] = DEFAULT_FRACTIONS,
                              seed: int = 0, k_max: int = 10,
@@ -539,7 +497,8 @@ def compare_pooled_vs_yearly(ds: Dataset,
                      leave_self_out)
     model = fit_knn(ds, assignment, names, target, curve.chosen_k, weighting,
                     leave_self_out)
-    pooled_metrics, _ = _evaluate_all_errors(model, ds, assignment, target)
+    pooled_metrics, pooled_residuals = _evaluate_with_residuals(
+        model, ds, assignment, target)
     pooled = ModelEvaluation("pooled", curve.chosen_k, curve, pooled_metrics)
 
     yearly = []
@@ -567,7 +526,8 @@ def compare_pooled_vs_yearly(ds: Dataset,
         aggregate[name] = _metrics_from_errors(actual, predicted)
 
     return PooledVsYearly(pooled, tuple(yearly), aggregate, assignment,
-                          names, target, weighting, k_max, seed)
+                          model, pooled_residuals, names, target, weighting,
+                          k_max, seed)
 
 
 # ----------------------------------------------------------- persistence
@@ -593,13 +553,14 @@ def load_model(path: str | Path) -> KnnModel:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"malformed model file {path}: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format_version: {version!r}")
     try:
-        names = tuple(doc["predictors"])
         model = KnnModel(
-            names,
+            tuple(doc["predictors"]),
             np.asarray(doc["means"], dtype=np.float64),
             np.asarray(doc["stds"], dtype=np.float64),
             np.ascontiguousarray(doc["train_z"], dtype=np.float64),
@@ -607,11 +568,36 @@ def load_model(path: str | Path) -> KnnModel:
             np.asarray(doc["train_rows"], dtype=np.int64),
             int(doc["k"]),
             str(doc["weighting"]),
-            bool(doc["leave_self_out"]),
+            doc["leave_self_out"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
-    if model.train_z.ndim != 2 or model.train_z.shape[1] != len(names) \
-            or model.train_z.shape[0] != model.train_y.shape[0]:
-        raise DataError(f"malformed model file {path}: shape mismatch")
+    problem = _model_problem(model)
+    if problem is not None:
+        raise DataError(f"malformed model file {path}: {problem}")
     return model
+
+
+def _model_problem(model: KnnModel) -> str | None:
+    """The first reason a loaded model cannot predict, or None."""
+    p = len(model.predictors)
+    if p == 0 or not all(isinstance(n, str) for n in model.predictors):
+        return "predictors must be a non-empty list of names"
+    if model.means.shape != (p,) or model.stds.shape != (p,):
+        return "means and stds need one entry per predictor"
+    n = model.n_training
+    if model.train_z.ndim != 2 or model.train_z.shape[1] != p \
+            or model.train_y.shape != (n,) or model.train_rows.shape != (n,):
+        return "shape mismatch"
+    if not 1 <= model.k <= n:
+        return f"k must be in [1, {n}], got {model.k}"
+    if model.weighting not in WEIGHTINGS:
+        return f"weighting must be one of {WEIGHTINGS}, got {model.weighting!r}"
+    if not isinstance(model.leave_self_out, bool):
+        return "leave_self_out must be true or false"
+    if not (np.isfinite(model.stds).all() and (model.stds > 0.0).all()):
+        return "stds must be finite and positive"
+    for name in ("means", "train_z", "train_y"):
+        if not np.isfinite(getattr(model, name)).all():
+            return f"{name} must be finite"
+    return None

@@ -14,8 +14,6 @@ seed) therefore reproduce bit-identical results.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,54 +21,18 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, PREDICTORS, TARGET
-from .rng import derive_seed
+from .rng import SplitMix64, derive_seed
 
-# workqueue needs no external threading runtime; must be chosen before
-# numba is first imported anywhere in the process
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:      # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
 _UNLIMITED_DEPTH = 2**31 - 1
 
 
-@njit(cache=True)
-def _mix64(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
-
-
-@njit(cache=True)
 def _bootstrap_rows(seed, n, size):
     """SplitMix64 bootstrap draws; returns (rows, advanced rng state)."""
-    state = np.uint64(seed)
-    rows = np.empty(size, np.int64)
-    for i in range(size):
-        state = state + _GAMMA
-        rows[i] = np.int64(_mix64(state) % np.uint64(n))
-    return rows, state
+    stream = SplitMix64(int(seed))
+    rows = stream.integers_below(n, size)
+    return rows, stream._state
 
 
-@njit(cache=True)
 def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     """Grow one CART regression tree on the given rows.
 
@@ -92,7 +54,7 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     idx = rows.copy()
     tmp = np.empty(n, np.int64)
     feats = np.empty(p, np.int64)
-    state = np.uint64(rng_state)
+    stream = SplitMix64(rng_state)
 
     # LIFO stack of (node, start, end, depth); left child pushed last so
     # it is processed first.
@@ -133,8 +95,7 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
         for j in range(p):
             feats[j] = j
         for t in range(m):
-            state = state + _GAMMA
-            j = t + np.int64(_mix64(state) % np.uint64(p - t))
+            j = t + stream.below(p - t)
             feats[t], feats[j] = feats[j], feats[t]
 
         best_red = 0.0
@@ -206,11 +167,6 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     return (feature[:node_count], cut[:node_count], reduction[:node_count],
             left[:node_count], right[:node_count], n_node[:node_count],
             value[:node_count])
-
-
-def _kernel_guard():
-    """Silence uint64 scalar overflow warnings on the no-numba fallback."""
-    return nullcontext() if _HAVE_NUMBA else np.errstate(over="ignore")
 
 
 @dataclass(frozen=True)
@@ -332,9 +288,8 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
     m = cfg.resolved_m(len(names))
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
     state = cfg.seed if rng_state is None else rng_state
-    with _kernel_guard():
-        arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf,
-                            depth_cap, np.uint64(state & (2**64 - 1)))
+    arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf, depth_cap,
+                        state)
     return RegressionTree(names, *arrays)
 
 
@@ -363,21 +318,13 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     m = cfg.resolved_m(len(names))
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
 
+    y = y.astype(np.float64)
     contrib = np.zeros(len(names))
-    with _kernel_guard():
-        for t in range(cfg.n_trees):
-            tree_seed = derive_seed(cfg.seed, t)
-            rows, state = _bootstrap_rows(np.uint64(tree_seed), n, size)
-            arrays = _grow_tree(x, y.astype(np.float64), rows, m,
-                                cfg.min_samples_per_leaf, depth_cap,
-                                np.uint64(state))
-            feature, _, reduction = arrays[0], arrays[1], arrays[2]
-            per_tree = np.zeros(len(names))
-            for i in range(feature.shape[0]):
-                f = int(feature[i])
-                if f >= 0:
-                    per_tree[f] += float(reduction[i])
-            contrib += per_tree
+    for t in range(cfg.n_trees):
+        rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, size)
+        arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf,
+                            depth_cap, state)
+        contrib += RegressionTree(names, *arrays).contributions()
 
     total = float(contrib.sum())
     portions = contrib / total if total > 0.0 else np.zeros_like(contrib)

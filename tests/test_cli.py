@@ -248,6 +248,10 @@ def test_exit_code_2_for_data_problems(tmp_path, data_dir):
                 "--out-dir", str(tmp_path / "o2")) == 2
     assert _run("summary", "--config", str(tmp_path / "absent.cfg"),
                 "--out-dir", str(tmp_path / "o3")) == 2
+    blocker = tmp_path / "regular_file"
+    blocker.write_text("")
+    assert _run("summary", "--data-dir", str(data_dir),
+                "--out-dir", str(blocker / "sub")) == 2
 
 
 def test_exit_code_3_for_config_problems(data_dir, tmp_path):

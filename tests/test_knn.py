@@ -14,8 +14,7 @@ from pemskit.knn import (
     KnnModel,
     SplitAssignment,
     _partition_counts,
-    _scan_kernel,
-    _scan_numpy,
+    _scan,
     compare_pooled_vs_yearly,
     evaluate,
     evaluate_all,
@@ -124,7 +123,39 @@ def test_oracle_equivalence_randomized():
     assert checked > 2000
 
 
-def test_jitted_and_numpy_scans_agree():
+def _reference_scan(train_z, train_rows, q_z, self_rows, k):
+    """Loop scan: top-k by (squared distance, training index), with
+    insertion into the sorted top-k keeping earlier rows on ties."""
+    n_q = q_z.shape[0]
+    n_t = train_z.shape[0]
+    p = train_z.shape[1]
+    out_d2 = np.empty((n_q, k), np.float64)
+    out_ix = np.empty((n_q, k), np.int64)
+    for qi in range(n_q):
+        best_d2 = np.full(k, np.inf)
+        best_ix = np.full(k, -1, np.int64)
+        me = self_rows[qi]
+        for t in range(n_t):
+            if train_rows[t] == me:
+                continue
+            d2 = 0.0
+            for j in range(p):
+                diff = q_z[qi, j] - train_z[t, j]
+                d2 += diff * diff
+            if d2 < best_d2[k - 1]:
+                pos = k - 1
+                while pos > 0 and d2 < best_d2[pos - 1]:
+                    best_d2[pos] = best_d2[pos - 1]
+                    best_ix[pos] = best_ix[pos - 1]
+                    pos -= 1
+                best_d2[pos] = d2
+                best_ix[pos] = t
+        out_d2[qi] = best_d2
+        out_ix[qi] = best_ix
+    return out_d2, out_ix
+
+
+def test_scan_matches_reference_loop():
     rng = np.random.default_rng(77)
     train_z = np.ascontiguousarray(np.round(rng.normal(size=(90, 3)), 1))
     q_z = np.ascontiguousarray(np.round(rng.normal(size=(40, 3)), 1))
@@ -132,8 +163,8 @@ def test_jitted_and_numpy_scans_agree():
     self_rows = np.full(40, -1, dtype=np.int64)
     self_rows[:10] = np.arange(10)
     for k in (1, 5, 17):
-        d2a, ixa = _scan_kernel(train_z, train_rows, q_z, self_rows, k)
-        d2b, ixb = _scan_numpy(train_z, train_rows, q_z, self_rows, k)
+        d2a, ixa = _reference_scan(train_z, train_rows, q_z, self_rows, k)
+        d2b, ixb = _scan(train_z, train_rows, q_z, self_rows, k)
         assert np.array_equal(d2a, d2b)
         assert np.array_equal(ixa, ixb)
 
@@ -470,6 +501,35 @@ def test_load_rejects_unknown_format_version(tmp_path, tiny_ds):
         load_model(path)
     path.write_text("{not json")
     with pytest.raises(DataError, match="cannot read model file"):
+        load_model(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(DataError, match="not a JSON object"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key, mutate, match", [
+    ("k", lambda v: -3, "k must be in"),
+    ("k", lambda v: 10_000, "k must be in"),
+    ("weighting", lambda v: "bogus", "weighting must be one of"),
+    ("leave_self_out", lambda v: "false", "leave_self_out"),
+    ("predictors", lambda v: [], "non-empty list of names"),
+    ("stds", lambda v: [0.0] * len(v), "stds must be finite and positive"),
+    ("means", lambda v: v[:1], "one entry per predictor"),
+    ("train_rows", lambda v: v[:2], "shape mismatch"),
+    ("train_z", lambda v: [[math.nan] * len(v[0])] + v[1:],
+     "train_z must be finite"),
+    ("train_y", lambda v: v[:-1] + [math.inf], "train_y must be finite"),
+], ids=["negative-k", "k-above-training", "weighting", "leave-self-out",
+        "no-predictors", "zero-stds", "short-means", "short-train-rows",
+        "nan-train-z", "inf-train-y"])
+def test_load_rejects_inconsistent_models(tmp_path, tiny_ds, key, mutate,
+                                          match):
+    path = tmp_path / "model.json"
+    save_model(fit_knn(tiny_ds, split(tiny_ds, seed=5), k=2), path)
+    doc = json.loads(path.read_text())
+    doc[key] = mutate(doc[key])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
         load_model(path)
 
 

@@ -11,6 +11,10 @@ from pemskit.screening import (
     screen_predictors,
 )
 
+# The bootstrap and split draws run SplitMix64 on Python ints; uint64
+# scalar arithmetic, which warns on wraparound, must not come back.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _ds_from_columns(**cols):
     n = len(next(iter(cols.values())))
