@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import drift as drift_mod
 from . import knn as knn_mod
 from . import svgplot
 from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (Dataset, OPTIONAL_TARGET, PREDICTORS, PROCESS_PREDICTORS,
-                     TARGET, load_dataset)
+                     TARGET, atomic_open, load_dataset)
 from .screening import ForestConfig, ScreeningResult, screen_predictors
 from .stats import (DEFAULT_HIGH_NOX_QUANTILE, VariableSummary,
                     correlation_matrix, flag_high_nox, summarize)
@@ -68,33 +70,51 @@ class RunConfig:
 
 
 # ------------------------------------------------------- option parsing
+#
+# Each option is one OPTIONS entry: its default and the one parse
+# function that turns a flag's text or a config-file value into a checked
+# value (raising ConfigError).  The flags are generated from the table.
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+class Option(NamedTuple):
+    default: object
+    parse: Callable[[str], object]
+    metavar: str | None = None
+    help: str | None = None
 
 
-def _parse_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+def _checked(convert: Callable[[str], object], rule: str,
+             ok: Callable[[object], bool] = lambda value: True
+             ) -> Callable[[str], object]:
+    """A parse function: ``convert`` the text and require ``ok`` of the
+    result, or raise ConfigError saying the value should be ``rule``."""
+    def parse(text: str) -> object:
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, KeyError):
+            pass
+        raise ConfigError(f"expected {rule}, got {text!r}")
+    return parse
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+_parse_bool = _checked(lambda text: _BOOLEANS[text.lower()],
+                       "true/false, 1/0, yes/no or on/off")
+_parse_int = _checked(int, "an integer")
+_at_least_1 = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_parse_year = _checked(int, f"a year in [{MINYEAR}, {MAXYEAR}]",
+                       lambda v: MINYEAR <= v <= MAXYEAR)
+_parse_float = _checked(float, "a number")
+_parse_variable = _checked(lambda text: text.strip().lower(),
+                           f"one of {', '.join(KNOWN_VARIABLES)}",
+                           KNOWN_VARIABLES.__contains__)
 
 
 def _parse_years(text: str) -> tuple[int, ...]:
@@ -103,84 +123,71 @@ def _parse_years(text: str) -> tuple[int, ...]:
         token = token.strip()
         if not token:
             continue
-        if "-" in token[1:]:
-            lo_s, hi_s = token.split("-", 1)
-            lo, hi = _parse_int(lo_s, "years"), _parse_int(hi_s, "years")
-            if hi < lo:
-                raise ConfigError(f"years: empty range {token!r}")
-            years.extend(range(lo, hi + 1))
-        else:
-            years.append(_parse_int(token, "years"))
+        lo_s, dash, hi_s = token.partition("-")
+        lo, hi = _parse_year(lo_s), _parse_year(hi_s if dash else lo_s)
+        if hi < lo:
+            raise ConfigError(f"empty range {token!r}")
+        years.extend(range(lo, hi + 1))
     if not years:
-        raise ConfigError("years: no years requested")
+        raise ConfigError("no years requested")
     return tuple(dict.fromkeys(years))
 
 
 def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = [p for p in text.split(",") if p.strip()]
     return knn_mod._check_fractions(
-        [_parse_float(p, "split") for p in parts])
+        [_parse_float(p) for p in text.split(",") if p.strip()])
 
 
-def _parse_variables(text: str, key: str) -> tuple[str, ...]:
-    names = tuple(t.strip().lower() for t in text.split(",") if t.strip())
+def _parse_predictors(text: str) -> tuple[str, ...]:
+    names = tuple(_parse_variable(t) for t in text.split(",") if t.strip())
     if not names:
-        raise ConfigError(f"{key}: empty variable list")
-    for name in names:
-        if name not in KNOWN_VARIABLES:
-            raise ConfigError(
-                f"{key}: unknown variable '{name}' "
-                f"(known: {', '.join(KNOWN_VARIABLES)})")
+        raise ConfigError("empty variable list")
     return names
 
 
-_DEFAULTS: dict[str, object] = {
-    "data_dir": None,           # env var / ./data resolved later
-    "years": ",".join(str(y) for y in DEFAULT_YEARS),
-    "target": TARGET,
-    "predictors": None,
-    "exclude_weather": False,
-    "split": "0.7,0.15,0.15",
-    "seed": 0,
-    "k": None,
-    "k_max": 10,
-    "weighting": "inverse_distance",
-    "threshold": DEFAULT_THRESHOLD,
-    "trees": 100,
-    "out": "csv",
-    "plots": False,
-    "out_dir": "pemskit_out",
-    "reference_year": None,
-    "tep_unit": "bar",
-    "leave_self_out": True,
+def _choice(default: str, allowed: Sequence[str]) -> Option:
+    return Option(default, _checked(str, f"one of {', '.join(allowed)}",
+                                    allowed.__contains__),
+                  "{" + ",".join(allowed) + "}")
+
+
+#: Flags are `--<key>` with `-` for `_`; a boolean option is a bare flag
+#: that flips its default (`--no-<key>` when the default is true).
+OPTIONS: dict[str, Option] = {
+    "data_dir": Option(None, str),      # None: $PEMSKIT_DATA_DIR, then ./data
+    "years": Option(DEFAULT_YEARS, _parse_years,
+                    help="comma list and/or ranges, e.g. 2011-2013,2015"),
+    "target": Option(TARGET, _parse_variable),
+    "predictors": Option(None, _parse_predictors, "NAMES"),
+    "exclude_weather": Option(False, _parse_bool),
+    "split": Option(knn_mod.DEFAULT_FRACTIONS, _parse_fractions, "A,B,C"),
+    "seed": Option(0, _parse_int),
+    "k": Option(None, _at_least_1),
+    "k_max": Option(10, _at_least_1),
+    "weighting": _choice("inverse_distance", knn_mod.WEIGHTINGS),
+    "threshold": Option(DEFAULT_THRESHOLD, _checked(
+        float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0.0)),
+    "trees": Option(100, _at_least_1),
+    "out": _choice("csv", ("csv", "json")),
+    "plots": Option(False, _parse_bool),
+    "out_dir": Option("pemskit_out", str),
+    "reference_year": Option(None, _parse_year),
+    "tep_unit": _choice("bar", ("mbar", "bar")),
+    "leave_self_out": Option(True, _parse_bool),
 }
 
-_CONFIG_PARSERS = {
-    "data_dir": lambda v: v,
-    "years": lambda v: v,
-    "target": lambda v: v.strip().lower(),
-    "predictors": lambda v: v,
-    "exclude_weather": lambda v: _parse_bool(v, "exclude_weather"),
-    "split": lambda v: v,
-    "seed": lambda v: _parse_int(v, "seed"),
-    "k": lambda v: _parse_int(v, "k"),
-    "k_max": lambda v: _parse_int(v, "k_max"),
-    "weighting": lambda v: v.strip(),
-    "threshold": lambda v: _parse_float(v, "threshold"),
-    "trees": lambda v: _parse_int(v, "trees"),
-    "out": lambda v: v.strip(),
-    "plots": lambda v: _parse_bool(v, "plots"),
-    "out_dir": lambda v: v,
-    "reference_year": lambda v: _parse_int(v, "reference_year"),
-    "tep_unit": lambda v: v.strip(),
-    "leave_self_out": lambda v: _parse_bool(v, "leave_self_out"),
-}
+
+def _parse(key: str, text: str, where: str) -> object:
+    try:
+        return OPTIONS[key].parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict[str, object]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -191,37 +198,10 @@ def _read_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        values[key] = _CONFIG_PARSERS[key](value.strip())
+        values[key] = _parse(key, value.strip(), f"{path}:{lineno}: {key}")
     return values
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, metavar="FILE")
-    p.add_argument("--data-dir", dest="data_dir", default=None)
-    p.add_argument("--years", default=None,
-                   help="comma list and/or ranges, e.g. 2011-2013,2015")
-    p.add_argument("--target", default=None)
-    p.add_argument("--predictors", default=None, metavar="NAMES")
-    p.add_argument("--exclude-weather", dest="exclude_weather",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--split", default=None, metavar="A,B,C")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--weighting", choices=knn_mod.WEIGHTINGS, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--out", choices=("csv", "json"), default=None)
-    p.add_argument("--plots", action="store_const", const=True, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--reference-year", dest="reference_year", type=int,
-                   default=None)
-    p.add_argument("--tep-unit", dest="tep_unit", choices=("mbar", "bar"),
-                   default=None)
-    p.add_argument("--no-leave-self-out", dest="leave_self_out",
-                   action="store_const", const=False, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,72 +210,40 @@ def build_parser() -> argparse.ArgumentParser:
                                  "clustering, screening, drift, KNN NOx model.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_common_flags(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p.add_argument("--config", metavar="FILE")
+        for key, opt in OPTIONS.items():
+            flag = key.replace("_", "-")
+            if isinstance(opt.default, bool):
+                p.add_argument(f"--no-{flag}" if opt.default else f"--{flag}",
+                               dest=key, action="store_const",
+                               const=not opt.default)
+            else:
+                p.add_argument(f"--{flag}", dest=key, metavar=opt.metavar,
+                               help=opt.help)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    """Defaults < --config file < flags, each value parsed by its option."""
+    values = {key: opt.default for key, opt in OPTIONS.items()}
     if args.config is not None:
-        merged.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
-
-    data_dir = merged["data_dir"] or os.environ.get(ENV_DATA_DIR) or "data"
-    predictors = merged["predictors"]
-    if isinstance(predictors, str):
-        predictors = _parse_variables(predictors, "predictors")
-    if predictors is not None and merged["exclude_weather"]:
+        values.update(_read_config_file(args.config))
+    for key in OPTIONS:
+        given = getattr(args, key)
+        if isinstance(given, str):
+            given = _parse(key, given, "--" + key.replace("_", "-"))
+        if given is not None:
+            values[key] = given
+    values["data_dir"] = (values["data_dir"] or os.environ.get(ENV_DATA_DIR)
+                          or "data")
+    config = RunConfig(command=args.command, **values)
+    if config.predictors is not None and config.exclude_weather:
         raise ConfigError("--predictors and --exclude-weather are mutually "
                           "exclusive")
-    target = str(merged["target"])
-    if target not in KNOWN_VARIABLES:
-        raise ConfigError(f"target: unknown variable '{target}'")
-    if merged["weighting"] not in knn_mod.WEIGHTINGS:
-        raise ConfigError(f"weighting must be one of {knn_mod.WEIGHTINGS}, "
-                          f"got {merged['weighting']!r}")
-    if merged["out"] not in ("csv", "json"):
-        raise ConfigError(f"out must be csv or json, got {merged['out']!r}")
-    if merged["tep_unit"] not in ("mbar", "bar"):
-        raise ConfigError(f"tep_unit must be mbar or bar, got "
-                          f"{merged['tep_unit']!r}")
-    threshold = float(merged["threshold"])
-    if threshold <= 0.0:
-        raise ConfigError(f"threshold must be > 0, got {threshold}")
-    trees = int(merged["trees"])
-    if trees < 1:
-        raise ConfigError(f"trees must be >= 1, got {trees}")
-    k_max = int(merged["k_max"])
-    if k_max < 1:
-        raise ConfigError(f"k_max must be >= 1, got {k_max}")
-    k = merged["k"]
-    if k is not None and int(k) < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-
-    return RunConfig(
-        command=args.command,
-        data_dir=str(data_dir),
-        years=_parse_years(str(merged["years"])),
-        target=target,
-        predictors=predictors,
-        exclude_weather=bool(merged["exclude_weather"]),
-        split=_parse_fractions(str(merged["split"])),
-        seed=int(merged["seed"]),
-        k=None if k is None else int(k),
-        k_max=k_max,
-        weighting=str(merged["weighting"]),
-        threshold=threshold,
-        trees=trees,
-        out=str(merged["out"]),
-        plots=bool(merged["plots"]),
-        out_dir=str(merged["out_dir"]),
-        reference_year=None if merged["reference_year"] is None
-        else int(merged["reference_year"]),
-        tep_unit=str(merged["tep_unit"]),
-        leave_self_out=bool(merged["leave_self_out"]),
-    )
+    if config.target in config.resolved_predictors():
+        raise ConfigError(f"target '{config.target}' is also a predictor")
+    return config
 
 
 # ------------------------------------------------------------- emission
@@ -321,7 +269,8 @@ def _csv_cell(v) -> str:
 
 def _write_text(path: Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(text)
     return path
 
 
@@ -364,10 +313,7 @@ def _summary_tables(summaries: Sequence[VariableSummary]) -> dict[str, Table]:
 
 
 def _correlation_tables(ds: Dataset, config: RunConfig) -> dict[str, Table]:
-    variables = list(config.resolved_predictors())
-    if config.target not in variables:
-        variables.append(config.target)
-    cm = correlation_matrix(ds, variables)
+    cm = correlation_matrix(ds, [*config.resolved_predictors(), config.target])
     rows = [[name] + [float(v) for v in cm.matrix[i]]
             for i, name in enumerate(cm.variables)]
     return {"correlations": _table(["variable", *cm.variables], rows)}
@@ -650,7 +596,6 @@ def cmd_knn(config: RunConfig) -> list[Path]:
     tables["knn_residuals"] = residual_table
     _emit_tables(tables, config, written)
     model_path = Path(config.out_dir) / "model.json"
-    model_path.parent.mkdir(parents=True, exist_ok=True)
     knn_mod.save_model(model, model_path)
     written.append(model_path)
     if config.plots:

@@ -186,6 +186,9 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
     if ref not in ds.years:
         raise ConfigError(f"reference year {ref} not in dataset years {ds.years}")
     names = tuple(variables) if variables is not None else PREDICTORS
+    if len(names) < 2:
+        raise ConfigError("the (PC1, PC2) centroids need at least 2 variables, "
+                          f"got {len(names)}")
     model = fit_pca(ds.for_year(ref), names)
     fits = yearly_fit(ds, x, y, x_unit_scale)
 

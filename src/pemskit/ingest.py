@@ -7,16 +7,21 @@ pressure appears as GTEP or TEP and the exhaust temperature as TAT or
 TET.  Internally everything uses the canonical lowercase names.
 
 Rows with a non-numeric or non-finite required cell are rejected at
-load time with their coordinates; no imputation is attempted.
+load time with their coordinates; no imputation is attempted.  One
+reader parses both the per-year files and the single-file export, and
+one writer writes both.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -32,7 +37,8 @@ TARGET = "nox"
 OPTIONAL_TARGET = "co"
 
 #: Uppercase header spelling -> canonical name.  TET/TAT and GTEP/TEP
-#: are alternate spellings of the same sensors.
+#: are alternate spellings of the same sensors.  Only the export needs
+#: YEAR; the per-year files take the year from their name.
 COLUMN_ALIASES = {
     "AT": "at",
     "AP": "ap",
@@ -47,6 +53,7 @@ COLUMN_ALIASES = {
     "CDP": "cdp",
     "NOX": "nox",
     "CO": "co",
+    "YEAR": "year",
 }
 
 REQUIRED = PREDICTORS + (TARGET,)
@@ -179,11 +186,12 @@ def _candidate_files(data_dir: Path, year: int) -> list[Path]:
     return globbed
 
 
-def _map_header(header: Sequence[str], path: Path) -> dict[str, int]:
+def _map_header(header: Sequence[str], path: Path,
+                required: Sequence[str]) -> dict[str, int]:
     """Map canonical names to column positions, checking for duplicates."""
     positions: dict[str, int] = {}
     for idx, raw in enumerate(header):
-        name = raw.strip().lstrip("﻿").upper()
+        name = raw.strip().lstrip("\ufeff").upper()
         canon = COLUMN_ALIASES.get(name)
         if canon is None:
             continue
@@ -191,44 +199,53 @@ def _map_header(header: Sequence[str], path: Path) -> dict[str, int]:
             raise DataError(f"{path.name}: columns {header[positions[canon]]!r} and {raw!r} "
                             f"both map to '{canon}'")
         positions[canon] = idx
-    missing = [c for c in REQUIRED if c not in positions]
+    missing = [c for c in required if c not in positions]
     if missing:
         raise DataError(f"{path.name}: header is missing required column(s) "
                         f"{', '.join(m.upper() for m in missing)}")
     return positions
 
 
-def _parse_file(path: Path, year: int, want_co: bool) -> dict[str, list[float]]:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path.name}: file is empty") from None
-        positions = _map_header(header, path)
-        names = list(REQUIRED)
-        if want_co and OPTIONAL_TARGET in positions:
-            names.append(OPTIONAL_TARGET)
-        out: dict[str, list[float]] = {n: [] for n in names}
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            for name in names:
-                idx = positions[name]
-                try:
-                    cell = row[idx]
-                except IndexError:
-                    raise DataError(f"{path.name}: row {row_no} has only {len(row)} "
-                                    f"column(s), expected value for {name.upper()}") from None
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
-                                    f"non-numeric value {cell!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
-                                    f"non-finite value {cell!r}")
-                out[name].append(value)
+def _read_columns(path: Path, required: Sequence[str]) -> dict[str, list[float]]:
+    """The ``required`` columns of one CSV, and CO when present.  Each cell
+    must be a finite number, and a YEAR cell a whole year in [MINYEAR,
+    MAXYEAR]; otherwise DataError names the row and column."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path.name}: file is empty") from None
+            positions = _map_header(header, path, required)
+            names = list(required) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
+            out: dict[str, list[float]] = {n: [] for n in names}
+            fields = [(n, positions[n], out[n]) for n in names]
+            years = out.get("year")
+            for row_no, row in enumerate(reader, start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                for name, idx, values in fields:
+                    try:
+                        cell = row[idx]
+                    except IndexError:
+                        raise DataError(f"{path.name}: row {row_no} has only {len(row)} "
+                                        f"column(s), expected value for {name.upper()}") from None
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
+                                        f"non-numeric value {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
+                                        f"non-finite value {cell!r}")
+                    values.append(value)
+                if years is not None and not (years[-1].is_integer()
+                                              and MINYEAR <= years[-1] <= MAXYEAR):
+                    raise DataError(f"{path.name}: row {row_no}, column YEAR: expected a "
+                                    f"whole year, got {row[positions['year']]!r}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path.name}: unreadable CSV: {exc}") from None
     return out
 
 
@@ -255,7 +272,7 @@ def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
         if len(candidates) > 1:
             raise DataError(f"ambiguous files for year {year}: "
                             f"{', '.join(p.name for p in candidates)}")
-        per_year.append((year, _parse_file(candidates[0], year, want_co=True)))
+        per_year.append((year, _read_columns(candidates[0], REQUIRED)))
 
     keep_co = all(OPTIONAL_TARGET in cols for _, cols in per_year)
     names = list(REQUIRED) + ([OPTIONAL_TARGET] if keep_co else [])
@@ -298,22 +315,38 @@ def validate(ds: Dataset) -> ValidationReport:
     return report
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Write UTF-8 text to a temporary file beside ``path`` that replaces
+    ``path`` only if the block succeeds; on failure it is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_csv(ds: Dataset, path: Path, with_year: bool) -> None:
+    """The canonical CSV of ``ds``: predictors, NOX, [CO], [YEAR]."""
+    names = list(REQUIRED) + (["co"] if ds.has_co else [])
+    header = list(EXPORT_HEADER) + (["CO"] if ds.has_co else [])
+    # repr round-trips floats exactly
+    columns: list[Iterable] = [map(repr, ds.column(n).tolist()) for n in names]
+    if with_year:
+        header.append("YEAR")
+        columns.append(ds.year.tolist())
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def to_csv(ds: Dataset, path: str | Path) -> None:
     """Write the canonical single-file export: predictors, NOX, [CO], YEAR."""
-    path = Path(path)
-    header = list(EXPORT_HEADER) + (["CO"] if ds.has_co else []) + ["YEAR"]
-    names = list(REQUIRED) + (["co"] if ds.has_co else [])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        cols = [ds.column(n) for n in names]
-        years = ds.year
-        for i in range(ds.n_records):
-            writer.writerow([_format_value(c[i]) for c in cols] + [int(years[i])])
+    _write_csv(ds, Path(path), with_year=True)
 
 
 def read_csv(path: str | Path) -> Dataset:
@@ -321,40 +354,10 @@ def read_csv(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path.name}: file is empty") from None
-        positions = _map_header(header, path)
-        upper = [h.strip().upper() for h in header]
-        if "YEAR" not in upper:
-            raise DataError(f"{path.name}: header is missing required column(s) YEAR")
-        year_idx = upper.index("YEAR")
-        names = list(REQUIRED) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
-        cols: dict[str, list[float]] = {n: [] for n in names}
-        year_tags: list[int] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            for name in names:
-                try:
-                    value = float(row[positions[name]])
-                except (ValueError, IndexError):
-                    raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
-                                    f"bad value") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
-                                    f"non-finite value")
-                cols[name].append(value)
-            try:
-                year_tags.append(int(float(row[year_idx])))
-            except (ValueError, IndexError):
-                raise DataError(f"{path.name}: row {row_no}, column YEAR: bad value") from None
+    cols = _read_columns(path, REQUIRED + ("year",))
+    year = np.asarray(cols.pop("year")).astype(np.int64)
     columns = {n: np.asarray(v, dtype=np.float64) for n, v in cols.items()}
-    year_arr = np.asarray(year_tags, dtype=np.int64)
-    return Dataset(columns, year_arr, tuple(sorted(set(year_tags))))
+    return Dataset(columns, year, tuple(np.unique(year).tolist()))
 
 
 def write_year_files(ds: Dataset, data_dir: str | Path,
@@ -362,17 +365,9 @@ def write_year_files(ds: Dataset, data_dir: str | Path,
     """Write one canonical per-year CSV per year; returns the paths."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-    header = list(EXPORT_HEADER) + (["CO"] if ds.has_co else [])
-    names = list(REQUIRED) + (["co"] if ds.has_co else [])
     paths = []
     for year in ds.years:
-        sub = ds.for_year(year)
         path = data_dir / pattern.format(year=year)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            cols = [sub.column(n) for n in names]
-            for i in range(sub.n_records):
-                writer.writerow([_format_value(c[i]) for c in cols])
+        _write_csv(ds.for_year(year), path, with_year=False)
         paths.append(path)
     return paths

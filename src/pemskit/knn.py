@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
-from .ingest import Dataset, ObservationRecord, PREDICTORS, TARGET
+from .ingest import Dataset, ObservationRecord, PREDICTORS, TARGET, atomic_open
 from .rng import SplitMix64, derive_seed
 
 PARTITIONS = ("Training", "Validation", "Test")
@@ -142,6 +142,8 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     names = tuple(predictors) if predictors is not None else PREDICTORS
     if not names:
         raise ConfigError("empty predictor list")
+    if target in names:
+        raise ConfigError(f"target '{target}' is also a predictor")
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     train_rows = assignment.rows("Training")
@@ -545,7 +547,8 @@ def save_model(model: KnnModel, path: str | Path) -> None:
         "train_y": model.train_y.tolist(),
         "train_z": model.train_z.tolist(),
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path: str | Path) -> KnnModel:

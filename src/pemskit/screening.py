@@ -306,6 +306,8 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     names = tuple(predictors) if predictors is not None else PREDICTORS
     if len(names) < 2:
         raise ConfigError("screening needs at least 2 predictors")
+    if target in names:
+        raise ConfigError(f"target '{target}' is also a predictor")
     cfg.check()
     y = ds.column(target)
     if ds.n_records < 2 or float(np.ptp(y)) == 0.0:

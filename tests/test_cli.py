@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pemskit.cli import ENV_DATA_DIR, main
+from pemskit.cli import ENV_DATA_DIR, build_parser, main, resolve_config
+from pemskit.errors import ConfigError
 from pemskit.ingest import Dataset, write_year_files
 from pemskit.knn import load_model
 from pemskit.synthetic import make_dataset
@@ -248,6 +251,10 @@ def test_exit_code_2_for_data_problems(tmp_path, data_dir):
                 "--out-dir", str(tmp_path / "o2")) == 2
     assert _run("summary", "--config", str(tmp_path / "absent.cfg"),
                 "--out-dir", str(tmp_path / "o3")) == 2
+    latin1_cfg = tmp_path / "latin1.cfg"
+    latin1_cfg.write_bytes(b"out-dir = caf\xe9\n")
+    assert _run("summary", "--config", str(latin1_cfg),
+                "--data-dir", str(data_dir)) == 2
     blocker = tmp_path / "regular_file"
     blocker.write_text("")
     assert _run("summary", "--data-dir", str(data_dir),
@@ -265,12 +272,87 @@ def test_exit_code_3_for_config_problems(data_dir, tmp_path):
     assert _run("knn", *base, "--k", "0") == 3
     assert _run("summary", *base, "--not-a-flag") == 3        # argparse error
     assert _run("summary", *base, "--tep-unit", "psi") == 3   # bad choice
+    # the target may not also be a predictor, given or by default
+    assert _run("screen", *base, "--predictors", "at,ap,nox") == 3
+    assert _run("knn", *base, "--predictors", "at,nox", "--years", "2011",
+                "--k", "1", "--no-leave-self-out") == 3
+    assert _run("summary", *base, "--target", "at") == 3
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("mystery = 1\n")
     assert _run("summary", *base, "--config", str(bad_cfg)) == 3
     noisy_cfg = tmp_path / "noisy.cfg"
     noisy_cfg.write_text("just some words\n")
     assert _run("summary", *base, "--config", str(noisy_cfg)) == 3
+
+
+def test_target_ignores_case_in_flags_and_config_files(data_dir, tmp_path):
+    flag_out = tmp_path / "flag"
+    cfg_out = tmp_path / "cfg"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"target = NOX\nout-dir = {cfg_out}\n")
+    base = ("summary", "--data-dir", str(data_dir))
+    assert _run(*base, "--target", "NOX", "--out-dir", str(flag_out)) == 0
+    assert _run(*base, "--config", str(cfg)) == 0
+    for name in ("summary.csv", "histograms.csv"):
+        assert (flag_out / name).read_bytes() == (cfg_out / name).read_bytes()
+
+
+def test_drift_with_one_variable_says_why(data_dir, tmp_path, capsys):
+    assert _run("drift", "--data-dir", str(data_dir), "--predictors", "at",
+                "--out-dir", str(tmp_path / "out")) == 3
+    assert "at least 2 variables" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_no_partial_or_temp_file(data_dir, tmp_path,
+                                                     monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    out = tmp_path / "out"
+    assert _run("summary", "--data-dir", str(data_dir),
+                "--out-dir", str(out)) == 2
+    assert list(out.iterdir()) == []
+
+
+NON_BOOLEAN_OPTIONS = ("data_dir", "years", "target", "predictors", "split",
+                       "seed", "k", "k_max", "weighting", "threshold",
+                       "trees", "out", "out_dir", "reference_year",
+                       "tep_unit")
+
+# Text that a flag and a config line carry unchanged: one line, no
+# surrounding whitespace, and no leading "-" (argparse would read a flag).
+_OPTION_TEXT = st.one_of(
+    st.sampled_from(["NOX", "nox", "Co", "at,ap", "at,nox", "AT, tit",
+                     "2011-2013,2015", "2013-2011", "0.7,0.15,0.15",
+                     "0.5,0.5", "csv", "json", "JSON", "mbar", "bar",
+                     "uniform", "inverse_distance", "0", "1", "3", "1e3",
+                     "nan", "inf", "2.5", "0x10", "1_000", "", ","]),
+    st.integers(min_value=0).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+).filter(lambda t: t == t.strip() and len(t.splitlines()) <= 1
+         and not t.startswith("-"))
+
+
+_PARSER = build_parser()
+
+
+def _resolve(argv: list[str]):
+    try:
+        return resolve_config(_PARSER.parse_args(argv))
+    except ConfigError:
+        return ConfigError
+
+
+@pytest.mark.parametrize("key", NON_BOOLEAN_OPTIONS)
+@given(text=_OPTION_TEXT)
+def test_flag_and_config_line_parse_alike(key, text, tmp_path_factory):
+    cfg = tmp_path_factory.getbasetemp() / f"equivalence_{key}.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    from_flag = _resolve(["summary", "--" + key.replace("_", "-"), text])
+    from_file = _resolve(["summary", "--config", str(cfg)])
+    assert from_flag == from_file
 
 
 def test_exit_code_4_for_degenerate_data(degenerate_dir, tmp_path):

@@ -177,3 +177,8 @@ def test_drift_report_detects_planted_drift():
 def test_drift_report_rejects_unknown_reference(turbine_ds):
     with pytest.raises(ConfigError, match="reference year"):
         drift_report(turbine_ds, reference_year=1999)
+
+
+def test_drift_report_needs_two_variables(turbine_ds):
+    with pytest.raises(ConfigError, match=r"\(PC1, PC2\).*at least 2 variables"):
+        drift_report(turbine_ds, variables=("at",))

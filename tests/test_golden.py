@@ -2,8 +2,10 @@
 
 A fixed small synthetic dataset (5 years x 120 rows) goes through all
 seven commands with --plots, plus the fixed-K and single-year branches
-of knn.  Any change to an output byte, or to the set of files written,
-fails here.  Refactors and speedups must leave these hashes alone; a
+of knn, once with flags and once with the same options in a --config
+file.  Any change to an output byte, or to the set of files written,
+fails here; so does a change to the bytes of the input files that
+write_year_files and to_csv produce.  Refactors and speedups must leave these hashes alone; a
 deliberate change of output bytes must say so in CHANGES.md.
 """
 
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from pemskit.cli import main
-from pemskit.ingest import write_year_files
+from pemskit.ingest import to_csv, write_year_files
 from pemskit.synthetic import make_dataset
 
 CASES = {
@@ -154,6 +156,28 @@ GOLDEN: dict[str, dict[str, str]] = {
 }
 
 
+INPUT_GOLDEN = {
+    "gt_2011.csv":
+        "cfa8f1eb37d060a1b7a54739800939dbac75eb30e6f6b387c09c0f803a3354bf",
+    "gt_2012.csv":
+        "b68b7e563a9af9376595b4fa23342fe82d831fc3ae6b61c671b3f62138f1246d",
+    "gt_2013.csv":
+        "27e21090a8d05ba2c632defe2065ebb335dc8a96a7920c104e1d6853b45c3126",
+    "gt_2014.csv":
+        "da59e3352c2802a06468375bb058e0a88168b67cab45ee390630104848e6aa7e",
+    "gt_2015.csv":
+        "926e26cff8fa656b7c2cffb9cf45c37e5747e8b7078f51cbc8c9c5e96defb0f4",
+    "export.csv":
+        "ebbcdf4e46d0d04639a7d3bcea338fea628fb75714c0fb8988bd4ace854d7b14",
+}
+
+
+def _hashes(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 @pytest.fixture(scope="module")
 def golden_dir(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("golden_data")
@@ -166,12 +190,44 @@ def output_hashes(data_dir: Path, out_dir: Path,
                   argv: tuple[str, ...]) -> dict[str, str]:
     assert main([*argv, "--data-dir", str(data_dir),
                  "--out-dir", str(out_dir)]) == 0
-    return {p.relative_to(out_dir).as_posix():
-            hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    return _hashes(out_dir)
+
+
+def config_lines(options: tuple[str, ...]) -> list[str]:
+    """`key = value` lines for flags: `--k 5` -> `k = 5`, a bare
+    `--plots` -> `plots = true`, `--no-leave-self-out` -> `... = false`."""
+    lines, rest = [], list(options)
+    while rest:
+        key = rest.pop(0)[2:]
+        if rest and not rest[0].startswith("--"):
+            lines.append(f"{key} = {rest.pop(0)}")
+        elif key.startswith("no-"):
+            lines.append(f"{key[3:]} = false")
+        else:
+            lines.append(f"{key} = true")
+    return lines
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output_hashes(case, golden_dir, tmp_path):
     assert output_hashes(golden_dir, tmp_path / "out", CASES[case]) \
         == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output_hashes_from_config_file(case, golden_dir, tmp_path):
+    command, *options = CASES[case]
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([f"data-dir = {golden_dir}",
+                              f"out-dir = {out_dir}",
+                              *config_lines(tuple(options))]) + "\n",
+                   encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 0
+    assert _hashes(out_dir) == GOLDEN[case]
+
+
+def test_golden_input_hashes(golden_dir, tmp_path):
+    to_csv(make_dataset(rows_per_year=120, seed=23, drift=0.25),
+           tmp_path / "export.csv")
+    assert {**_hashes(golden_dir), **_hashes(tmp_path)} == INPUT_GOLDEN

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pemskit.errors import ConfigError, DataError
 from pemskit.ingest import (
@@ -204,6 +205,60 @@ def test_read_csv_requires_year_column(tmp_path):
         read_csv(tmp_path / "flat.csv")
     with pytest.raises(DataError, match="file not found"):
         read_csv(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("cell", ["inf", "1e400", "2011.7", "x", ""])
+def test_read_csv_rejects_bad_year_cells(tmp_path, cell):
+    _write(tmp_path / "export.csv", header=HEADER + ",YEAR",
+           rows=(ROW_A + ",2011", ROW_B + "," + cell))
+    with pytest.raises(DataError, match="row 2, column YEAR"):
+        read_csv(tmp_path / "export.csv")
+
+
+@pytest.mark.parametrize("cell", [b"\xff", b"9" * 200_000],
+                         ids=["undecodable", "oversized"])
+def test_undecodable_or_oversized_cell_rejected(tmp_path, cell):
+    (tmp_path / "gt_2011.csv").write_bytes(
+        f"{HEADER}\n{ROW_A[:-4]}".encode() + cell + b"\n")
+    with pytest.raises(DataError, match="gt_2011.csv: unreadable CSV"):
+        load_dataset(tmp_path, [2011])
+
+
+# Cells as a file might hold them: numbers in every spelling, words,
+# and arbitrary text, including commas, quotes and line breaks.
+_CELL = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "2011", "2011.0",
+                     "2011.7", "1e19", "0x10", "1_0", '"', ","]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@given(cells=st.lists(_CELL, min_size=22, max_size=22))
+def test_fuzzed_year_file_cells_load_or_raise_data_error(cells,
+                                                         tmp_path_factory):
+    root = tmp_path_factory.getbasetemp() / "fuzz_year_file"
+    root.mkdir(exist_ok=True)
+    rows = (",".join(cells[:11]), ",".join(cells[11:]))
+    (root / "gt_2011.csv").write_text(
+        "\n".join([HEADER + ",CO", *rows]) + "\n", encoding="utf-8")
+    try:
+        assert isinstance(load_dataset(root, [2011]), Dataset)
+    except DataError:
+        pass
+
+
+@given(years=st.lists(_CELL, min_size=1, max_size=3))
+def test_fuzzed_export_year_cells_load_or_raise_data_error(years,
+                                                           tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz_export.csv"
+    _write(path, header=HEADER + ",YEAR",
+           rows=[f"{ROW_A},{y}" for y in years])
+    try:
+        assert isinstance(read_csv(path), Dataset)
+    except DataError:
+        pass
 
 
 def test_write_year_files_round_trip(tmp_path, turbine_ds):

