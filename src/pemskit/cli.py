@@ -28,7 +28,7 @@ from . import knn as knn_mod
 from . import svgplot
 from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (Dataset, OPTIONAL_TARGET, PREDICTORS, PROCESS_PREDICTORS,
-                     TARGET, atomic_open, load_dataset)
+                     TARGET, atomic_open, check_predictors, load_dataset)
 from .screening import ForestConfig, ScreeningResult, screen_predictors
 from .stats import (DEFAULT_HIGH_NOX_QUANTILE, VariableSummary,
                     correlation_matrix, flag_high_nox, summarize)
@@ -142,6 +142,7 @@ def _parse_predictors(text: str) -> tuple[str, ...]:
     names = tuple(_parse_variable(t) for t in text.split(",") if t.strip())
     if not names:
         raise ConfigError("empty variable list")
+    check_predictors(names)
     return names
 
 
@@ -241,8 +242,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config.predictors is not None and config.exclude_weather:
         raise ConfigError("--predictors and --exclude-weather are mutually "
                           "exclusive")
-    if config.target in config.resolved_predictors():
-        raise ConfigError(f"target '{config.target}' is also a predictor")
+    check_predictors(config.resolved_predictors(), config.target)
     return config
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import MAXYEAR, MINYEAR
@@ -57,6 +58,16 @@ COLUMN_ALIASES = {
 }
 
 REQUIRED = PREDICTORS + (TARGET,)
+
+
+def check_predictors(names: Sequence[str], target: str | None = None) -> None:
+    """ConfigError if a predictor is listed twice or is also the target."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"predictor '{name}' is listed twice")
+    if target is not None and target in names:
+        raise ConfigError(f"target '{target}' is also a predictor")
+
 
 #: Canonical header used by to_csv, matching the documented export order.
 EXPORT_HEADER = ("AT", "AP", "AH", "AFDP", "TIT", "TAT", "TEP", "TEY", "CDP", "NOX")
@@ -182,8 +193,10 @@ def _candidate_files(data_dir: Path, year: int) -> list[Path]:
     found = [p for p in names if p.is_file()]
     if found:
         return found[:1]
-    globbed = sorted(p for p in data_dir.glob(f"*{year}*.csv") if p.is_file())
-    return globbed
+    # the fallback needs the year as a whole number: 13 must not match 2013
+    whole = re.compile(rf"(?<!\d){year}(?!\d)")
+    return sorted(p for p in data_dir.glob(f"*{year}*.csv")
+                  if p.is_file() and whole.search(p.stem))
 
 
 def _map_header(header: Sequence[str], path: Path,
@@ -253,7 +266,8 @@ def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
     """Load the per-year CSVs for ``years`` into one year-tagged Dataset.
 
     Looks for ``gt_<year>.csv`` or ``<year>.csv`` in ``data_dir`` (a
-    unique ``*<year>*.csv`` is accepted as a fallback).  The CO column
+    unique ``*<year>*.csv`` whose stem holds the year as a whole number,
+    not next to another digit, is accepted as a fallback).  The CO column
     is kept only when every requested file has it.
     """
     year_list = sorted(set(int(y) for y in years))

@@ -23,7 +23,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
-from .ingest import Dataset, ObservationRecord, PREDICTORS, TARGET, atomic_open
+from .ingest import (Dataset, ObservationRecord, PREDICTORS, TARGET,
+                     atomic_open, check_predictors)
 from .rng import SplitMix64, derive_seed
 
 PARTITIONS = ("Training", "Validation", "Test")
@@ -142,8 +143,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     names = tuple(predictors) if predictors is not None else PREDICTORS
     if not names:
         raise ConfigError("empty predictor list")
-    if target in names:
-        raise ConfigError(f"target '{target}' is also a predictor")
+    check_predictors(names, target)
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     train_rows = assignment.rows("Training")

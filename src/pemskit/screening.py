@@ -9,6 +9,16 @@ seeded as derive_seed(cfg.seed, tree_index).  The stream first yields
 the bootstrap row draws, then the per-split predictor draws in
 depth-first, left-child-first node order.  Identical (data, config,
 seed) therefore reproduce bit-identical results.
+
+Tree growth is vectorised per node and fixes its floating-point order:
+each tried predictor's values are ordered by ``np.argsort`` of the
+default kind, so tied values keep the order, and with it the summation
+order, that a per-row loop over the same argsort sees; every node total
+and running sum is a sequential ``np.add.accumulate`` scan from 0.0,
+never a pairwise ``np.sum``; and the chosen cut is the first position
+of the largest reduction, replacing the best of earlier predictors only
+on a strict ``>``.  The bytes are those of the plain per-row loop that
+``tests/test_screening.py`` keeps as a reference.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, PREDICTORS, TARGET
+from .ingest import Dataset, PREDICTORS, TARGET, check_predictors
 from .rng import SplitMix64, derive_seed
 
 _UNLIMITED_DEPTH = 2**31 - 1
@@ -33,12 +43,24 @@ def _bootstrap_rows(seed, n, size):
     return rows, stream._state
 
 
+def _running_total(a):
+    """Left-to-right sum starting from 0.0, as a scalar loop adds.
+
+    ``np.add.accumulate`` is a sequential scan (``np.sum`` is pairwise);
+    the trailing ``+ 0.0`` turns an all-negative-zero total into 0.0,
+    as the loop's 0.0 start does.
+    """
+    return np.add.accumulate(a)[-1] + 0.0
+
+
 def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     """Grow one CART regression tree on the given rows.
 
     Splits maximize SSE reduction over midpoint cuts of m predictors
     drawn per node (partial Fisher-Yates from the tree's rng stream).
-    Returns parallel node arrays; feature == -1 marks a leaf.
+    Returns parallel node arrays; feature == -1 marks a leaf.  Each node
+    is processed with array operations in the order the module
+    docstring pins, so the bytes are those of a per-row loop.
     """
     n = rows.shape[0]
     p = x.shape[1]
@@ -52,102 +74,73 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     value = np.zeros(max_nodes, np.float64)
 
     idx = rows.copy()
-    tmp = np.empty(n, np.int64)
-    feats = np.empty(p, np.int64)
     stream = SplitMix64(rng_state)
+    sizes = np.arange(1, n, dtype=np.int64)     # left-child sizes of cuts
 
     # LIFO stack of (node, start, end, depth); left child pushed last so
     # it is processed first.
-    stack_node = np.empty(max_nodes, np.int64)
-    stack_lo = np.empty(max_nodes, np.int64)
-    stack_hi = np.empty(max_nodes, np.int64)
-    stack_depth = np.empty(max_nodes, np.int64)
-    sp = 0
-    stack_node[0], stack_lo[0], stack_hi[0], stack_depth[0] = 0, 0, n, 0
-    sp = 1
+    stack = [(0, 0, n, 0)]
     node_count = 1
 
-    while sp > 0:
-        sp -= 1
-        node = stack_node[sp]
-        lo = stack_lo[sp]
-        hi = stack_hi[sp]
-        depth = stack_depth[sp]
+    while stack:
+        node, lo, hi, depth = stack.pop()
         s = hi - lo
+        seg = idx[lo:hi]
+        ys = y[seg]
 
-        y_sum = 0.0
-        for i in range(lo, hi):
-            y_sum += y[idx[i]]
-        mean = y_sum / s
-        sse = 0.0
-        c_sum = 0.0
-        for i in range(lo, hi):
-            c = y[idx[i]] - mean
-            sse += c * c
-            c_sum += c
+        mean = _running_total(ys) / s
         n_node[node] = s
         value[node] = mean
-
-        if s < 2 * min_leaf or depth >= max_depth or sse <= 0.0:
+        if s < 2 * min_leaf or depth >= max_depth:
             continue
+        c = ys - mean
+        sse = _running_total(c * c)
+        if sse <= 0.0:
+            continue
+        c_sum = _running_total(c)
 
         # Draw m distinct predictors: identity permutation, partial shuffle.
-        for j in range(p):
-            feats[j] = j
+        feats = list(range(p))
         for t in range(m):
             j = t + stream.below(p - t)
             feats[t], feats[j] = feats[j], feats[t]
 
+        # A cut after the i-th sorted row leaves i rows on the left; only
+        # first <= i <= last keeps both children at min_leaf rows or more.
+        first, last = min_leaf, s - min_leaf
+        n_left = sizes[first - 1:last]
+        n_right = s - n_left
+        whole = (c_sum * c_sum) / s
         best_red = 0.0
-        best_feat = np.int64(-1)
+        best_feat = -1
         best_cut = 0.0
-        for t in range(m):
-            f = feats[t]
-            v = np.empty(s, np.float64)
-            w = np.empty(s, np.float64)
-            for i in range(s):
-                v[i] = x[idx[lo + i], f]
+        for f in feats[:m]:
+            v = x[seg, f]
             order = np.argsort(v)
-            for i in range(s):
-                w[i] = y[idx[lo + order[i]]] - mean
-            s_left = 0.0
-            q_left = 0.0
-            prev = v[order[0]]
-            for i in range(1, s):
-                c = w[i - 1]
-                s_left += c
-                q_left += c * c
-                cur = v[order[i]]
-                if cur > prev and i >= min_leaf and s - i >= min_leaf:
-                    s_right = c_sum - s_left
-                    q_right = sse - q_left
-                    red = (s_left * s_left) / i + (s_right * s_right) / (s - i) \
-                        - (c_sum * c_sum) / s
-                    if red > best_red:
-                        best_red = red
-                        best_feat = f
-                        mid = 0.5 * (prev + cur)
-                        if mid >= cur:
-                            mid = prev
-                        best_cut = mid
-                prev = cur
+            vs = v[order]
+            s_left = np.add.accumulate(ys[order[:last]] - mean)[first - 1:]
+            s_right = c_sum - s_left
+            red = (s_left * s_left) / n_left + (s_right * s_right) / n_right \
+                - whole
+            # a cut needs distinct values astride it; NaN never beats best
+            ok = (vs[first:last + 1] > vs[first - 1:last]) & (red > best_red)
+            if not ok.any():
+                continue
+            k = int(np.argmax(np.where(ok, red, -np.inf)))
+            best_red = red[k]
+            best_feat = f
+            prev = vs[first - 1 + k]
+            cur = vs[first + k]
+            mid = 0.5 * (prev + cur)
+            best_cut = prev if mid >= cur else mid
 
         if best_feat < 0:
             continue
 
         # Stable partition: rows with value <= cut keep order on the left.
-        nl = 0
-        for i in range(lo, hi):
-            if x[idx[i], best_feat] <= best_cut:
-                tmp[nl] = idx[i]
-                nl += 1
-        nr = nl
-        for i in range(lo, hi):
-            if x[idx[i], best_feat] > best_cut:
-                tmp[nr] = idx[i]
-                nr += 1
-        for i in range(s):
-            idx[lo + i] = tmp[i]
+        goes_left = x[seg, best_feat] <= best_cut
+        nl = int(np.count_nonzero(goes_left))
+        idx[lo:hi] = np.concatenate((seg[goes_left], seg[~goes_left]))
 
         feature[node] = best_feat
         cut[node] = best_cut
@@ -157,12 +150,8 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
         node_count += 2
         left[node] = left_id
         right[node] = right_id
-        stack_node[sp], stack_lo[sp], stack_hi[sp], stack_depth[sp] = \
-            right_id, lo + nl, hi, depth + 1
-        sp += 1
-        stack_node[sp], stack_lo[sp], stack_hi[sp], stack_depth[sp] = \
-            left_id, lo, lo + nl, depth + 1
-        sp += 1
+        stack.append((right_id, lo + nl, hi, depth + 1))
+        stack.append((left_id, lo, lo + nl, depth + 1))
 
     return (feature[:node_count], cut[:node_count], reduction[:node_count],
             left[:node_count], right[:node_count], n_node[:node_count],
@@ -279,12 +268,22 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
     names = tuple(predictors)
     if not names:
         raise ConfigError("empty predictor list")
-    x = np.ascontiguousarray(ds.matrix(names))
-    y = ds.column(target).astype(np.float64)
-    rows = (np.arange(ds.n_records, dtype=np.int64) if sample_rows is None
-            else np.asarray(sample_rows, dtype=np.int64))
+    check_predictors(names, target)
+    n = ds.n_records
+    rows = np.arange(n, dtype=np.int64) if sample_rows is None \
+        else np.asarray(sample_rows)
+    if rows.ndim != 1:
+        raise ConfigError(f"sample_rows must be 1-D, got shape {rows.shape}")
     if rows.size == 0:
         raise DegenerateDataError("empty sample")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ConfigError(f"sample_rows must be integers, got {rows.dtype}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise ConfigError(f"sample_rows must lie in [0, {n}), got "
+                          f"[{rows.min()}, {rows.max()}]")
+    x = np.ascontiguousarray(ds.matrix(names))
+    y = ds.column(target).astype(np.float64)
+    rows = rows.astype(np.int64, copy=False)
     m = cfg.resolved_m(len(names))
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
     state = cfg.seed if rng_state is None else rng_state
@@ -306,8 +305,7 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     names = tuple(predictors) if predictors is not None else PREDICTORS
     if len(names) < 2:
         raise ConfigError("screening needs at least 2 predictors")
-    if target in names:
-        raise ConfigError(f"target '{target}' is also a predictor")
+    check_predictors(names, target)
     cfg.check()
     y = ds.column(target)
     if ds.n_records < 2 or float(np.ptp(y)) == 0.0:

@@ -277,6 +277,12 @@ def test_exit_code_3_for_config_problems(data_dir, tmp_path):
     assert _run("knn", *base, "--predictors", "at,nox", "--years", "2011",
                 "--k", "1", "--no-leave-self-out") == 3
     assert _run("summary", *base, "--target", "at") == 3
+    # a predictor may be listed only once, whichever command reads the list
+    for command in ("screen", "knn", "drift", "correlate", "cluster-vars"):
+        assert _run(command, *base, "--predictors", "at,at,ap") == 3
+    dup_cfg = tmp_path / "dup.cfg"
+    dup_cfg.write_text("predictors = ap, at, AT\n")
+    assert _run("screen", *base, "--config", str(dup_cfg)) == 3
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("mystery = 1\n")
     assert _run("summary", *base, "--config", str(bad_cfg)) == 3
@@ -295,6 +301,21 @@ def test_target_ignores_case_in_flags_and_config_files(data_dir, tmp_path):
     assert _run(*base, "--config", str(cfg)) == 0
     for name in ("summary.csv", "histograms.csv"):
         assert (flag_out / name).read_bytes() == (cfg_out / name).read_bytes()
+
+
+def test_duplicate_predictor_is_named(data_dir, tmp_path, capsys):
+    assert _run("screen", "--data-dir", str(data_dir), "--predictors",
+                "at,at,ap", "--out-dir", str(tmp_path / "out")) == 3
+    assert "predictor 'at' is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_short_year_does_not_match_a_longer_one(data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("summary", "--data-dir", str(data_dir), "--years", "13",
+                "--out-dir", str(out)) == 2
+    assert "no CSV for year 13" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_drift_with_one_variable_says_why(data_dir, tmp_path, capsys):

@@ -111,6 +111,16 @@ def test_fallback_glob_and_ambiguity(tmp_path):
         load_dataset(tmp_path, [2011])
 
 
+def test_fallback_needs_the_year_as_a_whole_number(tmp_path):
+    _write(tmp_path / "plant_2013.csv")
+    assert load_dataset(tmp_path, [2013]).n_records == 2
+    for year in (13, 201, 1):
+        with pytest.raises(DataError, match=f"no CSV for year {year} "):
+            load_dataset(tmp_path, [year])
+    _write(tmp_path / "unit7_13_hourly.csv")
+    assert load_dataset(tmp_path, [13]).n_records == 2
+
+
 def test_no_years_requested_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_dataset(tmp_path, [])

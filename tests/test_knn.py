@@ -298,6 +298,8 @@ def test_fit_rejects_bad_configuration(tiny_ds):
         fit_knn(tiny_ds, assignment, ())
     with pytest.raises(ConfigError, match="target 'nox' is also a predictor"):
         fit_knn(tiny_ds, assignment, ("at", "nox"), "nox")
+    with pytest.raises(ConfigError, match="predictor 'at' is listed twice"):
+        fit_knn(tiny_ds, assignment, ("at", "ap", "at"))
     x = np.zeros((30, 2))
     x[:, 1] = np.arange(30.0)
     flat = _ds_from_matrix(x, np.arange(30.0))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pemskit.errors import ConfigError, DegenerateDataError
-from pemskit.ingest import Dataset
+from pemskit.ingest import PREDICTORS, Dataset
 from pemskit.rng import SplitMix64, derive_seed
 from pemskit.screening import (
     ForestConfig,
+    _UNLIMITED_DEPTH,
     _bootstrap_rows,
+    _grow_tree,
     fit_regression_tree,
     screen_predictors,
 )
@@ -82,13 +85,14 @@ def test_depth_cap_gives_a_stump(planted_ds):
 
 
 def test_constant_target_collapses_to_single_leaf():
-    ds = _ds_from_columns(x=np.arange(50.0), y=np.full(50, 4.0))
+    ds = _ds_from_columns(x=np.arange(50.0), x2=np.arange(50.0) % 7,
+                          y=np.full(50, 4.0))
     tree = fit_regression_tree(ds, ("x",), "y", ForestConfig(n_trees=1))
     assert tree.n_nodes == 1
     assert tree.splits == []
     assert float(tree.value[0]) == 4.0
     with pytest.raises(DegenerateDataError, match="zero variance"):
-        screen_predictors(ds, ("x", "x"), "y")
+        screen_predictors(ds, ("x", "x2"), "y")
 
 
 def test_screening_ranks_planted_signal(planted_ds):
@@ -158,8 +162,242 @@ def test_config_validation(planted_ds):
         screen_predictors(planted_ds, ("x1",), "y")
     with pytest.raises(ConfigError, match="target 'y' is also a predictor"):
         screen_predictors(planted_ds, ("x1", "y"), "y")
+    with pytest.raises(ConfigError, match="predictor 'x1' is listed twice"):
+        screen_predictors(planted_ds, ("x1", "x2", "x1"), "y")
     with pytest.raises(ConfigError, match="empty predictor"):
         fit_regression_tree(planted_ds, (), "y", ForestConfig())
     with pytest.raises(ConfigError, match="sample_size"):
         screen_predictors(planted_ds, ("x1", "x2"), "y",
                           ForestConfig(sample_size=0))
+
+
+@pytest.mark.parametrize("predictors, sample_rows, message", [
+    (("x1", "y"), None, "target 'y' is also a predictor"),
+    (("x1", "x2", "x1"), None, "predictor 'x1' is listed twice"),
+    (("x1", "x2"), [0, 500], r"must lie in \[0, 500\), got \[0, 500\]"),
+    (("x1", "x2"), [3, -1], r"must lie in \[0, 500\), got \[-1, 3\]"),
+    (("x1", "x2"), [1.7, 2.2], "must be integers, got float64"),
+    (("x1", "x2"), [True, False], "must be integers, got bool"),
+    (("x1", "x2"), [[0, 1], [2, 3]], r"must be 1-D, got shape \(2, 2\)"),
+    (("x1", "x2"), 7, r"must be 1-D, got shape \(\)"),
+], ids=["target", "duplicate", "past_end", "negative", "fractional",
+        "boolean", "two_d", "scalar"])
+def test_fit_regression_tree_rejects_bad_inputs(planted_ds, predictors,
+                                                sample_rows, message):
+    with pytest.raises(ConfigError, match=message):
+        fit_regression_tree(planted_ds, predictors, "y", ForestConfig(),
+                            sample_rows=sample_rows)
+
+
+def test_fit_regression_tree_sample_rows_edges(planted_ds):
+    with pytest.raises(DegenerateDataError, match="empty sample"):
+        fit_regression_tree(planted_ds, ("x1",), "y", ForestConfig(),
+                            sample_rows=[])
+    rows = np.array([0, 499, 499], dtype=np.uint32)
+    tree = fit_regression_tree(planted_ds, ("x1",), "y", ForestConfig(),
+                               sample_rows=rows)
+    assert int(tree.n_rows[0]) == 3
+
+
+# ------------------------------------------------- grower vs. loop reference
+
+
+def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
+    """The grower as a plain per-row loop: depth-first, left child first,
+    m predictors drawn per node, first best midpoint cut on a strict >."""
+    n = rows.shape[0]
+    p = x.shape[1]
+    max_nodes = 2 * n + 1
+    feature = np.full(max_nodes, -1, np.int64)
+    cut = np.zeros(max_nodes, np.float64)
+    reduction = np.zeros(max_nodes, np.float64)
+    left = np.full(max_nodes, -1, np.int64)
+    right = np.full(max_nodes, -1, np.int64)
+    n_node = np.zeros(max_nodes, np.int64)
+    value = np.zeros(max_nodes, np.float64)
+
+    idx = rows.copy()
+    tmp = np.empty(n, np.int64)
+    feats = np.empty(p, np.int64)
+    stream = SplitMix64(rng_state)
+
+    stack_node = np.empty(max_nodes, np.int64)
+    stack_lo = np.empty(max_nodes, np.int64)
+    stack_hi = np.empty(max_nodes, np.int64)
+    stack_depth = np.empty(max_nodes, np.int64)
+    stack_node[0], stack_lo[0], stack_hi[0], stack_depth[0] = 0, 0, n, 0
+    sp = 1
+    node_count = 1
+
+    while sp > 0:
+        sp -= 1
+        node = stack_node[sp]
+        lo = stack_lo[sp]
+        hi = stack_hi[sp]
+        depth = stack_depth[sp]
+        s = hi - lo
+
+        y_sum = 0.0
+        for i in range(lo, hi):
+            y_sum += y[idx[i]]
+        mean = y_sum / s
+        sse = 0.0
+        c_sum = 0.0
+        for i in range(lo, hi):
+            c = y[idx[i]] - mean
+            sse += c * c
+            c_sum += c
+        n_node[node] = s
+        value[node] = mean
+
+        if s < 2 * min_leaf or depth >= max_depth or sse <= 0.0:
+            continue
+
+        for j in range(p):
+            feats[j] = j
+        for t in range(m):
+            j = t + stream.below(p - t)
+            feats[t], feats[j] = feats[j], feats[t]
+
+        best_red = 0.0
+        best_feat = np.int64(-1)
+        best_cut = 0.0
+        for t in range(m):
+            f = feats[t]
+            v = np.empty(s, np.float64)
+            w = np.empty(s, np.float64)
+            for i in range(s):
+                v[i] = x[idx[lo + i], f]
+            order = np.argsort(v)
+            for i in range(s):
+                w[i] = y[idx[lo + order[i]]] - mean
+            s_left = 0.0
+            prev = v[order[0]]
+            for i in range(1, s):
+                s_left += w[i - 1]
+                cur = v[order[i]]
+                if cur > prev and i >= min_leaf and s - i >= min_leaf:
+                    s_right = c_sum - s_left
+                    red = (s_left * s_left) / i + (s_right * s_right) / (s - i) \
+                        - (c_sum * c_sum) / s
+                    if red > best_red:
+                        best_red = red
+                        best_feat = f
+                        mid = 0.5 * (prev + cur)
+                        if mid >= cur:
+                            mid = prev
+                        best_cut = mid
+                prev = cur
+
+        if best_feat < 0:
+            continue
+
+        nl = 0
+        for i in range(lo, hi):
+            if x[idx[i], best_feat] <= best_cut:
+                tmp[nl] = idx[i]
+                nl += 1
+        nr = nl
+        for i in range(lo, hi):
+            if x[idx[i], best_feat] > best_cut:
+                tmp[nr] = idx[i]
+                nr += 1
+        for i in range(s):
+            idx[lo + i] = tmp[i]
+
+        feature[node] = best_feat
+        cut[node] = best_cut
+        reduction[node] = best_red
+        left_id = node_count
+        right_id = node_count + 1
+        node_count += 2
+        left[node] = left_id
+        right[node] = right_id
+        stack_node[sp], stack_lo[sp], stack_hi[sp], stack_depth[sp] = \
+            right_id, lo + nl, hi, depth + 1
+        sp += 1
+        stack_node[sp], stack_lo[sp], stack_hi[sp], stack_depth[sp] = \
+            left_id, lo, lo + nl, depth + 1
+        sp += 1
+
+    return (feature[:node_count], cut[:node_count], reduction[:node_count],
+            left[:node_count], right[:node_count], n_node[:node_count],
+            value[:node_count])
+
+
+def _assert_grows_like_reference(x, y, rows, m, min_leaf, max_depth, state):
+    want = _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, state)
+    got = _grow_tree(x, y, rows, m, min_leaf, max_depth, state)
+    assert len(got) == 7
+    for name, a, b in zip(("feature", "cut", "reduction", "left", "right",
+                           "n_node", "value"), want, got):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    return got
+
+
+def _tree_inputs(quantized, seed=5, n=300, p=4):
+    """Predictors with a planted signal; quantized ones tie heavily."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    if quantized:
+        x = np.round(x, 0)
+    y = 3.0 * x[:, 0] + x[:, 1] ** 2 + rng.normal(size=n)
+    rows, state = _bootstrap_rows(derive_seed(seed, 0), n, n)
+    return np.ascontiguousarray(x), y, rows, state
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["real", "ties"])
+@pytest.mark.parametrize("min_leaf", [1, 5, 37])
+@pytest.mark.parametrize("max_depth", [1, 3, _UNLIMITED_DEPTH],
+                         ids=["depth1", "depth3", "unlimited"])
+@pytest.mark.parametrize("m", [1, 4], ids=["m1", "mp"])
+def test_grower_matches_reference_loop(quantized, min_leaf, max_depth, m):
+    x, y, rows, state = _tree_inputs(quantized)
+    assert len(np.unique(rows)) < len(rows)    # bootstrap repeats rows
+    feature, *_ = _assert_grows_like_reference(x, y, rows, m, min_leaf,
+                                               max_depth, state)
+    assert feature[0] >= 0      # the root splits, so there is a tree to compare
+
+
+def test_grower_matches_reference_on_synthetic_turbine_data(turbine_ds):
+    x = np.ascontiguousarray(turbine_ds.matrix(PREDICTORS))
+    y = turbine_ds.column("nox").astype(np.float64)
+    rows, state = _bootstrap_rows(derive_seed(1, 0), turbine_ds.n_records,
+                                  turbine_ds.n_records)
+    _assert_grows_like_reference(x, y, rows, 3, 5, _UNLIMITED_DEPTH, state)
+
+
+@pytest.mark.parametrize("target", [4.0, -0.0], ids=["four", "minus_zero"])
+def test_grower_matches_reference_on_constant_target(target):
+    x, _, rows, state = _tree_inputs(False, n=50)
+    y = np.full(50, target)
+    feature, *_ = _assert_grows_like_reference(
+        x, y, rows, 4, 1, _UNLIMITED_DEPTH, state)
+    assert feature.tolist() == [-1]
+
+
+def test_grower_matches_reference_on_two_rows():
+    x = np.array([[0.0, 1.0], [1.0, 1.0]])
+    y = np.array([2.0, 5.0])
+    for rows in (np.array([0, 1]), np.array([1, 0]), np.array([1, 1])):
+        for min_leaf in (1, 2):
+            _assert_grows_like_reference(x, y, rows, 2, min_leaf,
+                                         _UNLIMITED_DEPTH, 99)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       p=st.integers(1, 4), decimals=st.integers(0, 2),
+       min_leaf=st.integers(1, 6), max_depth=st.sampled_from([1, 2, 4, None]),
+       data=st.data())
+def test_grower_matches_reference_on_random_data(seed, n, p, decimals,
+                                                 min_leaf, max_depth, data):
+    rng = np.random.default_rng(seed)
+    x = np.ascontiguousarray(np.round(rng.normal(size=(n, p)), decimals))
+    y = np.round(rng.normal(size=n) + x.sum(axis=1), decimals)
+    m = data.draw(st.integers(1, p), label="m")
+    size = data.draw(st.integers(1, 2 * n), label="size")
+    rows, state = _bootstrap_rows(derive_seed(seed, 0), n, size)
+    depth = _UNLIMITED_DEPTH if max_depth is None else max_depth
+    _assert_grows_like_reference(x, y, rows, m, min_leaf, depth, state)
