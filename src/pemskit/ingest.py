@@ -69,6 +69,21 @@ def check_predictors(names: Sequence[str], target: str | None = None) -> None:
         raise ConfigError(f"target '{target}' is also a predictor")
 
 
+def check_rows(rows, n_records: int, name: str = "rows") -> np.ndarray:
+    """``rows`` as int64 record indices; ConfigError unless they form a
+    1-D integer array within [0, n_records) (an empty one passes)."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise ConfigError(f"{name} must be 1-D, got shape {rows.shape}")
+    if rows.size:
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise ConfigError(f"{name} must be integers, got {rows.dtype}")
+        if rows.min() < 0 or rows.max() >= n_records:
+            raise ConfigError(f"{name} must lie in [0, {n_records}), got "
+                              f"[{rows.min()}, {rows.max()}]")
+    return rows.astype(np.int64, copy=False)
+
+
 #: Canonical header used by to_csv, matching the documented export order.
 EXPORT_HEADER = ("AT", "AP", "AH", "AFDP", "TIT", "TAT", "TEP", "TEY", "CDP", "NOX")
 

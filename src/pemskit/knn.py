@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import (Dataset, ObservationRecord, PREDICTORS, TARGET,
-                     atomic_open, check_predictors)
+                     atomic_open, check_predictors, check_rows)
 from .rng import SplitMix64, derive_seed
 
 PARTITIONS = ("Training", "Validation", "Test")
@@ -118,7 +119,7 @@ class KnnModel:
     predictors: tuple[str, ...]
     means: np.ndarray
     stds: np.ndarray
-    train_z: np.ndarray       # standardized training matrix
+    train_z: np.ndarray       # standardized training matrix, column-major
     train_y: np.ndarray
     train_rows: np.ndarray    # original dataset row of each training row
     k: int
@@ -159,7 +160,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
         if s == 0.0 or not math.isfinite(s):
             raise DegenerateDataError(
                 f"predictor '{name}' has zero variance in the training partition")
-    z = np.ascontiguousarray((x - means) / stds)
+    z = np.asfortranarray((x - means) / stds)
     y = ds.column(target)[train_rows].copy()
     return KnnModel(names, means, stds, z, y, train_rows.copy(), k,
                     weighting, leave_self_out)
@@ -167,72 +168,116 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
 
 # ------------------------------------------------------ neighbor search
 
+#: Distance cells per query block: two float64 buffers of this many cells
+#: (512 KB each) stay in cache while every predictor is accumulated.
+_BLOCK_CELLS = 1 << 16
+
+
+def _self_positions(train_rows: np.ndarray, self_rows: np.ndarray) -> np.ndarray:
+    """Training position of each query's own dataset row, or -1.
+
+    Training rows are distinct; the lookup table spans only the dataset
+    rows that occur among the queries.
+    """
+    pos = np.full(self_rows.shape[0], -1, dtype=np.int64)
+    mine = self_rows >= 0
+    if not mine.any():
+        return pos
+    top = int(self_rows.max())
+    keep = (train_rows >= 0) & (train_rows <= top)
+    where = np.full(top + 1, -1, dtype=np.int64)
+    where[train_rows[keep]] = np.nonzero(keep)[0]
+    pos[mine] = where[self_rows[mine]]
+    return pos
+
+
 def _scan(train_z, train_rows, q_z, self_rows, k):
     """Top-k neighbors per query by (squared distance, training index).
 
-    Squared distance accumulates predictor by predictor in declared
-    order; distance ties keep the earlier training row.  Queries run in
-    chunks so the distance block stays near 32 MB.
+    Queries run in blocks of about _BLOCK_CELLS distance cells.  Squared
+    distance accumulates in place, predictor by predictor in declared
+    order: the first writes diff*diff (equal to 0.0 + diff*diff, as a
+    square is never -0.0) and each later one adds its own.  A query's
+    own training row, if any, is set to +inf.  The k-th smallest value
+    bounds the candidates, which are ordered by (distance, index); ties
+    at the bound keep the earlier training rows.
     """
-    n_q = q_z.shape[0]
+    n_q, p = q_z.shape
     n_t = train_z.shape[0]
+    pos = _self_positions(train_rows, self_rows)
+    if k > n_t - 1 and (pos >= 0).any():
+        raise DegenerateDataError(
+            "k exceeds available neighbors under leave-self-out")
     out_d2 = np.empty((n_q, k), np.float64)
     out_ix = np.empty((n_q, k), np.int64)
-    chunk = max(1, (1 << 22) // max(1, n_t))
-    for lo in range(0, n_q, chunk):
-        hi = min(lo + chunk, n_q)
+    block = max(1, _BLOCK_CELLS // max(1, n_t))
+    d2_buf = np.empty((min(block, n_q), n_t))
+    tmp_buf = np.empty_like(d2_buf)
+    cols = [train_z[:, j] for j in range(p)]
+    first_k = np.arange(k)
+    for lo in range(0, n_q, block):
+        hi = min(lo + block, n_q)
         q = q_z[lo:hi]
-        d2 = np.zeros((hi - lo, n_t))
-        for j in range(q_z.shape[1]):
-            diff = q[:, j:j + 1] - train_z[:, j]
-            d2 += diff * diff
-        for i in range(hi - lo):
-            me = self_rows[lo + i]
-            if me >= 0:
-                d2[i, train_rows == me] = np.inf
-            row = d2[i]
-            part = np.argpartition(row, k - 1)[:k]
-            bound = row[part].max()
-            strict = part[row[part] < bound]
-            ties = np.nonzero(row == bound)[0]
-            sel = np.concatenate([strict, ties[:k - strict.shape[0]]])
-            sel = sel[np.lexsort((sel, row[sel]))]
-            out_d2[lo + i] = row[sel]
-            out_ix[lo + i] = sel
+        d2 = d2_buf[:hi - lo]
+        tmp = tmp_buf[:hi - lo]
+        np.subtract(q[:, :1], cols[0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for j in range(1, p):
+            np.subtract(q[:, j:j + 1], cols[j], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(d2, tmp, out=d2)
+        me = pos[lo:hi]
+        own = np.nonzero(me >= 0)[0]
+        d2[own, me[own]] = np.inf
+        bound = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        cand = np.flatnonzero(d2 <= bound)
+        row, col = np.divmod(cand, n_t)
+        dist = d2.ravel()[cand]
+        order = np.lexsort((col, dist, row))
+        counts = np.bincount(row, minlength=hi - lo)
+        take = order[((np.cumsum(counts) - counts)[:, None] + first_k).ravel()]
+        out_d2[lo:hi] = dist[take].reshape(hi - lo, k)
+        out_ix[lo:hi] = col[take].reshape(hi - lo, k)
     return out_d2, out_ix
 
 
-def _neighbors(model: KnnModel, q_z: np.ndarray, self_rows: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-    if np.isin(self_rows[self_rows >= 0], model.train_rows).any() \
-            and k > model.n_training - 1:
-        raise DegenerateDataError(
-            "k exceeds available neighbors under leave-self-out")
-    return _scan(model.train_z, model.train_rows, np.ascontiguousarray(q_z),
-                 self_rows, k)
+def _fold_all(d2, ix, train_y, k_max: int, weighting: str) -> np.ndarray:
+    """Predictions for k = 1..k_max: row k-1 folds the first k neighbors.
 
-
-def _fold_prediction(d2_row, ix_row, train_y, k: int, weighting: str) -> float:
-    if d2_row[0] == 0.0:
-        total = 0.0
-        count = 0
-        for j in range(k):
-            if d2_row[j] == 0.0:
-                total += train_y[ix_row[j]]
-                count += 1
-        return total / count
+    Each fold runs left to right, one vectorised column step across all
+    queries per neighbor, so every row equals the scalar fold of that k.
+    Queries whose nearest neighbor is at distance 0 take the mean of the
+    zero-distance targets instead; their total starts at +0.0 and so is
+    never -0.0, which makes adding 0.0 for the other neighbors exact.
+    """
+    n = d2.shape[0]
+    y = train_y[ix[:, :k_max]]
+    out = np.empty((k_max, n))
     if weighting == "uniform":
-        total = 0.0
-        for j in range(k):
-            total += train_y[ix_row[j]]
-        return total / k
-    num = 0.0
-    den = 0.0
-    for j in range(k):
-        d = math.sqrt(d2_row[j])
-        num += train_y[ix_row[j]] / d
-        den += 1.0 / d
-    return num / den
+        total = np.zeros(n)
+        for j in range(k_max):
+            total += y[:, j]
+            out[j] = total / (j + 1)
+    else:
+        num = np.zeros(n)
+        den = np.zeros(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(k_max):
+                d = np.sqrt(d2[:, j])
+                num += y[:, j] / d
+                den += 1.0 / d
+                out[j] = num / den
+    zero = np.nonzero(d2[:, 0] == 0.0)[0]
+    if zero.shape[0]:
+        hit = d2[zero, :k_max] == 0.0
+        yz = y[zero]
+        total = np.zeros(zero.shape[0])
+        count = np.zeros(zero.shape[0])
+        for j in range(k_max):
+            total += np.where(hit[:, j], yz[:, j], 0.0)
+            count += hit[:, j]
+            out[j, zero] = total / count
+    return out
 
 
 def _predict_matrix(model: KnnModel, q: np.ndarray,
@@ -242,28 +287,30 @@ def _predict_matrix(model: KnnModel, q: np.ndarray,
     if self_rows is None:
         self_rows = np.full(q.shape[0], -1, dtype=np.int64)
     q_z = (q - model.means) / model.stds
-    d2, ix = _neighbors(model, q_z, self_rows, kk)
-    out = np.empty(q.shape[0])
-    for i in range(q.shape[0]):
-        out[i] = _fold_prediction(d2[i], ix[i], model.train_y, kk,
-                                  model.weighting)
-    return out
+    d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, kk)
+    return _fold_all(d2, ix, model.train_y, kk, model.weighting)[kk - 1]
 
 
 def _query_vector(model: KnnModel, record) -> np.ndarray:
-    q = np.empty(len(model.predictors))
-    for j, name in enumerate(model.predictors):
-        if isinstance(record, ObservationRecord):
-            v = record.predictor(name)
-        elif isinstance(record, Mapping):
+    if isinstance(record, ObservationRecord):
+        values = [record.predictor(name) for name in model.predictors]
+    elif isinstance(record, Mapping):
+        for name in model.predictors:
             if name not in record:
                 raise DataError(f"record missing predictor '{name}'")
-            v = float(record[name])
-        else:
-            raise DataError(f"unsupported record type {type(record).__name__}")
-        if not math.isfinite(v):
+        values = [record[name] for name in model.predictors]
+    else:
+        raise DataError(f"unsupported record type {type(record).__name__}")
+    q = np.empty(len(values))
+    for j, (name, v) in enumerate(zip(model.predictors, values)):
+        if isinstance(v, bool) or not isinstance(v, Real):
+            raise DataError(f"predictor '{name}' must be a number, got {v!r}")
+        try:
+            q[j] = float(v)
+        except OverflowError:   # an int beyond the float range
+            q[j] = math.inf
+        if not math.isfinite(q[j]):
             raise DataError(f"non-finite value for predictor '{name}': {v!r}")
-        q[j] = v
     return q
 
 
@@ -281,9 +328,8 @@ def predict_rows(model: KnnModel, ds: Dataset,
                  rows: np.ndarray | None = None) -> np.ndarray:
     """Predict dataset rows; training members are left out of their own
     neighbor sets when the model says so."""
-    if rows is None:
-        rows = np.arange(ds.n_records, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.arange(ds.n_records, dtype=np.int64) if rows is None \
+        else check_rows(rows, ds.n_records)
     q = ds.matrix(model.predictors)[rows]
     self_rows = rows if model.leave_self_out \
         else np.full(rows.shape[0], -1, dtype=np.int64)
@@ -346,9 +392,9 @@ def select_k(ds: Dataset, assignment: SplitAssignment,
              leave_self_out: bool = True) -> KSelectionCurve:
     """Validation RASE for k = 1..k_max; chosen k = argmin, ties low.
 
-    Neighbors are scanned once at k_max; the k-neighbor prediction is a
-    fold over the first k of that ordered list, bit-identical to a
-    fresh k-neighbor model.
+    Neighbors are scanned once at k_max, and one _fold_all pass gives
+    every k: the k-neighbor prediction folds the first k of that
+    ordered list, bit-identical to a fresh k-neighbor model.
     """
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
@@ -361,18 +407,15 @@ def select_k(ds: Dataset, assignment: SplitAssignment,
     self_rows = val_rows if leave_self_out \
         else np.full(val_rows.shape[0], -1, dtype=np.int64)
     q_z = (q - model.means) / model.stds
-    d2, ix = _neighbors(model, q_z, self_rows, k_max)
+    d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, k_max)
+    preds = _fold_all(d2, ix, model.train_y, k_max, weighting)
     actual = ds.column(target)[val_rows]
 
     points = []
     chosen = 1
     best = math.inf
     for k in range(1, k_max + 1):
-        preds = np.empty(val_rows.shape[0])
-        for i in range(val_rows.shape[0]):
-            preds[i] = _fold_prediction(d2[i], ix[i], model.train_y, k,
-                                        weighting)
-        rase = _metrics_from_errors(actual, preds).rase
+        rase = _metrics_from_errors(actual, preds[k - 1]).rase
         points.append((k, rase))
         if rase < best:
             best = rase
@@ -534,8 +577,18 @@ def compare_pooled_vs_yearly(ds: Dataset,
 
 # ----------------------------------------------------------- persistence
 
+#: Rows per json.dumps call while streaming a model's arrays to disk.
+_SAVE_ROWS = 1024
+
+
 def save_model(model: KnnModel, path: str | Path) -> None:
-    doc = {
+    """Write the model as one JSON object and a newline.
+
+    The arrays are streamed in blocks of rows, so the file holds the
+    bytes of ``json.dumps`` of the whole document without that string,
+    or the lists behind it, ever being built.
+    """
+    head = {
         "format_version": MODEL_FORMAT_VERSION,
         "predictors": list(model.predictors),
         "means": model.means.tolist(),
@@ -543,12 +596,28 @@ def save_model(model: KnnModel, path: str | Path) -> None:
         "k": model.k,
         "weighting": model.weighting,
         "leave_self_out": model.leave_self_out,
-        "train_rows": model.train_rows.tolist(),
-        "train_y": model.train_y.tolist(),
-        "train_z": model.train_z.tolist(),
     }
     with atomic_open(path) as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(json.dumps(head)[:-1])
+        for name in ("train_rows", "train_y", "train_z"):
+            arr = getattr(model, name)
+            fh.write(f", {json.dumps(name)}: [")
+            for lo in range(0, arr.shape[0], _SAVE_ROWS):
+                fh.write(", " if lo else "")
+                fh.write(json.dumps(arr[lo:lo + _SAVE_ROWS].tolist())[1:-1])
+            fh.write("]")
+        fh.write("}\n")
+
+
+def _numbers(doc: dict, key: str, integer: bool = False) -> np.ndarray:
+    """doc[key] as a float64 (or int64) array.  Strings, all-boolean
+    arrays, ints beyond 64 bits and, for an integer array, fractions
+    are rejected, not converted."""
+    arr = np.asarray(doc[key])
+    if arr.dtype.kind not in ("i" if integer else "if"):
+        kind = "integers" if integer else "numbers"
+        raise DataError(f"{key} must hold {kind}")
+    return arr.astype(np.int64 if integer else np.float64)
 
 
 def load_model(path: str | Path) -> KnnModel:
@@ -564,16 +633,16 @@ def load_model(path: str | Path) -> KnnModel:
     try:
         model = KnnModel(
             tuple(doc["predictors"]),
-            np.asarray(doc["means"], dtype=np.float64),
-            np.asarray(doc["stds"], dtype=np.float64),
-            np.ascontiguousarray(doc["train_z"], dtype=np.float64),
-            np.asarray(doc["train_y"], dtype=np.float64),
-            np.asarray(doc["train_rows"], dtype=np.int64),
-            int(doc["k"]),
-            str(doc["weighting"]),
+            _numbers(doc, "means"),
+            _numbers(doc, "stds"),
+            np.asfortranarray(_numbers(doc, "train_z")),
+            _numbers(doc, "train_y"),
+            _numbers(doc, "train_rows", integer=True),
+            doc["k"],
+            doc["weighting"],
             doc["leave_self_out"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     problem = _model_problem(model)
     if problem is not None:
@@ -586,18 +655,25 @@ def _model_problem(model: KnnModel) -> str | None:
     p = len(model.predictors)
     if p == 0 or not all(isinstance(n, str) for n in model.predictors):
         return "predictors must be a non-empty list of names"
+    if len(set(model.predictors)) != p:
+        return "predictors must be distinct"
     if model.means.shape != (p,) or model.stds.shape != (p,):
         return "means and stds need one entry per predictor"
     n = model.n_training
     if model.train_z.ndim != 2 or model.train_z.shape[1] != p \
             or model.train_y.shape != (n,) or model.train_rows.shape != (n,):
         return "shape mismatch"
+    if type(model.k) is not int:
+        return f"k must be an integer, got {model.k!r}"
     if not 1 <= model.k <= n:
         return f"k must be in [1, {n}], got {model.k}"
     if model.weighting not in WEIGHTINGS:
         return f"weighting must be one of {WEIGHTINGS}, got {model.weighting!r}"
     if not isinstance(model.leave_self_out, bool):
         return "leave_self_out must be true or false"
+    rows = np.sort(model.train_rows)
+    if rows[0] < 0 or (rows[1:] == rows[:-1]).any():
+        return "train_rows must be distinct non-negative row numbers"
     if not (np.isfinite(model.stds).all() and (model.stds > 0.0).all()):
         return "stds must be finite and positive"
     for name in ("means", "train_z", "train_y"):

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, PREDICTORS, TARGET, check_predictors
+from .ingest import Dataset, PREDICTORS, TARGET, check_predictors, check_rows
 from .rng import SplitMix64, derive_seed
 
 _UNLIMITED_DEPTH = 2**31 - 1
@@ -271,19 +271,11 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
     check_predictors(names, target)
     n = ds.n_records
     rows = np.arange(n, dtype=np.int64) if sample_rows is None \
-        else np.asarray(sample_rows)
-    if rows.ndim != 1:
-        raise ConfigError(f"sample_rows must be 1-D, got shape {rows.shape}")
+        else check_rows(sample_rows, n, "sample_rows")
     if rows.size == 0:
         raise DegenerateDataError("empty sample")
-    if not np.issubdtype(rows.dtype, np.integer):
-        raise ConfigError(f"sample_rows must be integers, got {rows.dtype}")
-    if rows.min() < 0 or rows.max() >= n:
-        raise ConfigError(f"sample_rows must lie in [0, {n}), got "
-                          f"[{rows.min()}, {rows.max()}]")
     x = np.ascontiguousarray(ds.matrix(names))
     y = ds.column(target).astype(np.float64)
-    rows = rows.astype(np.int64, copy=False)
     m = cfg.resolved_m(len(names))
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
     state = cfg.seed if rng_state is None else rng_state

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from pemskit.ingest import Dataset
 from pemskit.knn import (
     DEFAULT_FRACTIONS,
     PARTITIONS,
+    WEIGHTINGS,
     KnnModel,
     SplitAssignment,
+    _BLOCK_CELLS,
+    _fold_all,
     _partition_counts,
     _scan,
     compare_pooled_vs_yearly,
@@ -129,18 +133,20 @@ def _reference_scan(train_z, train_rows, q_z, self_rows, k):
     n_q = q_z.shape[0]
     n_t = train_z.shape[0]
     p = train_z.shape[1]
+    tz = train_z.tolist()
+    qz = q_z.tolist()
     out_d2 = np.empty((n_q, k), np.float64)
     out_ix = np.empty((n_q, k), np.int64)
     for qi in range(n_q):
-        best_d2 = np.full(k, np.inf)
-        best_ix = np.full(k, -1, np.int64)
+        best_d2 = [math.inf] * k
+        best_ix = [-1] * k
         me = self_rows[qi]
         for t in range(n_t):
             if train_rows[t] == me:
                 continue
             d2 = 0.0
             for j in range(p):
-                diff = q_z[qi, j] - train_z[t, j]
+                diff = qz[qi][j] - tz[t][j]
                 d2 += diff * diff
             if d2 < best_d2[k - 1]:
                 pos = k - 1
@@ -155,6 +161,40 @@ def _reference_scan(train_z, train_rows, q_z, self_rows, k):
     return out_d2, out_ix
 
 
+def _reference_fold(d2_row, ix_row, train_y, k: int, weighting: str) -> float:
+    """Scalar left-to-right fold of the first k neighbors of one query."""
+    if d2_row[0] == 0.0:
+        total = 0.0
+        count = 0
+        for j in range(k):
+            if d2_row[j] == 0.0:
+                total += train_y[ix_row[j]]
+                count += 1
+        return total / count
+    if weighting == "uniform":
+        total = 0.0
+        for j in range(k):
+            total += train_y[ix_row[j]]
+        return total / k
+    num = 0.0
+    den = 0.0
+    for j in range(k):
+        d = math.sqrt(d2_row[j])
+        num += train_y[ix_row[j]] / d
+        den += 1.0 / d
+    return num / den
+
+
+def _assert_scan_matches(train_z, train_rows, q_z, self_rows, ks):
+    # the top-k under a total order is a prefix of the top-k_max, so one
+    # reference run at the largest k checks every smaller k too
+    d2a, ixa = _reference_scan(train_z, train_rows, q_z, self_rows, max(ks))
+    for k in ks:
+        d2b, ixb = _scan(train_z, train_rows, q_z, self_rows, k)
+        assert d2b.tobytes() == d2a[:, :k].tobytes(), k
+        assert np.array_equal(ixb, ixa[:, :k]), k
+
+
 def test_scan_matches_reference_loop():
     rng = np.random.default_rng(77)
     train_z = np.ascontiguousarray(np.round(rng.normal(size=(90, 3)), 1))
@@ -162,11 +202,94 @@ def test_scan_matches_reference_loop():
     train_rows = np.arange(90, dtype=np.int64)
     self_rows = np.full(40, -1, dtype=np.int64)
     self_rows[:10] = np.arange(10)
-    for k in (1, 5, 17):
-        d2a, ixa = _reference_scan(train_z, train_rows, q_z, self_rows, k)
-        d2b, ixb = _scan(train_z, train_rows, q_z, self_rows, k)
-        assert np.array_equal(d2a, d2b)
-        assert np.array_equal(ixa, ixb)
+    _assert_scan_matches(train_z, train_rows, q_z, self_rows, (1, 5, 17))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_scan_matches_reference_across_blocks(order):
+    # 70 queries x 2,600 training rows: two full blocks of queries and a
+    # partial last one; a half-unit grid makes distance ties common
+    rng = np.random.default_rng(5)
+    n_t, n_q = 2600, 70
+    block = max(1, _BLOCK_CELLS // n_t)
+    assert n_q > 2 * block and n_q % block != 0
+    train_z = np.asarray(np.round(rng.normal(size=(n_t, 3)) * 2.0) / 2.0,
+                         order=order)
+    q_z = np.round(rng.normal(size=(n_q, 3)) * 2.0) / 2.0
+    # training rows carry dataset row ids 1000.. in shuffled order; some
+    # queries are their own training rows, others are not training rows
+    train_rows = rng.permutation(n_t).astype(np.int64) + 1000
+    self_rows = np.full(n_q, -1, dtype=np.int64)
+    own = rng.integers(0, n_t, size=self_rows[::3].size)
+    self_rows[::3] = train_rows[own]
+    q_z[::3] = train_z[own]
+    self_rows[1::7] = 7   # a dataset row that is not a training row
+    _assert_scan_matches(train_z, train_rows, q_z, self_rows, (1, 4, 9))
+
+
+def test_scan_self_row_at_the_tie_bound():
+    # eight coincident training points; each query sits on them and is
+    # itself one of them, so the k-th distance is a tie that the self
+    # row would win on index without the exclusion
+    train_z = np.zeros((12, 2))
+    train_z[8:] = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [-1.0, 0.5]]
+    train_rows = np.arange(100, 112, dtype=np.int64)
+    q_z = np.zeros((8, 2))
+    self_rows = np.arange(100, 108, dtype=np.int64)
+    for order in ("C", "F"):
+        tz = np.asarray(train_z, order=order)
+        _assert_scan_matches(tz, train_rows, q_z, self_rows, (1, 3, 7, 8, 9))
+
+
+def test_scan_k_is_all_but_self_under_leave_self_out():
+    rng = np.random.default_rng(11)
+    n_t = 30
+    train_z = np.round(rng.normal(size=(n_t, 2)), 1)
+    train_rows = np.arange(n_t, dtype=np.int64) * 2
+    q_z = train_z[::2].copy()
+    self_rows = train_rows[::2].copy()
+    _assert_scan_matches(train_z, train_rows, q_z, self_rows, (n_t - 1,))
+    with pytest.raises(DegenerateDataError, match="exceeds available"):
+        _scan(train_z, train_rows, q_z, self_rows, n_t)
+
+
+def test_scan_memory_is_bounded():
+    rng = np.random.default_rng(3)
+    train_z = np.asfortranarray(rng.normal(size=(5000, 3)))
+    train_rows = np.arange(5000, dtype=np.int64)
+    q_z = rng.normal(size=(4000, 3))
+    self_rows = np.arange(4000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _scan(train_z, train_rows, q_z, self_rows, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+_fold_d2 = st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.25, 4.0)),
+                    min_size=1, max_size=8).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_fold_d2, st.randoms(use_true_random=False)),
+                     min_size=1, max_size=12),
+       train_y=st.lists(st.sampled_from((-0.0, 0.0, 1.5, -2.0, 7.25, 1e-3,
+                                         -3.0e5)), min_size=8, max_size=8),
+       weighting=st.sampled_from(WEIGHTINGS))
+def test_fold_all_matches_reference_fold(rows, train_y, weighting):
+    k_max = min(len(d) for d, _ in rows)
+    d2 = np.array([d[:k_max] for d, _ in rows])
+    ix = np.array([[r.randrange(8) for _ in range(k_max)] for _, r in rows],
+                  dtype=np.int64)
+    y = np.array(train_y)
+    got = _fold_all(d2, ix, y, k_max, weighting)
+    assert got.shape == (k_max, d2.shape[0])
+    for k in range(1, k_max + 1):
+        want = np.array([_reference_fold(d2[i], ix[i], y, k, weighting)
+                         for i in range(d2.shape[0])])
+        assert got[k - 1].tobytes() == want.tobytes(), k
 
 
 # ------------------------------------------------------------ fold rules
@@ -218,6 +341,28 @@ def test_predict_validates_records():
         predict(model, {"x": float("nan")})
     with pytest.raises(DataError, match="unsupported record type"):
         predict(model, [1.0])
+    for bad in ("abc", None, True, [1.0], 1j):
+        with pytest.raises(DataError, match="predictor 'x' must be a number"):
+            predict(model, {"x": bad})
+    with pytest.raises(DataError, match="non-finite"):
+        predict(model, {"x": 10**400})
+    want = predict(model, {"x": 0.25})
+    for good in (np.float64(0.25), np.float32(0.25)):
+        assert predict(model, {"x": good}) == want
+    assert predict(model, {"x": 1}) == predict(model, {"x": 1.0})
+
+
+@pytest.mark.parametrize("rows, match", [
+    (np.array([0, 10**6]), r"rows must lie in \[0, 80\)"),
+    (np.array([-1, 3]), r"rows must lie in \[0, 80\)"),
+    (np.array([0.0, 1.7]), "rows must be integers"),
+    (np.array([[0, 1]]), "rows must be 1-D"),
+], ids=["past-end", "negative", "fractional", "two-d"])
+def test_predict_rows_validates_rows(tiny_ds, rows, match):
+    model = fit_knn(tiny_ds, split(tiny_ds, seed=0), k=2)
+    with pytest.raises(ConfigError, match=match):
+        predict_rows(model, tiny_ds, rows)
+    assert predict_rows(model, tiny_ds, []).shape == (0,)
 
 
 # ----------------------------------------------------------------- split
@@ -488,6 +633,28 @@ def test_model_round_trip_preserves_predictions(tmp_path, tiny_ds):
     assert np.array_equal(predict_rows(back, tiny_ds), predict_rows(model, tiny_ds))
 
 
+def test_saved_model_is_the_json_of_the_whole_document(tmp_path, iid_ds):
+    # 1,050 training rows: the streamed arrays span two row blocks
+    model = fit_knn(iid_ds, split(iid_ds, seed=5), k=3)
+    assert model.n_training > 1024 and model.train_z.flags.f_contiguous
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = {
+        "format_version": 1,
+        "predictors": list(model.predictors),
+        "means": model.means.tolist(),
+        "stds": model.stds.tolist(),
+        "k": model.k,
+        "weighting": model.weighting,
+        "leave_self_out": model.leave_self_out,
+        "train_rows": model.train_rows.tolist(),
+        "train_y": model.train_y.tolist(),
+        "train_z": model.train_z.tolist(),
+    }
+    assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+    assert load_model(path).train_z.flags.f_contiguous
+
+
 def test_failed_save_leaves_no_partial_or_temp_file(tmp_path, tiny_ds,
                                                     monkeypatch):
     model = fit_knn(tiny_ds, split(tiny_ds, seed=5), k=2)
@@ -536,9 +703,19 @@ def test_load_rejects_unknown_format_version(tmp_path, tiny_ds):
     ("train_z", lambda v: [[math.nan] * len(v[0])] + v[1:],
      "train_z must be finite"),
     ("train_y", lambda v: v[:-1] + [math.inf], "train_y must be finite"),
+    ("k", lambda v: 1.7, "k must be an integer"),
+    ("k", lambda v: True, "k must be an integer"),
+    ("train_rows", lambda v: [1.5] + v[1:], "train_rows must hold integers"),
+    ("train_rows", lambda v: [-1] + v[1:], "distinct non-negative"),
+    ("train_rows", lambda v: [v[1]] + v[1:], "distinct non-negative"),
+    ("train_rows", lambda v: [2**70] + v[1:], "train_rows must hold integers"),
+    ("predictors", lambda v: [v[0]] + v[:-1], "predictors must be distinct"),
+    ("means", lambda v: ["1"] + v[1:], "means must hold numbers"),
 ], ids=["negative-k", "k-above-training", "weighting", "leave-self-out",
         "no-predictors", "zero-stds", "short-means", "short-train-rows",
-        "nan-train-z", "inf-train-y"])
+        "nan-train-z", "inf-train-y", "fractional-k", "boolean-k",
+        "fractional-train-row", "negative-train-row", "duplicate-train-row",
+        "huge-train-row", "duplicate-predictor", "string-mean"])
 def test_load_rejects_inconsistent_models(tmp_path, tiny_ds, key, mutate,
                                           match):
     path = tmp_path / "model.json"
