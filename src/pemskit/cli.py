@@ -382,58 +382,51 @@ def _metrics_row(scope: str, k, partition: str,
 
 
 def _knn_tables(ds: Dataset, config: RunConfig
-                ) -> tuple[dict[str, Table], knn_mod.KnnModel,
-                           knn_mod.ResidualTable]:
-    """Metric and selection tables, the final model, and its residuals,
-    all from one all-records prediction pass of that model."""
+                ) -> tuple[dict[str, Table], knn_mod.ModelEvaluation,
+                           knn_mod.SplitAssignment]:
+    """Metric and selection tables of every model scope, the pooled
+    scope (its model and per-record predictions), and the split."""
     names = config.resolved_predictors()
-    metrics_rows: list[list] = []
-    selection_rows: list[list] = []
-
     if config.k is None and len(ds.years) >= 2:
         cmp = knn_mod.compare_pooled_vs_yearly(
             ds, config.split, config.seed, config.k_max, names,
             config.target, config.weighting, config.leave_self_out)
-        model, res = cmp.pooled_model, cmp.pooled_residuals
-        for evaluation in (cmp.pooled, *cmp.yearly):
-            for k, rase in evaluation.curve.points:
-                selection_rows.append([evaluation.label, k, rase])
-            for part, m in evaluation.metrics.items():
-                metrics_rows.append(_metrics_row(
-                    evaluation.label, evaluation.chosen_k, part, m))
-        for part, m in cmp.by_year_aggregate.items():
-            metrics_rows.append(_metrics_row("by_year_aggregate", None,
-                                             part, m))
+        scopes, assignment = (cmp.pooled, *cmp.yearly), cmp.assignment
+        aggregate = cmp.by_year_aggregate
     else:
         assignment = knn_mod.split(ds, config.split, config.seed)
-        k = config.k
-        if k is None:
-            curve = knn_mod.select_k(ds, assignment, names, config.target,
-                                     config.k_max, config.weighting,
-                                     config.leave_self_out)
-            k = curve.chosen_k
-            for kk, rase in curve.points:
-                selection_rows.append(["pooled", kk, rase])
-        model = knn_mod.fit_knn(ds, assignment, names, config.target, k,
-                                config.weighting, config.leave_self_out)
-        metrics, res = knn_mod._evaluate_with_residuals(
-            model, ds, assignment, config.target)
-        for part, m in metrics.items():
-            metrics_rows.append(_metrics_row("pooled", k, part, m))
+        scopes = (knn_mod._evaluate_scope(
+            "pooled", ds, assignment, names, config.target, config.k,
+            config.k_max, config.weighting, config.leave_self_out),)
+        aggregate = {}
 
+    metrics_rows: list[list] = []
+    selection_rows: list[list] = []
+    for scope in scopes:
+        if scope.curve is not None:
+            for k, rase in scope.curve.points:
+                selection_rows.append([scope.label, k, rase])
+        for part, m in scope.metrics.items():
+            metrics_rows.append(_metrics_row(scope.label, scope.chosen_k,
+                                             part, m))
+    for part, m in aggregate.items():
+        metrics_rows.append(_metrics_row("by_year_aggregate", None, part, m))
     tables = {"knn_metrics": _table(
         ["scope", "partition", "k", "freq", "r_squared", "rase", "aae"],
         metrics_rows)}
     if selection_rows:
         tables["knn_selection"] = _table(
             ["scope", "k", "validation_rase"], selection_rows)
-    return tables, model, res
+    return tables, scopes[0], assignment
 
 
-def _residual_table(res: knn_mod.ResidualTable, ds: Dataset) -> Table:
-    rows = [[int(res.rows[i]), int(ds.year[i]), res.partitions[i],
-             float(res.actual[i]), float(res.predicted[i]),
-             float(res.residual[i])] for i in range(ds.n_records)]
+def _residual_table(ds: Dataset, assignment: knn_mod.SplitAssignment,
+                    actual, predicted) -> Table:
+    labels = assignment.labels()
+    residual = actual - predicted
+    rows = [[i, int(ds.year[i]), labels[i], float(actual[i]),
+             float(predicted[i]), float(residual[i])]
+            for i in range(ds.n_records)]
     return _table(["row", "year", "partition", "actual", "predicted",
                    "residual"], rows)
 
@@ -480,13 +473,13 @@ def _screen_plots(result, out_dir, written):
                             "rank", "portion"), written)
 
 
-def _drift_plots(ds, report, scores, out_dir, written):
+def _drift_plots(ds, report, out_dir, written):
     ref = report.reference_year
     series = []
     for year in ds.years:
         mask = ds.year == year
-        series.append((str(year), scores[mask, 0].tolist(),
-                       scores[mask, 1].tolist()))
+        series.append((str(year), report.scores[mask, 0].tolist(),
+                       report.scores[mask, 1].tolist()))
     _emit_plot(out_dir, "drift_pc",
                svgplot.scatter(series, f"PC scores by year (reference {ref})",
                                "PC1", "PC2"), written)
@@ -497,37 +490,29 @@ def _drift_plots(ds, report, scores, out_dir, written):
                             "Yearly cdp~tep fit r2", "year", "r2"), written)
 
 
-def _knn_plots(tables, residual_table, out_dir, written):
-    selection = tables.get("knn_selection")
-    if selection is not None:
-        pooled = [(r[1], r[2]) for r in selection["rows"] if r[0] == "pooled"]
-        if pooled:
-            _emit_plot(out_dir, "knn_k_curve",
-                       svgplot.line([("validation RASE",
-                                      [p[0] for p in pooled],
-                                      [p[1] for p in pooled])],
-                                    "Validation RASE vs K", "k", "RASE"),
-                       written)
-    rows = residual_table["rows"]
-    by_part: dict[str, tuple[list, list, list]] = {}
-    for r in rows:
-        part = r[2]
-        actual, predicted, residual = r[3], r[4], r[5]
-        by_part.setdefault(part, ([], [], []))
-        by_part[part][0].append(actual)
-        by_part[part][1].append(predicted)
-        by_part[part][2].append(residual)
-    order = [p for p in (*knn_mod.PARTITIONS,) if p in by_part]
+def _knn_plots(curve, codes, actual, predicted, out_dir, written):
+    if curve is not None:
+        _emit_plot(out_dir, "knn_k_curve",
+                   svgplot.line([("validation RASE",
+                                  [k for k, _ in curve.points],
+                                  [rase for _, rase in curve.points])],
+                                "Validation RASE vs K", "k", "RASE"),
+                   written)
+    residual = actual - predicted
+    fits, residuals = [], []
+    for i, name in enumerate(knn_mod.PARTITIONS):
+        mine = codes == i
+        if mine.any():
+            fits.append((name, actual[mine].tolist(),
+                         predicted[mine].tolist()))
+            residuals.append((name, predicted[mine].tolist(),
+                              residual[mine].tolist()))
     _emit_plot(out_dir, "knn_actual_vs_predicted",
-               svgplot.scatter([(p, by_part[p][0], by_part[p][1])
-                                for p in order],
-                               "Predicted vs actual", "actual", "predicted"),
-               written)
+               svgplot.scatter(fits, "Predicted vs actual", "actual",
+                               "predicted"), written)
     _emit_plot(out_dir, "knn_residuals",
-               svgplot.scatter([(p, by_part[p][1], by_part[p][2])
-                                for p in order],
-                               "Residual vs predicted", "predicted",
-                               "residual"), written)
+               svgplot.scatter(residuals, "Residual vs predicted",
+                               "predicted", "residual"), written)
 
 
 # -------------------------------------------------------------- commands
@@ -578,28 +563,29 @@ def cmd_screen(config: RunConfig) -> list[Path]:
 def cmd_drift(config: RunConfig) -> list[Path]:
     ds = _load(config)
     report = _drift(ds, config)
-    scores = drift_mod.project(report.pca, ds, 2)
     written: list[Path] = []
     _emit_tables({**_drift_tables(report),
-                  "drift_scores": _drift_score_table(ds, scores)},
+                  "drift_scores": _drift_score_table(ds, report.scores)},
                  config, written)
     if config.plots:
-        _drift_plots(ds, report, scores, Path(config.out_dir), written)
+        _drift_plots(ds, report, Path(config.out_dir), written)
     return written
 
 
 def cmd_knn(config: RunConfig) -> list[Path]:
     ds = _load(config)
+    tables, pooled, assignment = _knn_tables(ds, config)
+    actual = ds.column(config.target)
+    tables["knn_residuals"] = _residual_table(ds, assignment, actual,
+                                              pooled.predicted)
     written: list[Path] = []
-    tables, model, res = _knn_tables(ds, config)
-    residual_table = _residual_table(res, ds)
-    tables["knn_residuals"] = residual_table
     _emit_tables(tables, config, written)
     model_path = Path(config.out_dir) / "model.json"
-    knn_mod.save_model(model, model_path)
+    knn_mod.save_model(pooled.model, model_path)
     written.append(model_path)
     if config.plots:
-        _knn_plots(tables, residual_table, Path(config.out_dir), written)
+        _knn_plots(pooled.curve, assignment.codes, actual, pooled.predicted,
+                   Path(config.out_dir), written)
     return written
 
 

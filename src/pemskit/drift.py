@@ -80,6 +80,10 @@ class DriftReport:
     x_unit_scale: float
     years: tuple[YearDrift, ...]
     pca: PcaModel = field(compare=False, repr=False)   # reference-year frame
+    scores: np.ndarray = field(compare=False, repr=False)  # PC1, PC2 by row
+
+    def __post_init__(self):
+        self.scores.setflags(write=False)
 
     def for_year(self, year: int) -> YearDrift:
         for yd in self.years:
@@ -192,10 +196,11 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
     model = fit_pca(ds.for_year(ref), names)
     fits = yearly_fit(ds, x, y, x_unit_scale)
 
+    scores = project(model, ds, 2)
     centroids: dict[int, tuple[float, float]] = {}
     for year in ds.years:
-        scores = project(model, ds.for_year(year), 2)
-        centroids[year] = (float(scores[:, 0].mean()), float(scores[:, 1].mean()))
+        mine = scores[ds.year == year]
+        centroids[year] = (float(mine[:, 0].mean()), float(mine[:, 1].mean()))
     ref_c = centroids[ref]
 
     rows = []
@@ -203,4 +208,5 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
         c = centroids[year]
         disp = math.hypot(c[0] - ref_c[0], c[1] - ref_c[1])
         rows.append(YearDrift(year, c, disp, fits[year]))
-    return DriftReport(ref, names, x, y, x_unit_scale, tuple(rows), model)
+    return DriftReport(ref, names, x, y, x_unit_scale, tuple(rows), model,
+                       scores)

@@ -109,6 +109,11 @@ class ObservationRecord:
         return getattr(self, name)
 
 
+def _years_of(year: np.ndarray) -> tuple[int, ...]:
+    """The distinct year tags, ascending."""
+    return tuple(sorted(set(year.tolist())))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable columnar store of year-tagged observations.
@@ -122,7 +127,6 @@ class Dataset:
     columns: dict[str, np.ndarray]
     year: np.ndarray
     years: tuple[int, ...]
-    variable_names: tuple[str, ...] = PREDICTORS
 
     def __post_init__(self):
         for arr in self.columns.values():
@@ -151,8 +155,7 @@ class Dataset:
         """New Dataset holding the rows selected by a mask or index array."""
         cols = {k: v[index].copy() for k, v in self.columns.items()}
         yr = self.year[index].copy()
-        years = tuple(sorted(set(int(y) for y in yr)))
-        return Dataset(cols, yr, years, self.variable_names)
+        return Dataset(cols, yr, _years_of(yr))
 
     def for_year(self, year: int) -> "Dataset":
         if year not in self.years:
@@ -386,7 +389,7 @@ def read_csv(path: str | Path) -> Dataset:
     cols = _read_columns(path, REQUIRED + ("year",))
     year = np.asarray(cols.pop("year")).astype(np.int64)
     columns = {n: np.asarray(v, dtype=np.float64) for n, v in cols.items()}
-    return Dataset(columns, year, tuple(np.unique(year).tolist()))
+    return Dataset(columns, year, _years_of(year))
 
 
 def write_year_files(ds: Dataset, data_dir: str | Path,

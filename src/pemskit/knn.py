@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from itertools import chain
+from dataclasses import dataclass, replace
 from numbers import Real
 from pathlib import Path
 
@@ -47,10 +48,6 @@ class SplitAssignment:
 
     def __post_init__(self):
         self.codes.setflags(write=False)
-
-    @property
-    def n_records(self) -> int:
-        return int(self.codes.shape[0])
 
     def rows(self, partition: str) -> np.ndarray:
         return np.nonzero(self.codes == PARTITIONS.index(partition))[0]
@@ -280,15 +277,18 @@ def _fold_all(d2, ix, train_y, k_max: int, weighting: str) -> np.ndarray:
     return out
 
 
-def _predict_matrix(model: KnnModel, q: np.ndarray,
-                    self_rows: np.ndarray | None = None,
-                    k: int | None = None) -> np.ndarray:
-    kk = model.k if k is None else k
-    if self_rows is None:
-        self_rows = np.full(q.shape[0], -1, dtype=np.int64)
+def _sweep(model: KnnModel, q: np.ndarray,
+           self_rows: np.ndarray) -> np.ndarray:
+    """Predictions of the raw query rows ``q`` for every k <= model.k:
+    row k-1 folds each query's first k neighbors (see _fold_all)."""
     q_z = (q - model.means) / model.stds
-    d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, kk)
-    return _fold_all(d2, ix, model.train_y, kk, model.weighting)[kk - 1]
+    d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, model.k)
+    return _fold_all(d2, ix, model.train_y, model.k, model.weighting)
+
+
+def _self_rows(model: KnnModel, rows: np.ndarray) -> np.ndarray:
+    """The dataset rows to leave out of their own neighbor sets."""
+    return rows if model.leave_self_out else np.full_like(rows, -1)
 
 
 def _query_vector(model: KnnModel, record) -> np.ndarray:
@@ -321,7 +321,7 @@ def predict(model: KnnModel, record) -> float:
     applies only in evaluate/residuals, where rows are known.
     """
     q = _query_vector(model, record)
-    return float(_predict_matrix(model, q[None, :])[0])
+    return float(_sweep(model, q[None, :], np.array([-1]))[-1, 0])
 
 
 def predict_rows(model: KnnModel, ds: Dataset,
@@ -331,9 +331,7 @@ def predict_rows(model: KnnModel, ds: Dataset,
     rows = np.arange(ds.n_records, dtype=np.int64) if rows is None \
         else check_rows(rows, ds.n_records)
     q = ds.matrix(model.predictors)[rows]
-    self_rows = rows if model.leave_self_out \
-        else np.full(rows.shape[0], -1, dtype=np.int64)
-    return _predict_matrix(model, q, self_rows)
+    return _sweep(model, q, _self_rows(model, rows))[-1]
 
 
 # -------------------------------------------------------------- metrics
@@ -357,6 +355,17 @@ def _metrics_from_errors(actual: np.ndarray, predicted: np.ndarray) -> EvalMetri
     return EvalMetrics(r2, rase, aae, n)
 
 
+def _partition_metrics(codes: np.ndarray, actual: np.ndarray,
+                       predicted: np.ndarray) -> dict[str, EvalMetrics]:
+    """Metrics of each partition (by per-record code) and of all records."""
+    metrics = {}
+    for i, name in enumerate(PARTITIONS):
+        mine = codes == i
+        metrics[name] = _metrics_from_errors(actual[mine], predicted[mine])
+    metrics[TOTAL] = _metrics_from_errors(actual, predicted)
+    return metrics
+
+
 def evaluate(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
              partition: str, target: str = TARGET) -> EvalMetrics:
     """Metrics over one partition, or over all records for "Total"."""
@@ -370,6 +379,14 @@ def evaluate(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
         raise DegenerateDataError(f"partition '{partition}' is empty")
     predicted = predict_rows(model, ds, rows)
     return _metrics_from_errors(ds.column(target)[rows], predicted)
+
+
+def evaluate_all(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
+                 target: str = TARGET) -> dict[str, EvalMetrics]:
+    """Metrics for Training/Validation/Test/Total from one prediction
+    pass; a record's prediction does not depend on the other queries."""
+    return _partition_metrics(assignment.codes, ds.column(target),
+                              predict_rows(model, ds))
 
 
 # ------------------------------------------------------------ selection
@@ -386,15 +403,16 @@ class KSelectionCurve:
         raise KeyError(k)
 
 
-def select_k(ds: Dataset, assignment: SplitAssignment,
-             predictors: Sequence[str] | None = None, target: str = TARGET,
-             k_max: int = 10, weighting: str = "inverse_distance",
-             leave_self_out: bool = True) -> KSelectionCurve:
-    """Validation RASE for k = 1..k_max; chosen k = argmin, ties low.
+def _fit_and_sweep(ds: Dataset, assignment: SplitAssignment,
+                   predictors: Sequence[str] | None, target: str, k_max: int,
+                   weighting: str, leave_self_out: bool
+                   ) -> tuple[KnnModel, KSelectionCurve, np.ndarray, np.ndarray]:
+    """A model fitted at k_max, its K curve, its Validation rows, and
+    their predictions for every k (row k-1).
 
-    Neighbors are scanned once at k_max, and one _fold_all pass gives
-    every k: the k-neighbor prediction folds the first k of that
-    ordered list, bit-identical to a fresh k-neighbor model.
+    Neighbors are scanned once at k_max; the k-neighbor prediction folds
+    the first k of that ordered list, bit-identical to a fresh
+    k-neighbor model.  The chosen k is the argmin, ties low.
     """
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
@@ -404,13 +422,8 @@ def select_k(ds: Dataset, assignment: SplitAssignment,
     if val_rows.shape[0] == 0:
         raise DegenerateDataError("validation partition is empty")
     q = ds.matrix(model.predictors)[val_rows]
-    self_rows = val_rows if leave_self_out \
-        else np.full(val_rows.shape[0], -1, dtype=np.int64)
-    q_z = (q - model.means) / model.stds
-    d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, k_max)
-    preds = _fold_all(d2, ix, model.train_y, k_max, weighting)
+    preds = _sweep(model, q, _self_rows(model, val_rows))
     actual = ds.column(target)[val_rows]
-
     points = []
     chosen = 1
     best = math.inf
@@ -420,7 +433,16 @@ def select_k(ds: Dataset, assignment: SplitAssignment,
         if rase < best:
             best = rase
             chosen = k
-    return KSelectionCurve(tuple(points), chosen)
+    return model, KSelectionCurve(tuple(points), chosen), val_rows, preds
+
+
+def select_k(ds: Dataset, assignment: SplitAssignment,
+             predictors: Sequence[str] | None = None, target: str = TARGET,
+             k_max: int = 10, weighting: str = "inverse_distance",
+             leave_self_out: bool = True) -> KSelectionCurve:
+    """Validation RASE for k = 1..k_max; chosen k = argmin, ties low."""
+    return _fit_and_sweep(ds, assignment, predictors, target, k_max,
+                          weighting, leave_self_out)[1]
 
 
 # ------------------------------------------------------------ residuals
@@ -444,18 +466,14 @@ class ResidualTable:
                    float(self.residual[i]))
 
 
-def _residual_table(assignment: SplitAssignment, actual: np.ndarray,
-                    predicted: np.ndarray) -> ResidualTable:
-    rows = np.arange(assignment.n_records, dtype=np.int64)
-    return ResidualTable(rows, tuple(assignment.labels()), actual, predicted,
-                         actual - predicted)
-
-
 def residuals(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
               target: str = TARGET) -> ResidualTable:
     """actual − predicted for every record, all partitions."""
-    return _residual_table(assignment, ds.column(target).copy(),
-                           predict_rows(model, ds))
+    actual = ds.column(target).copy()
+    predicted = predict_rows(model, ds)
+    return ResidualTable(np.arange(ds.n_records, dtype=np.int64),
+                         tuple(assignment.labels()), actual, predicted,
+                         actual - predicted)
 
 
 # ----------------------------------------------------------- comparison
@@ -464,8 +482,13 @@ def residuals(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
 class ModelEvaluation:
     label: str
     chosen_k: int
-    curve: KSelectionCurve
+    curve: KSelectionCurve | None      # None when k was fixed
     metrics: dict[str, EvalMetrics]    # Training/Validation/Test/Total
+    model: KnnModel                    # fitted at chosen_k
+    predicted: np.ndarray              # one prediction per record
+
+    def __post_init__(self):
+        self.predicted.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -474,8 +497,6 @@ class PooledVsYearly:
     yearly: tuple[ModelEvaluation, ...]
     by_year_aggregate: dict[str, EvalMetrics]
     assignment: SplitAssignment
-    pooled_model: KnnModel
-    pooled_residuals: ResidualTable    # from the pooled Total pass
     predictors: tuple[str, ...]
     target: str
     weighting: str
@@ -483,41 +504,34 @@ class PooledVsYearly:
     seed: int
 
 
-def _evaluate_all_errors(model: KnnModel, ds: Dataset,
-                         assignment: SplitAssignment, target: str
-                         ) -> tuple[dict[str, EvalMetrics], dict[str, tuple]]:
-    """One prediction pass over all records, sliced per partition.
+def _evaluate_scope(label: str, ds: Dataset, assignment: SplitAssignment,
+                    predictors: Sequence[str], target: str, k: int | None,
+                    k_max: int, weighting: str,
+                    leave_self_out: bool) -> ModelEvaluation:
+    """One model scope from one fit and one prediction per record.
 
-    Per-record predictions are identical between the Total pass and any
-    per-partition pass (self-exclusion depends only on the record), so
-    slicing is equivalent to separate evaluate() calls.
+    With k None the model is fitted at k_max and its Validation sweep
+    gives the K curve; the same model then takes the chosen k without a
+    refit, and the Validation predictions are the sweep's row
+    chosen_k - 1.  Every other record is predicted once at the model's k.
     """
-    predicted = predict_rows(model, ds)
-    actual = ds.column(target)
-    metrics: dict[str, EvalMetrics] = {}
-    errors: dict[str, tuple] = {}
-    for name in PARTITIONS:
-        rows = assignment.rows(name)
-        metrics[name] = _metrics_from_errors(actual[rows], predicted[rows])
-        errors[name] = (actual[rows], predicted[rows])
-    metrics[TOTAL] = _metrics_from_errors(actual, predicted)
-    errors[TOTAL] = (actual.copy(), predicted)
-    return metrics, errors
-
-
-def evaluate_all(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
-                 target: str = TARGET) -> dict[str, EvalMetrics]:
-    """Metrics for Training/Validation/Test/Total from one prediction pass."""
-    metrics, _ = _evaluate_all_errors(model, ds, assignment, target)
-    return metrics
-
-
-def _evaluate_with_residuals(model: KnnModel, ds: Dataset,
-                             assignment: SplitAssignment, target: str
-                             ) -> tuple[dict[str, EvalMetrics], ResidualTable]:
-    """evaluate_all() and residuals() from the same single pass."""
-    metrics, errors = _evaluate_all_errors(model, ds, assignment, target)
-    return metrics, _residual_table(assignment, *errors[TOTAL])
+    predicted = np.empty(ds.n_records)
+    rest = np.arange(ds.n_records, dtype=np.int64)
+    curve = None
+    if k is None:
+        model, curve, val_rows, preds = _fit_and_sweep(
+            ds, assignment, predictors, target, k_max, weighting,
+            leave_self_out)
+        model = replace(model, k=curve.chosen_k)
+        predicted[val_rows] = preds[curve.chosen_k - 1]
+        rest = np.delete(rest, val_rows)
+    else:
+        model = fit_knn(ds, assignment, predictors, target, k, weighting,
+                        leave_self_out)
+    predicted[rest] = predict_rows(model, ds, rest)
+    metrics = _partition_metrics(assignment.codes, ds.column(target),
+                                 predicted)
+    return ModelEvaluation(label, model.k, curve, metrics, model, predicted)
 
 
 def compare_pooled_vs_yearly(ds: Dataset,
@@ -530,49 +544,32 @@ def compare_pooled_vs_yearly(ds: Dataset,
     """Pooled model vs. one model per year, each with its own K.
 
     All models share one stratified assignment.  The by-year aggregate
-    pools per-record errors of the yearly models within each partition;
-    its R² uses the pooled actual mean of those records.
+    pools per-record errors of the yearly models within each partition,
+    in year order; its R² uses the pooled actual mean of those records.
     """
     if len(ds.years) < 2:
         raise ConfigError("comparison needs at least 2 years")
     names = tuple(predictors) if predictors is not None else PREDICTORS
     assignment = split(ds, fractions, seed)
+    scope = dict(predictors=names, target=target, k=None, k_max=k_max,
+                 weighting=weighting, leave_self_out=leave_self_out)
+    pooled = _evaluate_scope("pooled", ds, assignment, **scope)
 
-    curve = select_k(ds, assignment, names, target, k_max, weighting,
-                     leave_self_out)
-    model = fit_knn(ds, assignment, names, target, curve.chosen_k, weighting,
-                    leave_self_out)
-    pooled_metrics, pooled_residuals = _evaluate_with_residuals(
-        model, ds, assignment, target)
-    pooled = ModelEvaluation("pooled", curve.chosen_k, curve, pooled_metrics)
-
-    yearly = []
-    agg: dict[str, list[tuple]] = {name: [] for name in (*PARTITIONS, TOTAL)}
+    yearly, by_year = [], []
     for year in ds.years:
         year_rows = np.nonzero(ds.year == year)[0]
-        sub_ds = ds.subset(year_rows)
         sub_assign = SplitAssignment(assignment.codes[year_rows].copy(),
                                      assignment.fractions, seed)
-        sub_curve = select_k(sub_ds, sub_assign, names, target, k_max,
-                             weighting, leave_self_out)
-        sub_model = fit_knn(sub_ds, sub_assign, names, target,
-                            sub_curve.chosen_k, weighting, leave_self_out)
-        sub_metrics, sub_errors = _evaluate_all_errors(
-            sub_model, sub_ds, sub_assign, target)
-        yearly.append(ModelEvaluation(str(year), sub_curve.chosen_k,
-                                      sub_curve, sub_metrics))
-        for name, pair in sub_errors.items():
-            agg[name].append(pair)
-
-    aggregate = {}
-    for name, pairs in agg.items():
-        actual = np.concatenate([a for a, _ in pairs])
-        predicted = np.concatenate([p for _, p in pairs])
-        aggregate[name] = _metrics_from_errors(actual, predicted)
+        yearly.append(_evaluate_scope(str(year), ds.subset(year_rows),
+                                      sub_assign, **scope))
+        by_year.append(year_rows)
+    rows = np.concatenate(by_year)
+    aggregate = _partition_metrics(
+        assignment.codes[rows], ds.column(target)[rows],
+        np.concatenate([ev.predicted for ev in yearly]))
 
     return PooledVsYearly(pooled, tuple(yearly), aggregate, assignment,
-                          model, pooled_residuals, names, target, weighting,
-                          k_max, seed)
+                          names, target, weighting, k_max, seed)
 
 
 # ----------------------------------------------------------- persistence
@@ -610,11 +607,16 @@ def save_model(model: KnnModel, path: str | Path) -> None:
 
 
 def _numbers(doc: dict, key: str, integer: bool = False) -> np.ndarray:
-    """doc[key] as a float64 (or int64) array.  Strings, all-boolean
-    arrays, ints beyond 64 bits and, for an integer array, fractions
-    are rejected, not converted."""
-    arr = np.asarray(doc[key])
-    if arr.dtype.kind not in ("i" if integer else "if"):
+    """doc[key] as a float64 (or int64) array.  Strings, booleans, ints
+    beyond 64 bits and, for an integer array, fractions are rejected,
+    not converted."""
+    value = doc[key]
+    arr = np.asarray(value)
+    # numpy reads a true/false among numbers as 1/0, so look at each
+    # cell's type; map() keeps that scan in C
+    cells = chain.from_iterable(value) if arr.ndim == 2 else value
+    if arr.dtype.kind not in ("i" if integer else "if") \
+            or (arr.ndim > 0 and bool in map(type, cells)):
         kind = "integers" if integer else "numbers"
         raise DataError(f"{key} must hold {kind}")
     return arr.astype(np.int64 if integer else np.float64)
@@ -631,8 +633,10 @@ def load_model(path: str | Path) -> KnnModel:
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format_version: {version!r}")
     try:
+        names = doc["predictors"]
         model = KnnModel(
-            tuple(doc["predictors"]),
+            # a string or an object is no list of names; () fails below
+            tuple(names) if isinstance(names, list) else (),
             _numbers(doc, "means"),
             _numbers(doc, "stds"),
             np.asfortranarray(_numbers(doc, "train_z")),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pemskit import make_dataset
+from pemskit import knn, make_dataset
 from pemskit.ingest import Dataset
 
 # one line per acceptance criterion, printed after the run so the
@@ -47,3 +47,23 @@ def tiny_ds() -> Dataset:
     }
     year = np.repeat(np.array([2011, 2012], dtype=np.int64), n // 2)
     return Dataset(columns=cols, year=year, years=(2011, 2012))
+
+
+@pytest.fixture()
+def knn_work(monkeypatch) -> dict[str, int]:
+    """Counts, while a test runs, the calls to knn.fit_knn and the query
+    rows that knn._scan is given."""
+    work = {"fits": 0, "queries": 0}
+    fit_knn, scan = knn.fit_knn, knn._scan
+
+    def counted_fit(*args, **kwargs):
+        work["fits"] += 1
+        return fit_knn(*args, **kwargs)
+
+    def counted_scan(train_z, train_rows, q_z, self_rows, k):
+        work["queries"] += q_z.shape[0]
+        return scan(train_z, train_rows, q_z, self_rows, k)
+
+    monkeypatch.setattr(knn, "fit_knn", counted_fit)
+    monkeypatch.setattr(knn, "_scan", counted_scan)
+    return work

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from pemskit.cli import ENV_DATA_DIR, build_parser, main, resolve_config
 from pemskit.errors import ConfigError
 from pemskit.ingest import Dataset, write_year_files
-from pemskit.knn import load_model
+from pemskit.knn import load_model, split
 from pemskit.synthetic import make_dataset
 
 
@@ -135,6 +135,46 @@ def test_knn_compares_pooled_and_yearly_scopes(data_dir, tmp_path):
     _, sel = _read_csv(out / "knn_selection.csv")
     assert {r[0] for r in sel} == scopes - {"by_year_aggregate"}
     assert len(sel) == 6 * 4  # every scope sweeps k = 1..4
+
+
+@pytest.mark.parametrize("argv, fits, queries", [
+    (("--k-max", "4"), 6, 2 * 600),
+    (("--k", "4"), 1, 600),
+    (("--years", "2013", "--k-max", "4"), 1, 120),
+], ids=["selection", "fixed-k", "one-year"])
+def test_knn_fits_each_scope_once_and_predicts_each_record_once(
+        data_dir, tmp_path, knn_work, argv, fits, queries):
+    assert _run("knn", "--data-dir", str(data_dir), "--out-dir",
+                str(tmp_path), "--plots", *argv) == 0
+    assert knn_work == {"fits": fits, "queries": queries}
+
+
+def test_k_max_at_training_size_under_leave_self_out(tmp_path, capsys):
+    # Validation rows are never their own neighbors, so the sweep at
+    # k_max = n_train runs; the training rows then need the chosen k to
+    # leave room for their own exclusion.
+    ds = make_dataset(years=(2011,), rows_per_year=12, seed=2)
+    train = split(ds).rows("Training")
+    n_train = train.shape[0]
+    constant = np.full(ds.n_records, 7.0)    # every k is exact: k = 1
+    # only the mean of all training targets hits the other rows' 5.0
+    mean_only = np.full(ds.n_records, 5.0)
+    mean_only[train] = 0.0
+    mean_only[train[0]] = 5.0 * n_train
+
+    def run(name, nox):
+        cols = {**ds.columns, "nox": nox}
+        write_year_files(Dataset(cols, ds.year.copy(), ds.years),
+                         tmp_path / name)
+        return _run("knn", "--data-dir", str(tmp_path / name), "--years",
+                    "2011", "--out-dir", str(tmp_path / name / "out"),
+                    "--k-max", str(n_train), "--weighting", "uniform")
+
+    assert run("constant", constant) == 0
+    _, rows = _read_csv(tmp_path / "constant" / "out" / "knn_metrics.csv")
+    assert {r[2] for r in rows} == {"1"}
+    assert run("mean-only", mean_only) == 4
+    assert "k exceeds available neighbors" in capsys.readouterr().err
 
 
 def test_years_ranges_select_files(data_dir, tmp_path):

@@ -600,6 +600,34 @@ def test_pooled_vs_yearly_structure(iid_ds):
     assert abs(pooled_r2 - agg_r2) < 0.25
 
 
+def test_each_scope_fits_once_and_predicts_each_record_once(iid_ds,
+                                                           knn_work):
+    cmp = compare_pooled_vs_yearly(iid_ds, seed=1, k_max=4)
+    # the pooled scope and one per year; each scans every record once
+    assert knn_work == {"fits": 1 + len(iid_ds.years),
+                        "queries": 2 * iid_ds.n_records}
+    assert all(ev.curve is not None for ev in (cmp.pooled, *cmp.yearly))
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_scope_predictions_equal_a_fresh_model_at_the_chosen_k(iid_ds,
+                                                              weighting):
+    cmp = compare_pooled_vs_yearly(iid_ds, seed=1, k_max=6,
+                                   weighting=weighting)
+    scopes = [(cmp.pooled, iid_ds, cmp.assignment)]
+    for ev, year in zip(cmp.yearly, iid_ds.years):
+        mine = iid_ds.year == year
+        scopes.append((ev, iid_ds.subset(mine),
+                       SplitAssignment(cmp.assignment.codes[mine].copy(),
+                                       DEFAULT_FRACTIONS, 1)))
+    for ev, ds, assignment in scopes:
+        fresh = fit_knn(ds, assignment, k=ev.chosen_k, weighting=weighting)
+        assert ev.model.k == ev.chosen_k
+        assert np.array_equal(ev.model.train_z, fresh.train_z)
+        assert ev.predicted.tobytes() == predict_rows(fresh, ds).tobytes()
+        assert ev.metrics == evaluate_all(fresh, ds, assignment)
+
+
 def test_pooled_vs_yearly_deterministic(iid_ds):
     a = compare_pooled_vs_yearly(iid_ds, seed=3, k_max=4)
     b = compare_pooled_vs_yearly(iid_ds, seed=3, k_max=4)
@@ -711,11 +739,22 @@ def test_load_rejects_unknown_format_version(tmp_path, tiny_ds):
     ("train_rows", lambda v: [2**70] + v[1:], "train_rows must hold integers"),
     ("predictors", lambda v: [v[0]] + v[:-1], "predictors must be distinct"),
     ("means", lambda v: ["1"] + v[1:], "means must hold numbers"),
+    ("predictors", lambda v: "".join(v), "non-empty list of names"),
+    ("predictors", lambda v: dict.fromkeys(v, 1), "non-empty list of names"),
+    ("means", lambda v: [True] + v[1:], "means must hold numbers"),
+    ("stds", lambda v: v[:-1] + [False], "stds must hold numbers"),
+    ("train_z", lambda v: [v[0][:-1] + [True]] + v[1:],
+     "train_z must hold numbers"),
+    ("train_y", lambda v: [False] + v[1:], "train_y must hold numbers"),
+    ("train_rows", lambda v: v[:-1] + [True], "train_rows must hold integers"),
 ], ids=["negative-k", "k-above-training", "weighting", "leave-self-out",
         "no-predictors", "zero-stds", "short-means", "short-train-rows",
         "nan-train-z", "inf-train-y", "fractional-k", "boolean-k",
         "fractional-train-row", "negative-train-row", "duplicate-train-row",
-        "huge-train-row", "duplicate-predictor", "string-mean"])
+        "huge-train-row", "duplicate-predictor", "string-mean",
+        "string-predictors", "object-predictors", "boolean-mean",
+        "boolean-std", "boolean-train-z", "boolean-train-y",
+        "boolean-train-row"])
 def test_load_rejects_inconsistent_models(tmp_path, tiny_ds, key, mutate,
                                           match):
     path = tmp_path / "model.json"
