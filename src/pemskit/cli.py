@@ -6,6 +6,12 @@ drift, knn, report).  Every table is emitted as either CSV or JSON
 repr, so files are byte-reproducible for fixed (inputs, config, seed)
 and round-trip exactly.
 
+Each command is ``cmd_<name>(ds, config)``: given the dataset, loaded
+once by main, it yields its outputs as (name, content) pairs in write
+order.  Content is a table, SVG/JSON/HTML text, or the KNN model, and
+one writer, _write, puts every output on disk; the ``wrote`` lines are
+printed once all are written.
+
 Configuration precedence: built-in defaults < --config key=value file
 < explicit flags.  Exit codes: 0 success, 2 input/IO error, 3 config
 error, 4 numeric degeneracy.
@@ -21,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import drift as drift_mod
 from . import knn as knn_mod
@@ -30,7 +36,7 @@ from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (Dataset, OPTIONAL_TARGET, PREDICTORS, PROCESS_PREDICTORS,
                      TARGET, atomic_open, check_predictors, load_dataset)
 from .screening import ForestConfig, ScreeningResult, screen_predictors
-from .stats import (DEFAULT_HIGH_NOX_QUANTILE, VariableSummary,
+from .stats import (DEFAULT_HIGH_NOX_QUANTILE, VariableSummary, check_spread,
                     correlation_matrix, flag_high_nox, summarize)
 from .varclus import DEFAULT_THRESHOLD, cluster_variables, dependence_tag
 
@@ -268,7 +274,6 @@ def _csv_cell(v) -> str:
 
 
 def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(text)
     return path
@@ -284,11 +289,22 @@ def emit_table(out_dir: Path, name: str, table: Table, fmt: str) -> Path:
                        json.dumps(table, indent=2) + "\n")
 
 
+def _write(config: RunConfig, name: str,
+           content: Table | str | knn_mod.KnnModel) -> Path:
+    """Write one command output under --out-dir: a table as <name>.csv or
+    <name>.json, a model with save_model, and text (SVG, JSON, HTML) as
+    it is."""
+    path = Path(config.out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(content, knn_mod.KnnModel):
+        knn_mod.save_model(content, path)
+        return path
+    if isinstance(content, str):
+        return _write_text(path, content)
+    return emit_table(path.parent, name, content, config.out)
+
+
 # -------------------------------------------------------- table builders
-
-def _load(config: RunConfig) -> Dataset:
-    return load_dataset(config.data_dir, config.years)
-
 
 def _summaries(ds: Dataset, config: RunConfig) -> list[VariableSummary]:
     variables = list(config.resolved_predictors()) + [config.target]
@@ -370,12 +386,6 @@ def _drift_tables(report: drift_mod.DriftReport) -> dict[str, Table]:
     }
 
 
-def _drift_score_table(ds: Dataset, scores) -> Table:
-    rows = [[i, int(ds.year[i]), float(scores[i, 0]), float(scores[i, 1])]
-            for i in range(ds.n_records)]
-    return _table(["row", "year", "pc1", "pc2"], rows)
-
-
 def _metrics_row(scope: str, k, partition: str,
                  m: knn_mod.EvalMetrics) -> list:
     return [scope, partition, k, m.freq, m.r_squared, m.rase, m.aae]
@@ -420,35 +430,25 @@ def _knn_tables(ds: Dataset, config: RunConfig
     return tables, scopes[0], assignment
 
 
-def _residual_table(ds: Dataset, assignment: knn_mod.SplitAssignment,
-                    actual, predicted) -> Table:
-    labels = assignment.labels()
-    residual = actual - predicted
-    rows = [[i, int(ds.year[i]), labels[i], float(actual[i]),
-             float(predicted[i]), float(residual[i])]
-            for i in range(ds.n_records)]
-    return _table(["row", "year", "partition", "actual", "predicted",
-                   "residual"], rows)
+# -------------------------------------------------------------- commands
+
+Output = tuple[str, "Table | str | knn_mod.KnnModel"]
 
 
-# --------------------------------------------------------------- plots
-
-def _emit_plot(out_dir: Path, name: str, content: str,
-               written: list[Path]) -> None:
-    written.append(_write_text(out_dir / f"{name}.svg", content))
-
-
-def _summary_plots(summaries, out_dir, written):
-    for s in summaries:
-        lo = [b[0] for b in s.histogram]
-        hi = [b[1] for b in s.histogram]
-        counts = [b[2] for b in s.histogram]
-        _emit_plot(out_dir, f"hist_{s.name}",
-                   svgplot.bars(lo, hi, counts,
-                                f"{s.name} distribution", s.name), written)
+def cmd_summary(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    summaries = _summaries(ds, config)
+    yield from _summary_tables(summaries).items()
+    if config.plots:
+        for s in summaries:
+            lo, hi, counts = zip(*s.histogram)
+            yield f"hist_{s.name}.svg", svgplot.bars(
+                lo, hi, counts, f"{s.name} distribution", s.name)
 
 
-def _correlate_plots(ds, config, out_dir, written):
+def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    yield from _correlation_tables(ds, config).items()
+    if not config.plots:
+        return
     high = flag_high_nox(ds, DEFAULT_HIGH_NOX_QUANTILE)
     target = ds.column(config.target)
     for name in config.resolved_predictors():
@@ -457,136 +457,82 @@ def _correlate_plots(ds, config, out_dir, written):
             ("normal", x[~high].tolist(), target[~high].tolist()),
             ("high NOx", x[high].tolist(), target[high].tolist()),
         ]
-        _emit_plot(out_dir, f"scatter_{name}_{config.target}",
-                   svgplot.scatter(series, f"{config.target} vs {name}",
-                                   name, config.target), written)
+        yield f"scatter_{name}_{config.target}.svg", svgplot.scatter(
+            series, f"{config.target} vs {name}", name, config.target)
 
 
-def _screen_plots(result, out_dir, written):
-    lo = [float(r.rank) - 0.5 for r in result.rows]
-    hi = [float(r.rank) + 0.5 for r in result.rows]
-    portions = [r.portion for r in result.rows]
-    order = " ".join(r.predictor for r in result.rows)
-    _emit_plot(out_dir, "screening_portions",
-               svgplot.bars(lo, hi, portions,
-                            f"split contribution portion by rank ({order})",
-                            "rank", "portion"), written)
+def cmd_cluster_vars(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    yield from _cluster_tables(ds, config).items()
 
 
-def _drift_plots(ds, report, out_dir, written):
-    ref = report.reference_year
+def cmd_screen(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    result = _screening(ds, config)
+    yield from _screen_tables(result).items()
+    if config.plots:
+        order = " ".join(r.predictor for r in result.rows)
+        yield "screening_portions.svg", svgplot.bars(
+            [float(r.rank) - 0.5 for r in result.rows],
+            [float(r.rank) + 0.5 for r in result.rows],
+            [r.portion for r in result.rows],
+            f"split contribution portion by rank ({order})", "rank", "portion")
+
+
+def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    report = _drift(ds, config)
+    scores = report.scores
+    yield from _drift_tables(report).items()
+    yield "drift_scores", _table(
+        ["row", "year", "pc1", "pc2"],
+        [[i, int(ds.year[i]), float(scores[i, 0]), float(scores[i, 1])]
+         for i in range(ds.n_records)])
+    if not config.plots:
+        return
     series = []
     for year in ds.years:
         mask = ds.year == year
-        series.append((str(year), report.scores[mask, 0].tolist(),
-                       report.scores[mask, 1].tolist()))
-    _emit_plot(out_dir, "drift_pc",
-               svgplot.scatter(series, f"PC scores by year (reference {ref})",
-                               "PC1", "PC2"), written)
+        series.append((str(year), scores[mask, 0].tolist(),
+                       scores[mask, 1].tolist()))
+    yield "drift_pc.svg", svgplot.scatter(
+        series, f"PC scores by year (reference {report.reference_year})",
+        "PC1", "PC2")
     years = [yd.year for yd in report.years]
     r2s = [yd.fit.r_squared for yd in report.years]
-    _emit_plot(out_dir, "drift_r2",
-               svgplot.line([("cdp~tep r2", years, r2s)],
-                            "Yearly cdp~tep fit r2", "year", "r2"), written)
+    yield "drift_r2.svg", svgplot.line(
+        [("cdp~tep r2", years, r2s)], "Yearly cdp~tep fit r2", "year", "r2")
 
 
-def _knn_plots(curve, codes, actual, predicted, out_dir, written):
-    if curve is not None:
-        _emit_plot(out_dir, "knn_k_curve",
-                   svgplot.line([("validation RASE",
-                                  [k for k, _ in curve.points],
-                                  [rase for _, rase in curve.points])],
-                                "Validation RASE vs K", "k", "RASE"),
-                   written)
+def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    tables, pooled, assignment = _knn_tables(ds, config)
+    yield from tables.items()
+    actual, predicted = ds.column(config.target), pooled.predicted
     residual = actual - predicted
+    labels = assignment.labels()
+    yield "knn_residuals", _table(
+        ["row", "year", "partition", "actual", "predicted", "residual"],
+        [[i, int(ds.year[i]), labels[i], float(actual[i]),
+          float(predicted[i]), float(residual[i])]
+         for i in range(ds.n_records)])
+    yield "model.json", pooled.model
+    if not config.plots:
+        return
+    curve = pooled.curve
+    if curve is not None:
+        yield "knn_k_curve.svg", svgplot.line(
+            [("validation RASE", [k for k, _ in curve.points],
+              [rase for _, rase in curve.points])],
+            "Validation RASE vs K", "k", "RASE")
     fits, residuals = [], []
     for i, name in enumerate(knn_mod.PARTITIONS):
-        mine = codes == i
+        mine = assignment.codes == i
         if mine.any():
             fits.append((name, actual[mine].tolist(),
                          predicted[mine].tolist()))
             residuals.append((name, predicted[mine].tolist(),
                               residual[mine].tolist()))
-    _emit_plot(out_dir, "knn_actual_vs_predicted",
-               svgplot.scatter(fits, "Predicted vs actual", "actual",
-                               "predicted"), written)
-    _emit_plot(out_dir, "knn_residuals",
-               svgplot.scatter(residuals, "Residual vs predicted",
-                               "predicted", "residual"), written)
-
-
-# -------------------------------------------------------------- commands
-
-def _emit_tables(tables: dict[str, Table], config: RunConfig,
-                 written: list[Path]) -> None:
-    out_dir = Path(config.out_dir)
-    for name, table in tables.items():
-        written.append(emit_table(out_dir, name, table, config.out))
-
-
-def cmd_summary(config: RunConfig) -> list[Path]:
-    ds = _load(config)
-    summaries = _summaries(ds, config)
-    written: list[Path] = []
-    _emit_tables(_summary_tables(summaries), config, written)
-    if config.plots:
-        _summary_plots(summaries, Path(config.out_dir), written)
-    return written
-
-
-def cmd_correlate(config: RunConfig) -> list[Path]:
-    ds = _load(config)
-    written: list[Path] = []
-    _emit_tables(_correlation_tables(ds, config), config, written)
-    if config.plots:
-        _correlate_plots(ds, config, Path(config.out_dir), written)
-    return written
-
-
-def cmd_cluster_vars(config: RunConfig) -> list[Path]:
-    ds = _load(config)
-    written: list[Path] = []
-    _emit_tables(_cluster_tables(ds, config), config, written)
-    return written
-
-
-def cmd_screen(config: RunConfig) -> list[Path]:
-    ds = _load(config)
-    result = _screening(ds, config)
-    written: list[Path] = []
-    _emit_tables(_screen_tables(result), config, written)
-    if config.plots:
-        _screen_plots(result, Path(config.out_dir), written)
-    return written
-
-
-def cmd_drift(config: RunConfig) -> list[Path]:
-    ds = _load(config)
-    report = _drift(ds, config)
-    written: list[Path] = []
-    _emit_tables({**_drift_tables(report),
-                  "drift_scores": _drift_score_table(ds, report.scores)},
-                 config, written)
-    if config.plots:
-        _drift_plots(ds, report, Path(config.out_dir), written)
-    return written
-
-
-def cmd_knn(config: RunConfig) -> list[Path]:
-    ds = _load(config)
-    tables, pooled, assignment = _knn_tables(ds, config)
-    actual = ds.column(config.target)
-    tables["knn_residuals"] = _residual_table(ds, assignment, actual,
-                                              pooled.predicted)
-    written: list[Path] = []
-    _emit_tables(tables, config, written)
-    model_path = Path(config.out_dir) / "model.json"
-    knn_mod.save_model(pooled.model, model_path)
-    written.append(model_path)
-    if config.plots:
-        _knn_plots(pooled.curve, assignment.codes, actual, pooled.predicted,
-                   Path(config.out_dir), written)
-    return written
+    yield "knn_actual_vs_predicted.svg", svgplot.scatter(
+        fits, "Predicted vs actual", "actual", "predicted")
+    yield "knn_residuals.svg", svgplot.scatter(
+        residuals, "Residual vs predicted", "predicted", "residual")
 
 
 _INDEX_HTML = """<!DOCTYPE html>
@@ -608,8 +554,7 @@ _INDEX_HTML = """<!DOCTYPE html>
 """
 
 
-def cmd_report(config: RunConfig) -> list[Path]:
-    ds = _load(config)
+def cmd_report(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     knn_tables, _, _ = _knn_tables(ds, config)
     report = {
         "summary": _summary_tables(_summaries(ds, config)),
@@ -619,13 +564,8 @@ def cmd_report(config: RunConfig) -> list[Path]:
         "drift": _drift_tables(_drift(ds, config)),
         "knn": knn_tables,
     }
-    out_dir = Path(config.out_dir)
-    written = [
-        _write_text(out_dir / "report.json",
-                    json.dumps(report, indent=2) + "\n"),
-        _write_text(out_dir / "index.html", _INDEX_HTML),
-    ]
-    return written
+    yield "report.json", json.dumps(report, indent=2) + "\n"
+    yield "index.html", _INDEX_HTML
 
 
 _COMMANDS = {
@@ -643,7 +583,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = resolve_config(args)
-        written = _COMMANDS[config.command](config)
+        ds = load_dataset(config.data_dir, config.years)
+        check_spread(ds, (*config.resolved_predictors(), config.target))
+        written = []
+        for name, content in _COMMANDS[config.command](ds, config):
+            written.append(_write(config, name, content))
+            del content     # free a large table before the command resumes
         for path in written:
             print(f"wrote {path}")
         return 0

@@ -357,10 +357,13 @@ def _metrics_from_errors(actual: np.ndarray, predicted: np.ndarray) -> EvalMetri
 
 def _partition_metrics(codes: np.ndarray, actual: np.ndarray,
                        predicted: np.ndarray) -> dict[str, EvalMetrics]:
-    """Metrics of each partition (by per-record code) and of all records."""
+    """Metrics of each partition (by per-record code) and of all records;
+    DegenerateDataError names a partition with no records."""
     metrics = {}
     for i, name in enumerate(PARTITIONS):
         mine = codes == i
+        if not mine.any():
+            raise DegenerateDataError(f"partition '{name}' is empty")
         metrics[name] = _metrics_from_errors(actual[mine], predicted[mine])
     metrics[TOTAL] = _metrics_from_errors(actual, predicted)
     return metrics
@@ -560,8 +563,11 @@ def compare_pooled_vs_yearly(ds: Dataset,
         year_rows = np.nonzero(ds.year == year)[0]
         sub_assign = SplitAssignment(assignment.codes[year_rows].copy(),
                                      assignment.fractions, seed)
-        yearly.append(_evaluate_scope(str(year), ds.subset(year_rows),
-                                      sub_assign, **scope))
+        try:
+            yearly.append(_evaluate_scope(str(year), ds.subset(year_rows),
+                                          sub_assign, **scope))
+        except DegenerateDataError as exc:
+            raise DegenerateDataError(f"year {year}: {exc}") from exc
         by_year.append(year_rows)
     rows = np.concatenate(by_year)
     aggregate = _partition_metrics(

@@ -48,6 +48,23 @@ def default_summary_variables(ds: Dataset) -> list[str]:
     return names
 
 
+def check_spread(ds: Dataset, variables: Sequence[str]) -> None:
+    """DegenerateDataError naming the first variable whose sum of squared
+    deviations from its mean overflows float64: no variance, histogram
+    range or standardization of it can be computed."""
+    if ds.n_records == 0:
+        return
+    for name in variables:
+        col = ds.column(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = col - col.mean()
+            spread = float(np.dot(dev, dev))
+        if not np.isfinite(spread):
+            raise DegenerateDataError(
+                f"variable '{name}' spans [{float(col.min())!r}, "
+                f"{float(col.max())!r}]: its variance overflows float64")
+
+
 def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int], ...]:
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:

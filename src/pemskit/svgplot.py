@@ -37,6 +37,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:   # step is below half an ulp of t: t cannot move
+            break
         t += step
     return ticks
 

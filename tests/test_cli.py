@@ -35,6 +35,27 @@ def degenerate_dir(tmp_path_factory) -> Path:
     return root
 
 
+@pytest.fixture(scope="session")
+def uneven_dir(tmp_path_factory) -> Path:
+    """A 60-row 2011 and a 120-row 2012: a 0.98,0.01,0.01 split deals
+    2011 no Test row and 2012 one."""
+    root = tmp_path_factory.mktemp("cli_uneven")
+    ds = make_dataset(years=(2011, 2012), rows_per_year=120, seed=1)
+    write_year_files(ds.subset(np.r_[0:60, 120:240]), root)
+    return root
+
+
+@pytest.fixture(scope="session")
+def overflow_dir(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("cli_overflow")
+    ds = make_dataset(rows_per_year=60, seed=1)
+    at = ds.column("at").copy()
+    at[:2] = (1.5e308, -1.5e308)    # finite cells, overflowing spread
+    write_year_files(Dataset({**ds.columns, "at": at}, ds.year.copy(),
+                             ds.years), root)
+    return root
+
+
 def _run(*argv) -> int:
     return main(list(argv))
 
@@ -419,6 +440,38 @@ def test_flag_and_config_line_parse_alike(key, text, tmp_path_factory):
 def test_exit_code_4_for_degenerate_data(degenerate_dir, tmp_path):
     assert _run("cluster-vars", "--data-dir", str(degenerate_dir),
                 "--years", "2011", "--out-dir", str(tmp_path / "out")) == 4
+
+
+@pytest.mark.parametrize("argv, scope", [
+    (("knn", "--years", "2011", "--k", "3"), ""),
+    (("knn", "--years", "2011,2012", "--k-max", "3"), "year 2011: "),
+    (("report", "--years", "2011,2012", "--k-max", "3", "--trees", "2"),
+     "year 2011: "),
+], ids=["one-year", "selection", "report"])
+def test_an_empty_partition_exits_4_naming_it(uneven_dir, tmp_path, capsys,
+                                              argv, scope):
+    out = tmp_path / "out"
+    assert _run(*argv, "--split", "0.98,0.01,0.01", "--data-dir",
+                str(uneven_dir), "--out-dir", str(out)) == 4
+    assert capsys.readouterr().err == \
+        f"error: {scope}partition 'Test' is empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("summary", "--plots"), ("correlate",), ("correlate", "--plots"),
+    ("cluster-vars",), ("screen", "--trees", "2"), ("drift",),
+    ("knn", "--k-max", "3"), ("report", "--trees", "2"),
+], ids=" ".join)
+def test_a_variance_that_overflows_exits_4_naming_the_variable(
+        overflow_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _run(*argv, "--data-dir", str(overflow_dir), "--out-dir",
+                str(out)) == 4
+    assert capsys.readouterr().err == (
+        "error: variable 'at' spans [-1.5e+308, 1.5e+308]: its variance "
+        "overflows float64\n")
+    assert not out.exists()
 
 
 def test_console_entry_point_help():

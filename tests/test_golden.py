@@ -3,10 +3,11 @@
 A fixed small synthetic dataset (5 years x 120 rows) goes through all
 seven commands with --plots, plus the fixed-K and single-year branches
 of knn, once with flags and once with the same options in a --config
-file.  Any change to an output byte, or to the set of files written,
-fails here; so does a change to the bytes of the input files that
-write_year_files and to_csv produce.  Refactors and speedups must leave these hashes alone; a
-deliberate change of output bytes must say so in CHANGES.md.
+file.  Any change to an output byte, to the set of files written, or to
+the order of the printed ``wrote`` lines fails here; so does a change to
+the bytes of the input files that write_year_files and to_csv produce.
+Refactors and speedups must leave these hashes alone; a deliberate
+change of output bytes must say so in CHANGES.md.
 """
 
 import hashlib
@@ -156,6 +157,37 @@ GOLDEN: dict[str, dict[str, str]] = {
 }
 
 
+#: The files of each case in the order the `wrote` lines name them.
+WRITE_ORDER: dict[str, list[str]] = {
+    "cluster-vars": ["clusters.csv", "cluster_summary.csv"],
+    "correlate": [
+        "correlations.csv", "scatter_at_nox.svg", "scatter_ap_nox.svg",
+        "scatter_ah_nox.svg", "scatter_afdp_nox.svg", "scatter_tit_nox.svg",
+        "scatter_tat_nox.svg", "scatter_tep_nox.svg", "scatter_tey_nox.svg",
+        "scatter_cdp_nox.svg"],
+    "drift": [
+        "drift_fits.csv", "drift_centroids.csv", "drift_scores.csv",
+        "drift_pc.svg", "drift_r2.svg"],
+    "knn": [
+        "knn_metrics.csv", "knn_selection.csv", "knn_residuals.csv",
+        "model.json", "knn_k_curve.svg", "knn_actual_vs_predicted.svg",
+        "knn_residuals.svg"],
+    "knn-fixed-k": [
+        "knn_metrics.csv", "knn_residuals.csv", "model.json",
+        "knn_actual_vs_predicted.svg", "knn_residuals.svg"],
+    "knn-one-year": [
+        "knn_metrics.csv", "knn_selection.csv", "knn_residuals.csv",
+        "model.json", "knn_k_curve.svg", "knn_actual_vs_predicted.svg",
+        "knn_residuals.svg"],
+    "report": ["report.json", "index.html"],
+    "screen": ["screening.csv", "screening_portions.svg"],
+    "summary": [
+        "summary.csv", "histograms.csv", "hist_at.svg", "hist_ap.svg",
+        "hist_ah.svg", "hist_afdp.svg", "hist_tit.svg", "hist_tat.svg",
+        "hist_tep.svg", "hist_tey.svg", "hist_cdp.svg", "hist_nox.svg"],
+}
+
+
 INPUT_GOLDEN = {
     "gt_2011.csv":
         "cfa8f1eb37d060a1b7a54739800939dbac75eb30e6f6b387c09c0f803a3354bf",
@@ -209,9 +241,11 @@ def config_lines(options: tuple[str, ...]) -> list[str]:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_output_hashes(case, golden_dir, tmp_path):
-    assert output_hashes(golden_dir, tmp_path / "out", CASES[case]) \
-        == GOLDEN[case]
+def test_golden_output_hashes(case, golden_dir, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert output_hashes(golden_dir, out_dir, CASES[case]) == GOLDEN[case]
+    assert capsys.readouterr().out.splitlines() == \
+        [f"wrote {out_dir / name}" for name in WRITE_ORDER[case]]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -560,6 +560,21 @@ def test_select_k_requires_validation_rows(tiny_ds):
         select_k(tiny_ds, all_training)
 
 
+def test_an_empty_partition_is_named(tiny_ds):
+    # these fractions deal a 20-row year no Test row and a 40-row one one
+    fractions = (0.9, 0.08, 0.02)
+    ds = tiny_ds.subset(np.r_[0:20, 40:80])
+    year = ds.for_year(2011)
+    assignment = split(year, fractions)
+    model = fit_knn(year, assignment, k=3)
+    with pytest.raises(DegenerateDataError,
+                       match="^partition 'Test' is empty$"):
+        evaluate_all(model, year, assignment)
+    with pytest.raises(DegenerateDataError,
+                       match="^year 2011: partition 'Test' is empty$"):
+        compare_pooled_vs_yearly(ds, fractions, k_max=3)
+
+
 # -------------------------------------------------------------- residuals
 
 

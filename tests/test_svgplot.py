@@ -1,6 +1,15 @@
+import math
+import os
+import resource
+import subprocess
+import sys
 from xml.dom import minidom
 
+import numpy as np
+
+from pemskit.ingest import Dataset, write_year_files
 from pemskit.svgplot import bars, line, scatter
+from pemskit.synthetic import make_dataset
 
 
 def _parse(svg: str):
@@ -44,3 +53,36 @@ def test_handles_single_point_and_flat_ranges():
     _parse(svg)
     flat = line([("flat", [1.0, 2.0], [5.0, 5.0])], "t", "x", "y")
     _parse(flat)
+
+
+def _run_bounded(*argv: str) -> subprocess.CompletedProcess:
+    """Run Python on ``argv`` with 1 GB of address space and 60 s, so a
+    tick loop that cannot end fails the test instead of hanging it."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+
+def test_a_range_of_a_few_ulps_ends_its_ticks():
+    proc = _run_bounded("-c", (
+        "import math; from pemskit.svgplot import line; "
+        "print(line([('y', [0.0, 1.0], [1.0, math.nextafter(1.0, 2.0)])], "
+        "'t', 'x', 'y'))"))
+    assert proc.returncode == 0, proc.stderr
+    _parse(proc.stdout)
+
+
+def test_summary_plots_a_column_a_few_ulps_wide(tmp_path):
+    ds = make_dataset(years=(2011,), rows_per_year=40, seed=3)
+    ap = np.full(ds.n_records, 1013.0)
+    ap[::2] = math.nextafter(1013.0, 2000.0)
+    write_year_files(Dataset({**ds.columns, "ap": ap}, ds.year.copy(),
+                             ds.years), tmp_path)
+    proc = _run_bounded("-m", "pemskit.cli", "summary", "--plots", "--years",
+                        "2011", "--data-dir", str(tmp_path), "--out-dir",
+                        str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    _parse((tmp_path / "out" / "hist_ap.svg").read_text())
