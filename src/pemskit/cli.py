@@ -7,14 +7,19 @@ repr, so files are byte-reproducible for fixed (inputs, config, seed)
 and round-trip exactly.
 
 Each command is ``cmd_<name>(ds, config)``: given the dataset, loaded
-once by main, it yields its outputs as (name, content) pairs in write
-order.  Content is a table, SVG/JSON/HTML text, or the KNN model, and
-one writer, _write, puts every output on disk; the ``wrote`` lines are
-printed once all are written.
+once by main, it builds and yields its outputs as (name, content) pairs
+in write order, tables first, then plots.  Content is a table,
+SVG/JSON/HTML text, or the KNN model, and one writer, _write, puts every
+output on disk; the ``wrote`` lines are printed once all are written.
+``report`` runs the other six commands without plots: each section of
+report.json is exactly its command's tables, up to the first per-record
+one (drift_scores, knn_residuals), which stays out.
 
-Configuration precedence: built-in defaults < --config key=value file
-< explicit flags.  Exit codes: 0 success, 2 input/IO error, 3 config
-error, 4 numeric degeneracy.
+Each option is a RunConfig field: its default, parse function, metavar
+and help are the field's, and the flags and config-file keys come from
+the fields.  Configuration precedence: built-in defaults < --config
+key=value file < explicit flags.  Exit codes: 0 success, 2 input/IO
+error, 3 config error, 4 numeric degeneracy.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from datetime import MAXYEAR, MINYEAR
+from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import drift as drift_mod
 from . import knn as knn_mod
@@ -35,8 +41,8 @@ from . import svgplot
 from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (Dataset, OPTIONAL_TARGET, PREDICTORS, PROCESS_PREDICTORS,
                      TARGET, atomic_open, check_predictors, load_dataset)
-from .screening import ForestConfig, ScreeningResult, screen_predictors
-from .stats import (DEFAULT_HIGH_NOX_QUANTILE, VariableSummary, check_spread,
+from .screening import ForestConfig, screen_predictors
+from .stats import (DEFAULT_HIGH_NOX_QUANTILE, check_spread,
                     correlation_matrix, flag_high_nox, summarize)
 from .varclus import DEFAULT_THRESHOLD, cluster_variables, dependence_tag
 
@@ -47,50 +53,14 @@ COMMANDS = ("summary", "correlate", "cluster-vars", "screen", "drift", "knn",
 KNOWN_VARIABLES = PREDICTORS + (TARGET, OPTIONAL_TARGET)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    data_dir: str
-    years: tuple[int, ...]
-    target: str
-    predictors: tuple[str, ...] | None
-    exclude_weather: bool
-    split: tuple[float, float, float]
-    seed: int
-    k: int | None
-    k_max: int
-    weighting: str
-    threshold: float
-    trees: int
-    out: str
-    plots: bool
-    out_dir: str
-    reference_year: int | None
-    tep_unit: str
-    leave_self_out: bool
-
-    def resolved_predictors(self) -> tuple[str, ...]:
-        if self.predictors is not None:
-            return self.predictors
-        return PROCESS_PREDICTORS if self.exclude_weather else PREDICTORS
-
-
 # ------------------------------------------------------- option parsing
 #
-# Each option is one OPTIONS entry: its default and the one parse
-# function that turns a flag's text or a config-file value into a checked
-# value (raising ConfigError).  The flags are generated from the table.
+# An option's parse function turns a flag's text or a config-file value
+# into a checked value, or raises ConfigError.
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-class Option(NamedTuple):
-    default: object
-    parse: Callable[[str], object]
-    metavar: str | None = None
-    help: str | None = None
 
 
 def _checked(convert: Callable[[str], object], rule: str,
@@ -152,41 +122,60 @@ def _parse_predictors(text: str) -> tuple[str, ...]:
     return names
 
 
-def _choice(default: str, allowed: Sequence[str]) -> Option:
-    return Option(default, _checked(str, f"one of {', '.join(allowed)}",
-                                    allowed.__contains__),
-                  "{" + ",".join(allowed) + "}")
+def _option(default, parse: Callable[[str], object],
+            metavar: str | None = None, help: str | None = None):
+    """A RunConfig field that is an option.  Its flag is `--<name>` with
+    `-` for `_`; a boolean option is a bare flag that flips its default
+    (`--no-<name>` when the default is true)."""
+    return field(default=default, metadata={"parse": parse,
+                                            "metavar": metavar, "help": help})
 
 
-#: Flags are `--<key>` with `-` for `_`; a boolean option is a bare flag
-#: that flips its default (`--no-<key>` when the default is true).
-OPTIONS: dict[str, Option] = {
-    "data_dir": Option(None, str),      # None: $PEMSKIT_DATA_DIR, then ./data
-    "years": Option(DEFAULT_YEARS, _parse_years,
-                    help="comma list and/or ranges, e.g. 2011-2013,2015"),
-    "target": Option(TARGET, _parse_variable),
-    "predictors": Option(None, _parse_predictors, "NAMES"),
-    "exclude_weather": Option(False, _parse_bool),
-    "split": Option(knn_mod.DEFAULT_FRACTIONS, _parse_fractions, "A,B,C"),
-    "seed": Option(0, _parse_int),
-    "k": Option(None, _at_least_1),
-    "k_max": Option(10, _at_least_1),
-    "weighting": _choice("inverse_distance", knn_mod.WEIGHTINGS),
-    "threshold": Option(DEFAULT_THRESHOLD, _checked(
-        float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0.0)),
-    "trees": Option(100, _at_least_1),
-    "out": _choice("csv", ("csv", "json")),
-    "plots": Option(False, _parse_bool),
-    "out_dir": Option("pemskit_out", str),
-    "reference_year": Option(None, _parse_year),
-    "tep_unit": _choice("bar", ("mbar", "bar")),
-    "leave_self_out": Option(True, _parse_bool),
-}
+def _choice(default: str, allowed: Sequence[str]):
+    return _option(default, _checked(str, f"one of {', '.join(allowed)}",
+                                     allowed.__contains__),
+                   "{" + ",".join(allowed) + "}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    command: str
+    data_dir: str = _option(None, str)  # None: $PEMSKIT_DATA_DIR, then ./data
+    years: tuple[int, ...] = _option(
+        DEFAULT_YEARS, _parse_years,
+        help="comma list and/or ranges, e.g. 2011-2013,2015")
+    target: str = _option(TARGET, _parse_variable)
+    predictors: tuple[str, ...] | None = _option(None, _parse_predictors,
+                                                 "NAMES")
+    exclude_weather: bool = _option(False, _parse_bool)
+    split: tuple[float, float, float] = _option(knn_mod.DEFAULT_FRACTIONS,
+                                                _parse_fractions, "A,B,C")
+    seed: int = _option(0, _parse_int)
+    k: int | None = _option(None, _at_least_1)
+    k_max: int = _option(10, _at_least_1)
+    weighting: str = _choice("inverse_distance", knn_mod.WEIGHTINGS)
+    threshold: float = _option(DEFAULT_THRESHOLD, _checked(
+        float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0.0))
+    trees: int = _option(100, _at_least_1)
+    out: str = _choice("csv", ("csv", "json"))
+    plots: bool = _option(False, _parse_bool)
+    out_dir: str = _option("pemskit_out", str)
+    reference_year: int | None = _option(None, _parse_year)
+    tep_unit: str = _choice("bar", ("mbar", "bar"))
+    leave_self_out: bool = _option(True, _parse_bool)
+
+    def resolved_predictors(self) -> tuple[str, ...]:
+        if self.predictors is not None:
+            return self.predictors
+        return PROCESS_PREDICTORS if self.exclude_weather else PREDICTORS
+
+
+_OPTIONS = {f.name: f for f in fields(RunConfig) if f.metadata}
 
 
 def _parse(key: str, text: str, where: str) -> object:
     try:
-        return OPTIONS[key].parse(text)
+        return _OPTIONS[key].metadata["parse"](text)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -205,7 +194,7 @@ def _read_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in OPTIONS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = _parse(key, value.strip(), f"{path}:{lineno}: {key}")
     return values
@@ -219,31 +208,30 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="FILE")
-        for key, opt in OPTIONS.items():
+        for key, opt in _OPTIONS.items():
             flag = key.replace("_", "-")
             if isinstance(opt.default, bool):
                 p.add_argument(f"--no-{flag}" if opt.default else f"--{flag}",
                                dest=key, action="store_const",
                                const=not opt.default)
             else:
-                p.add_argument(f"--{flag}", dest=key, metavar=opt.metavar,
-                               help=opt.help)
+                p.add_argument(f"--{flag}", dest=key,
+                               metavar=opt.metadata["metavar"],
+                               help=opt.metadata["help"])
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults < --config file < flags, each value parsed by its option."""
-    values = {key: opt.default for key, opt in OPTIONS.items()}
-    if args.config is not None:
-        values.update(_read_config_file(args.config))
-    for key in OPTIONS:
+    values = {} if args.config is None else _read_config_file(args.config)
+    for key in _OPTIONS:
         given = getattr(args, key)
         if isinstance(given, str):
             given = _parse(key, given, "--" + key.replace("_", "-"))
         if given is not None:
             values[key] = given
-    values["data_dir"] = (values["data_dir"] or os.environ.get(ENV_DATA_DIR)
-                          or "data")
+    values["data_dir"] = (values.get("data_dir")
+                          or os.environ.get(ENV_DATA_DIR) or "data")
     config = RunConfig(command=args.command, **values)
     if config.predictors is not None and config.exclude_weather:
         raise ConfigError("--predictors and --exclude-weather are mutually "
@@ -304,86 +292,113 @@ def _write(config: RunConfig, name: str,
     return emit_table(path.parent, name, content, config.out)
 
 
-# -------------------------------------------------------- table builders
+# -------------------------------------------------------------- commands
 
-def _summaries(ds: Dataset, config: RunConfig) -> list[VariableSummary]:
-    variables = list(config.resolved_predictors()) + [config.target]
-    return summarize(ds, variables=variables)
+Output = tuple[str, "Table | str | knn_mod.KnnModel"]
 
 
-def _summary_tables(summaries: Sequence[VariableSummary]) -> dict[str, Table]:
-    stat_rows = []
-    hist_rows = []
-    for s in summaries:
-        stat_rows.append([s.name, s.count, s.mean, s.std, s.min,
-                          s.q1, s.median, s.q3, s.max])
-        for lo, hi, count in s.histogram:
-            hist_rows.append([s.name, lo, hi, count])
-    return {
-        "summary": _table(
-            ["variable", "count", "mean", "std", "min", "q1", "median",
-             "q3", "max"], stat_rows),
-        "histograms": _table(
-            ["variable", "bin_lo", "bin_hi", "count"], hist_rows),
-    }
+def cmd_summary(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    summaries = summarize(ds, variables=[*config.resolved_predictors(),
+                                         config.target])
+    yield "summary", _table(
+        ["variable", "count", "mean", "std", "min", "q1", "median", "q3",
+         "max"],
+        [[s.name, s.count, s.mean, s.std, s.min, s.q1, s.median, s.q3, s.max]
+         for s in summaries])
+    yield "histograms", _table(
+        ["variable", "bin_lo", "bin_hi", "count"],
+        [[s.name, lo, hi, count]
+         for s in summaries for lo, hi, count in s.histogram])
+    if config.plots:
+        for s in summaries:
+            lo, hi, counts = zip(*s.histogram)
+            yield f"hist_{s.name}.svg", svgplot.bars(
+                lo, hi, counts, f"{s.name} distribution", s.name)
 
 
-def _correlation_tables(ds: Dataset, config: RunConfig) -> dict[str, Table]:
+def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     cm = correlation_matrix(ds, [*config.resolved_predictors(), config.target])
-    rows = [[name] + [float(v) for v in cm.matrix[i]]
-            for i, name in enumerate(cm.variables)]
-    return {"correlations": _table(["variable", *cm.variables], rows)}
+    yield "correlations", _table(
+        ["variable", *cm.variables],
+        [[name] + [float(v) for v in cm.matrix[i]]
+         for i, name in enumerate(cm.variables)])
+    if not config.plots:
+        return
+    high = flag_high_nox(ds, DEFAULT_HIGH_NOX_QUANTILE)
+    target = ds.column(config.target)
+    for name in config.resolved_predictors():
+        x = ds.column(name)
+        series = [
+            ("normal", x[~high].tolist(), target[~high].tolist()),
+            ("high NOx", x[high].tolist(), target[high].tolist()),
+        ]
+        yield f"scatter_{name}_{config.target}.svg", svgplot.scatter(
+            series, f"{config.target} vs {name}", name, config.target)
 
 
-def _cluster_tables(ds: Dataset, config: RunConfig) -> dict[str, Table]:
+def cmd_cluster_vars(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     report = cluster_variables(ds, config.resolved_predictors(),
                                threshold=config.threshold)
-    rows = [[r.cluster_id, r.variable, dependence_tag(r.variable),
-             r.r2_own, r.r2_next, r.ratio] for r in report.rows]
-    cluster_rows = [[c.id, " ".join(c.members), len(c.members),
-                     c.eigenvalue1, c.eigenvalue2] for c in report.clusters]
-    return {
-        "clusters": _table(
-            ["cluster", "variable", "dependence", "r2_own", "r2_next",
-             "ratio"], rows),
-        "cluster_summary": _table(
-            ["cluster", "members", "size", "eigenvalue1", "eigenvalue2"],
-            cluster_rows),
-    }
+    yield "clusters", _table(
+        ["cluster", "variable", "dependence", "r2_own", "r2_next", "ratio"],
+        [[r.cluster_id, r.variable, dependence_tag(r.variable), r.r2_own,
+          r.r2_next, r.ratio] for r in report.rows])
+    yield "cluster_summary", _table(
+        ["cluster", "members", "size", "eigenvalue1", "eigenvalue2"],
+        [[c.id, " ".join(c.members), len(c.members), c.eigenvalue1,
+          c.eigenvalue2] for c in report.clusters])
 
 
-def _screening(ds: Dataset, config: RunConfig) -> ScreeningResult:
-    cfg = ForestConfig(n_trees=config.trees, seed=config.seed)
-    return screen_predictors(ds, config.resolved_predictors(), config.target,
-                             cfg)
+def cmd_screen(ds: Dataset, config: RunConfig) -> Iterator[Output]:
+    result = screen_predictors(
+        ds, config.resolved_predictors(), config.target,
+        ForestConfig(n_trees=config.trees, seed=config.seed))
+    yield "screening", _table(
+        ["rank", "predictor", "contribution", "portion"],
+        [[r.rank, r.predictor, r.contribution, r.portion]
+         for r in result.rows])
+    if config.plots:
+        order = " ".join(r.predictor for r in result.rows)
+        yield "screening_portions.svg", svgplot.bars(
+            [float(r.rank) - 0.5 for r in result.rows],
+            [float(r.rank) + 0.5 for r in result.rows],
+            [r.portion for r in result.rows],
+            f"split contribution portion by rank ({order})", "rank", "portion")
 
 
-def _screen_tables(result: ScreeningResult) -> dict[str, Table]:
-    rows = [[r.rank, r.predictor, r.contribution, r.portion]
-            for r in result.rows]
-    return {"screening": _table(
-        ["rank", "predictor", "contribution", "portion"], rows)}
-
-
-def _drift(ds: Dataset, config: RunConfig) -> drift_mod.DriftReport:
+def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     scale = drift_mod.DEFAULT_TEP_SCALE if config.tep_unit == "bar" else 1.0
     ref = config.reference_year if config.reference_year is not None \
         else ds.years[0]
-    return drift_mod.drift_report(ds, ref, config.resolved_predictors(),
-                                  x_unit_scale=scale)
-
-
-def _drift_tables(report: drift_mod.DriftReport) -> dict[str, Table]:
-    fit_rows = [[yd.year, yd.fit.n, yd.fit.intercept, yd.fit.slope,
-                 yd.fit.r_squared] for yd in report.years]
-    centroid_rows = [[yd.year, yd.centroid[0], yd.centroid[1],
-                      yd.displacement] for yd in report.years]
-    return {
-        "drift_fits": _table(
-            ["year", "n", "intercept", "slope", "r_squared"], fit_rows),
-        "drift_centroids": _table(
-            ["year", "pc1", "pc2", "displacement"], centroid_rows),
-    }
+    report = drift_mod.drift_report(ds, ref, config.resolved_predictors(),
+                                    x_unit_scale=scale)
+    scores = report.scores
+    yield "drift_fits", _table(
+        ["year", "n", "intercept", "slope", "r_squared"],
+        [[yd.year, yd.fit.n, yd.fit.intercept, yd.fit.slope,
+          yd.fit.r_squared] for yd in report.years])
+    yield "drift_centroids", _table(
+        ["year", "pc1", "pc2", "displacement"],
+        [[yd.year, yd.centroid[0], yd.centroid[1], yd.displacement]
+         for yd in report.years])
+    yield "drift_scores", _table(
+        ["row", "year", "pc1", "pc2"],
+        [[i, int(ds.year[i]), float(scores[i, 0]), float(scores[i, 1])]
+         for i in range(ds.n_records)])
+    if not config.plots:
+        return
+    series = []
+    for year in ds.years:
+        mask = ds.year == year
+        series.append((str(year), scores[mask, 0].tolist(),
+                       scores[mask, 1].tolist()))
+    yield "drift_pc.svg", svgplot.scatter(
+        series, f"PC scores by year (reference {report.reference_year})",
+        "PC1", "PC2")
+    years = [yd.year for yd in report.years]
+    r2s = [yd.fit.r_squared for yd in report.years]
+    yield "drift_r2.svg", svgplot.line(
+        [("cdp~tep r2", years, r2s)], "Yearly cdp~tep fit r2", "year", "r2")
 
 
 def _metrics_row(scope: str, k, partition: str,
@@ -391,11 +406,7 @@ def _metrics_row(scope: str, k, partition: str,
     return [scope, partition, k, m.freq, m.r_squared, m.rase, m.aae]
 
 
-def _knn_tables(ds: Dataset, config: RunConfig
-                ) -> tuple[dict[str, Table], knn_mod.ModelEvaluation,
-                           knn_mod.SplitAssignment]:
-    """Metric and selection tables of every model scope, the pooled
-    scope (its model and per-record predictions), and the split."""
+def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     names = config.resolved_predictors()
     if config.k is None and len(ds.years) >= 2:
         cmp = knn_mod.compare_pooled_vs_yearly(
@@ -421,89 +432,13 @@ def _knn_tables(ds: Dataset, config: RunConfig
                                              part, m))
     for part, m in aggregate.items():
         metrics_rows.append(_metrics_row("by_year_aggregate", None, part, m))
-    tables = {"knn_metrics": _table(
+    yield "knn_metrics", _table(
         ["scope", "partition", "k", "freq", "r_squared", "rase", "aae"],
-        metrics_rows)}
+        metrics_rows)
     if selection_rows:
-        tables["knn_selection"] = _table(
+        yield "knn_selection", _table(
             ["scope", "k", "validation_rase"], selection_rows)
-    return tables, scopes[0], assignment
-
-
-# -------------------------------------------------------------- commands
-
-Output = tuple[str, "Table | str | knn_mod.KnnModel"]
-
-
-def cmd_summary(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    summaries = _summaries(ds, config)
-    yield from _summary_tables(summaries).items()
-    if config.plots:
-        for s in summaries:
-            lo, hi, counts = zip(*s.histogram)
-            yield f"hist_{s.name}.svg", svgplot.bars(
-                lo, hi, counts, f"{s.name} distribution", s.name)
-
-
-def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    yield from _correlation_tables(ds, config).items()
-    if not config.plots:
-        return
-    high = flag_high_nox(ds, DEFAULT_HIGH_NOX_QUANTILE)
-    target = ds.column(config.target)
-    for name in config.resolved_predictors():
-        x = ds.column(name)
-        series = [
-            ("normal", x[~high].tolist(), target[~high].tolist()),
-            ("high NOx", x[high].tolist(), target[high].tolist()),
-        ]
-        yield f"scatter_{name}_{config.target}.svg", svgplot.scatter(
-            series, f"{config.target} vs {name}", name, config.target)
-
-
-def cmd_cluster_vars(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    yield from _cluster_tables(ds, config).items()
-
-
-def cmd_screen(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    result = _screening(ds, config)
-    yield from _screen_tables(result).items()
-    if config.plots:
-        order = " ".join(r.predictor for r in result.rows)
-        yield "screening_portions.svg", svgplot.bars(
-            [float(r.rank) - 0.5 for r in result.rows],
-            [float(r.rank) + 0.5 for r in result.rows],
-            [r.portion for r in result.rows],
-            f"split contribution portion by rank ({order})", "rank", "portion")
-
-
-def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    report = _drift(ds, config)
-    scores = report.scores
-    yield from _drift_tables(report).items()
-    yield "drift_scores", _table(
-        ["row", "year", "pc1", "pc2"],
-        [[i, int(ds.year[i]), float(scores[i, 0]), float(scores[i, 1])]
-         for i in range(ds.n_records)])
-    if not config.plots:
-        return
-    series = []
-    for year in ds.years:
-        mask = ds.year == year
-        series.append((str(year), scores[mask, 0].tolist(),
-                       scores[mask, 1].tolist()))
-    yield "drift_pc.svg", svgplot.scatter(
-        series, f"PC scores by year (reference {report.reference_year})",
-        "PC1", "PC2")
-    years = [yd.year for yd in report.years]
-    r2s = [yd.fit.r_squared for yd in report.years]
-    yield "drift_r2.svg", svgplot.line(
-        [("cdp~tep r2", years, r2s)], "Yearly cdp~tep fit r2", "year", "r2")
-
-
-def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    tables, pooled, assignment = _knn_tables(ds, config)
-    yield from tables.items()
+    pooled = scopes[0]
     actual, predicted = ds.column(config.target), pooled.predicted
     residual = actual - predicted
     labels = assignment.labels()
@@ -553,17 +488,24 @@ _INDEX_HTML = """<!DOCTYPE html>
 </html>
 """
 
+#: One report.json section per command, made of that command's outputs up
+#: to its first per-record table, which stays out of the report.
+_REPORT_SECTIONS = {
+    "summary": cmd_summary,
+    "correlations": cmd_correlate,
+    "clusters": cmd_cluster_vars,
+    "screening": cmd_screen,
+    "drift": cmd_drift,
+    "knn": cmd_knn,
+}
+_PER_RECORD = ("drift_scores", "knn_residuals")
+
 
 def cmd_report(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    knn_tables, _, _ = _knn_tables(ds, config)
-    report = {
-        "summary": _summary_tables(_summaries(ds, config)),
-        "correlations": _correlation_tables(ds, config),
-        "clusters": _cluster_tables(ds, config),
-        "screening": _screen_tables(_screening(ds, config)),
-        "drift": _drift_tables(_drift(ds, config)),
-        "knn": knn_tables,
-    }
+    config = replace(config, plots=False)
+    report = {section: dict(takewhile(lambda out: out[0] not in _PER_RECORD,
+                                      command(ds, config)))
+              for section, command in _REPORT_SECTIONS.items()}
     yield "report.json", json.dumps(report, indent=2) + "\n"
     yield "index.html", _INDEX_HTML
 

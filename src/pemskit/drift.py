@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, PREDICTORS
-from .stats import correlation_matrix
+from .stats import check_finite_spreads, correlation_matrix
 
 # Exhaust pressure arrives in mbar; the discharge-pressure fit is
 # conventionally reported with it rescaled to bar.
@@ -108,10 +108,12 @@ def fit_pca(ds: Dataset, variables: Sequence[str] | None = None) -> PcaModel:
     if x.shape[0] <= len(names):
         raise DegenerateDataError(
             f"PCA needs more rows than variables ({x.shape[0]} <= {len(names)})")
-    means = x.mean(axis=0)
-    stds = x.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.mean(axis=0)
+        stds = x.std(axis=0, ddof=1)
+    check_finite_spreads(names, stds)
     for name, s in zip(names, stds):
-        if s == 0.0 or not math.isfinite(s):
+        if s == 0.0:
             raise DegenerateDataError(f"variable '{name}' has zero variance")
     corr = correlation_matrix(ds, names).matrix
     eigvals, eigvecs = np.linalg.eigh(corr)

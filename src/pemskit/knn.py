@@ -28,6 +28,7 @@ from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import (Dataset, ObservationRecord, PREDICTORS, TARGET,
                      atomic_open, check_predictors, check_rows)
 from .rng import SplitMix64, derive_seed
+from .stats import check_finite_spreads
 
 PARTITIONS = ("Training", "Validation", "Test")
 TOTAL = "Total"
@@ -151,10 +152,12 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     if not 1 <= k <= n_train:
         raise ConfigError(f"k must be in [1, {n_train}], got {k}")
     x = ds.matrix(names)[train_rows]
-    means = x.mean(axis=0)
-    stds = x.std(axis=0, ddof=1) if n_train > 1 else np.ones(len(names))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.mean(axis=0)
+        stds = x.std(axis=0, ddof=1) if n_train > 1 else np.ones(len(names))
+    check_finite_spreads(names, stds)
     for name, s in zip(names, stds):
-        if s == 0.0 or not math.isfinite(s):
+        if s == 0.0:
             raise DegenerateDataError(
                 f"predictor '{name}' has zero variance in the training partition")
     z = np.asfortranarray((x - means) / stds)

@@ -222,13 +222,12 @@ class RegressionTree:
         return out
 
     def contributions(self) -> np.ndarray:
-        """Per-predictor sum of SSE reductions over this tree's splits."""
-        contrib = np.zeros(len(self.predictors))
-        for i in range(self.n_nodes):
-            f = int(self.feature[i])
-            if f >= 0:
-                contrib[f] += float(self.sse_reduction[i])
-        return contrib
+        """Per-predictor sum of SSE reductions over this tree's splits,
+        each added in node order from 0.0 (a tree without splits gets
+        float zeros, not bincount's integer ones)."""
+        split = self.feature >= 0
+        return np.bincount(self.feature[split], self.sse_reduction[split],
+                           len(self.predictors)).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,16 @@ def check_spread(ds: Dataset, variables: Sequence[str]) -> None:
                 f"{float(col.max())!r}]: its variance overflows float64")
 
 
+def check_finite_spreads(names: Sequence[str], spreads: np.ndarray) -> None:
+    """DegenerateDataError naming the first variable whose spread (a
+    standard deviation or norm, computed under np.errstate) is not
+    finite: its variance overflows float64."""
+    for name, spread in zip(names, spreads):
+        if not np.isfinite(spread):
+            raise DegenerateDataError(
+                f"variable '{name}': its variance overflows float64")
+
+
 def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int], ...]:
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
@@ -90,12 +100,15 @@ def summarize(ds: Dataset, bins: int = DEFAULT_BINS,
     out = []
     for name in names:
         col = ds.column(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = float(col.std(ddof=1)) if col.size > 1 else 0.0
+        check_finite_spreads((name,), (std,))
         q1, med, q3 = (float(q) for q in np.quantile(col, [0.25, 0.5, 0.75]))
         out.append(VariableSummary(
             name=name,
             count=int(col.size),
             mean=float(col.mean()),
-            std=float(col.std(ddof=1)) if col.size > 1 else 0.0,
+            std=std,
             min=float(col.min()),
             max=float(col.max()),
             q1=q1, median=med, q3=q3,
@@ -126,8 +139,10 @@ def correlation_matrix(ds: Dataset,
     if ds.n_records < 2:
         raise DegenerateDataError("correlation needs at least 2 records")
     data = ds.matrix(names)
-    centered = data - data.mean(axis=0)
-    norms = np.sqrt((centered * centered).sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=0)
+        norms = np.sqrt((centered * centered).sum(axis=0))
+    check_finite_spreads(names, norms)
     for i, n in enumerate(norms):
         if n == 0.0:
             raise DegenerateDataError(f"variable '{names[i]}' has zero variance")

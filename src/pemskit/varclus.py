@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, PREDICTORS, PROCESS_PREDICTORS
+from .stats import check_finite_spreads
 
 DEFAULT_THRESHOLD = 1.0
 REASSIGN_PASS_CAP = 100
@@ -80,11 +81,15 @@ def second_eigenvalue(corr) -> float:
 
 
 def _standardized(ds: Dataset, names: Sequence[str]) -> np.ndarray:
+    if ds.n_records < 2:
+        raise DegenerateDataError("variable clustering needs at least 2 records")
     data = ds.matrix(names)
-    centered = data - data.mean(axis=0)
-    stds = centered.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=0)
+        stds = centered.std(axis=0, ddof=1)
+    check_finite_spreads(names, stds)
     for i, s in enumerate(stds):
-        if s == 0.0 or not np.isfinite(s):
+        if s == 0.0:
             raise DegenerateDataError(f"variable '{names[i]}' has zero variance")
     return centered / stds
 

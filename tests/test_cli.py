@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -276,6 +277,31 @@ def test_report_sections_and_idempotence(data_dir, tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def test_report_sections_are_the_commands_tables(data_dir, tmp_path, capsys):
+    common = ("--data-dir", str(data_dir), "--out", "json", "--seed", "3",
+              "--trees", "2", "--k-max", "3")
+    assert _run("report", *common, "--out-dir", str(tmp_path / "report")) == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text())
+    commands = {"summary": "summary", "correlations": "correlate",
+                "clusters": "cluster-vars", "screening": "screen",
+                "drift": "drift", "knn": "knn"}
+    per_record = {"drift": ["drift_scores"], "knn": ["knn_residuals"]}
+    assert list(report) == list(commands)
+    capsys.readouterr()
+    for section, command in commands.items():
+        out = tmp_path / command
+        assert _run(command, *common, "--out-dir", str(out)) == 0
+        written = [Path(line.removeprefix("wrote ")) for line
+                   in capsys.readouterr().out.splitlines()]
+        tables = {p.stem: json.loads(p.read_text()) for p in written
+                  if p.suffix == ".json" and p.name != "model.json"}
+        for name in per_record.get(section, []):
+            assert name in tables and name not in report[section]
+            del tables[name]
+        assert list(report[section]) == list(tables), section
+        assert report[section] == tables, section
+
+
 def test_config_file_provides_defaults_flags_override(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg_out = tmp_path / "from_config"
@@ -472,6 +498,48 @@ def test_a_variance_that_overflows_exits_4_naming_the_variable(
         "error: variable 'at' spans [-1.5e+308, 1.5e+308]: its variance "
         "overflows float64\n")
     assert not out.exists()
+
+
+# Every subcommand's argparse actions, written out by hand as (flags,
+# dest, metavar, help, default, const, nargs): a change to how the options
+# are declared must leave the command-line surface exactly as it is.
+OPTION_SURFACE = [
+    (["-h", "--help"], "help", None, "show this help message and exit",
+     argparse.SUPPRESS, None, 0),
+    (["--config"], "config", "FILE", None, None, None, None),
+    (["--data-dir"], "data_dir", None, None, None, None, None),
+    (["--years"], "years", None,
+     "comma list and/or ranges, e.g. 2011-2013,2015", None, None, None),
+    (["--target"], "target", None, None, None, None, None),
+    (["--predictors"], "predictors", "NAMES", None, None, None, None),
+    (["--exclude-weather"], "exclude_weather", None, None, None, True, 0),
+    (["--split"], "split", "A,B,C", None, None, None, None),
+    (["--seed"], "seed", None, None, None, None, None),
+    (["--k"], "k", None, None, None, None, None),
+    (["--k-max"], "k_max", None, None, None, None, None),
+    (["--weighting"], "weighting", "{inverse_distance,uniform}", None, None,
+     None, None),
+    (["--threshold"], "threshold", None, None, None, None, None),
+    (["--trees"], "trees", None, None, None, None, None),
+    (["--out"], "out", "{csv,json}", None, None, None, None),
+    (["--plots"], "plots", None, None, None, True, 0),
+    (["--out-dir"], "out_dir", None, None, None, None, None),
+    (["--reference-year"], "reference_year", None, None, None, None, None),
+    (["--tep-unit"], "tep_unit", "{mbar,bar}", None, None, None, None),
+    (["--no-leave-self-out"], "leave_self_out", None, None, None, False, 0),
+]
+
+
+def test_every_subcommand_has_the_written_out_options():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["summary", "correlate", "cluster-vars",
+                                 "screen", "drift", "knn", "report"]
+    for command, p in sub.choices.items():
+        surface = [(a.option_strings, a.dest, a.metavar, a.help, a.default,
+                    a.const, a.nargs) for a in p._actions]
+        assert surface == OPTION_SURFACE, command
 
 
 def test_console_entry_point_help():

@@ -87,6 +87,16 @@ def test_fit_pca_guards():
         project(model, ds, 3)
 
 
+def test_fit_pca_names_a_variable_whose_variance_overflows():
+    # finite cells, overflowing squared deviations; warnings are errors here
+    a = np.arange(9.0)
+    a[:2] = (1.5e308, -1.5e308)
+    wide = _ds_from_columns(a=a, b=np.arange(9.0) ** 2)
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'a': its variance overflows float64"):
+        fit_pca(wide, ("b", "a"))
+
+
 def test_linear_fit_recovers_exact_line():
     x = np.linspace(0.0, 10.0, 50)
     fit = linear_fit(x, 2.5 * x - 4.0)

@@ -452,6 +452,17 @@ def test_fit_rejects_bad_configuration(tiny_ds):
         fit_knn(flat, split(flat), ("p0", "p1"), "y", k=2)
 
 
+def test_fit_names_a_predictor_whose_variance_overflows():
+    # finite cells, overflowing squared deviations; warnings are errors here
+    x = np.zeros((30, 2))
+    x[:, 0] = np.arange(30.0)
+    x[:, 1] = np.where(np.arange(30) % 2 == 0, 1.5e308, -1.5e308)
+    wide = _ds_from_matrix(x, np.arange(30.0))
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'p1': its variance overflows float64"):
+        fit_knn(wide, split(wide), ("p0", "p1"), "y", k=2)
+
+
 def test_leave_self_out_changes_training_predictions(tiny_ds):
     assignment = split(tiny_ds, seed=0)
     train = assignment.rows("Training")

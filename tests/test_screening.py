@@ -7,6 +7,7 @@ from pemskit.ingest import PREDICTORS, Dataset
 from pemskit.rng import SplitMix64, derive_seed
 from pemskit.screening import (
     ForestConfig,
+    RegressionTree,
     _UNLIMITED_DEPTH,
     _bootstrap_rows,
     _grow_tree,
@@ -325,6 +326,16 @@ def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
             value[:node_count])
 
 
+def _reference_contributions(tree):
+    """The per-node loop that RegressionTree.contributions replaced."""
+    contrib = np.zeros(len(tree.predictors))
+    for i in range(tree.n_nodes):
+        f = int(tree.feature[i])
+        if f >= 0:
+            contrib[f] += float(tree.sse_reduction[i])
+    return contrib
+
+
 def _assert_grows_like_reference(x, y, rows, m, min_leaf, max_depth, state):
     want = _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, state)
     got = _grow_tree(x, y, rows, m, min_leaf, max_depth, state)
@@ -333,6 +344,11 @@ def _assert_grows_like_reference(x, y, rows, m, min_leaf, max_depth, state):
                            "n_node", "value"), want, got):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+    tree = RegressionTree(tuple(f"x{j}" for j in range(x.shape[1])), *got)
+    contrib = tree.contributions()
+    expected = _reference_contributions(tree)
+    assert contrib.dtype == expected.dtype
+    assert contrib.tobytes() == expected.tobytes()
     return got
 
 

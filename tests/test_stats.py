@@ -111,6 +111,26 @@ def test_correlation_matrix_degenerate_inputs():
         correlation_matrix(one_row, ("at", "nox"))
 
 
+# Finite cells whose squared deviations overflow float64.  The suite turns
+# warnings into errors, so these also check that no RuntimeWarning is
+# emitted on the way to the error.
+_OVERFLOWING = [1.5e308, -1.5e308, 1.0, 2.0]
+
+
+def test_correlation_matrix_names_a_variable_whose_variance_overflows():
+    ds = _ds_with([1.0, 2.0, 4.0, 3.0], at=_OVERFLOWING)
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'at': its variance overflows float64"):
+        correlation_matrix(ds, ("ap", "at", "nox"))
+
+
+def test_summarize_names_a_variable_whose_variance_overflows():
+    ds = _ds_with([1.0, 2.0, 4.0, 3.0], at=_OVERFLOWING)
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'at': its variance overflows float64"):
+        summarize(ds, variables=["ap", "at"])
+
+
 def test_flag_high_nox_strictly_above_quantile():
     ds = _ds_with([10.0, 20.0, 30.0, 40.0, 50.0])
     # 0.8 quantile of 1..5 grid is 42; only 50 exceeds it

@@ -139,6 +139,19 @@ def test_cluster_guards(tiny_ds):
     flat = _ds_from_columns(a=np.ones(10), b=np.arange(10.0))
     with pytest.raises(DegenerateDataError, match="'a' has zero variance"):
         cluster_variables(flat, ("a", "b"))
+    one_row = _ds_from_columns(a=np.ones(1), b=np.arange(1.0))
+    with pytest.raises(DegenerateDataError, match="at least 2 records"):
+        cluster_variables(one_row, ("a", "b"))
+
+
+def test_cluster_variables_names_a_variable_whose_variance_overflows():
+    # finite cells, overflowing squared deviations; warnings are errors here
+    a = np.arange(10.0)
+    a[:2] = (1.5e308, -1.5e308)
+    wide = _ds_from_columns(a=a, b=np.arange(10.0) ** 2)
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'a': its variance overflows float64"):
+        cluster_variables(wide, ("b", "a"))
 
 
 def test_dependence_tags():
