@@ -48,8 +48,6 @@ from .varclus import DEFAULT_THRESHOLD, cluster_variables, dependence_tag
 
 ENV_DATA_DIR = "PEMSKIT_DATA_DIR"
 DEFAULT_YEARS = (2011, 2012, 2013, 2014, 2015)
-COMMANDS = ("summary", "correlate", "cluster-vars", "screen", "drift", "knn",
-            "report")
 KNOWN_VARIABLES = PREDICTORS + (TARGET, OPTIONAL_TARGET)
 
 
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Turbine telemetry analytics: summaries, "
                                  "clustering, screening, drift, KNN NOx model.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="FILE")
         for key, opt in _OPTIONS.items():

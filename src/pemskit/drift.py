@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, PREDICTORS
-from .stats import check_finite_spreads, correlation_matrix
+from .stats import (check_finite_spreads, check_spread, correlation_matrix,
+                    eigenpairs)
 
 # Exhaust pressure arrives in mbar; the discharge-pressure fit is
 # conventionally reported with it rescaled to bar.
@@ -108,22 +109,12 @@ def fit_pca(ds: Dataset, variables: Sequence[str] | None = None) -> PcaModel:
     if x.shape[0] <= len(names):
         raise DegenerateDataError(
             f"PCA needs more rows than variables ({x.shape[0]} <= {len(names)})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = x.mean(axis=0)
-        stds = x.std(axis=0, ddof=1)
-    check_finite_spreads(names, stds)
+    # raises on a zero or overflowing spread, so the stds below are finite
+    eigvals, eigvecs = eigenpairs(correlation_matrix(ds, names).matrix)
+    means, stds = x.mean(axis=0), x.std(axis=0, ddof=1)
     for name, s in zip(names, stds):
-        if s == 0.0:
+        if s == 0.0:    # a subnormal sum of squares that / (n - 1) underflows
             raise DegenerateDataError(f"variable '{name}' has zero variance")
-    corr = correlation_matrix(ds, names).matrix
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-    for j in range(eigvecs.shape[1]):
-        lead = int(np.argmax(np.abs(eigvecs[:, j])))
-        if eigvecs[lead, j] < 0.0:
-            eigvecs[:, j] = -eigvecs[:, j]
     return PcaModel(names, means, stds, eigvals, np.ascontiguousarray(eigvecs))
 
 
@@ -147,16 +138,17 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     n = x.shape[0]
     if n < 2:
         raise DegenerateDataError(f"linear fit needs >= 2 rows, got {n}")
-    xm = float(x.mean())
-    ym = float(y.mean())
-    sxx = float(((x - xm) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm, ym = float(x.mean()), float(y.mean())
+        sxx = float(((x - xm) ** 2).sum())
+        sst = float(((y - ym) ** 2).sum())
+    check_finite_spreads(("x", "y"), (sxx, sst))
     if sxx == 0.0:
         raise DegenerateDataError("x has zero variance")
     slope = float(((x - xm) * (y - ym)).sum()) / sxx
     intercept = ym - slope * xm
     resid = y - (intercept + slope * x)
     sse = float((resid ** 2).sum())
-    sst = float(((y - ym) ** 2).sum())
     r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
     return LinearFit(intercept, slope, min(max(r2, 0.0), 1.0), n)
 
@@ -172,6 +164,7 @@ def yearly_fit(ds: Dataset, x: str = "tep", y: str = "cdp",
         if sub.n_records < 2:
             raise DegenerateDataError(f"year {year} has fewer than 2 rows")
         try:
+            check_spread(sub, (x, y))
             fits[year] = linear_fit(sub.column(x) * x_unit_scale, sub.column(y))
         except DegenerateDataError as exc:
             raise DegenerateDataError(f"year {year}: {exc}") from exc

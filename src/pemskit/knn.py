@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import (Dataset, ObservationRecord, PREDICTORS, TARGET,
                      atomic_open, check_predictors, check_rows)
 from .rng import SplitMix64, derive_seed
-from .stats import check_finite_spreads
+from .stats import check_finite_spreads, check_spread
 
 PARTITIONS = ("Training", "Validation", "Test")
 TOTAL = "Total"
@@ -145,6 +145,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     check_predictors(names, target)
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    check_spread(ds, (target,))
     train_rows = assignment.rows("Training")
     n_train = train_rows.shape[0]
     if n_train == 0:

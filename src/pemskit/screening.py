@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, PREDICTORS, TARGET, check_predictors, check_rows
 from .rng import SplitMix64, derive_seed
+from .stats import check_spread
 
 _UNLIMITED_DEPTH = 2**31 - 1
 
@@ -298,6 +299,7 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
         raise ConfigError("screening needs at least 2 predictors")
     check_predictors(names, target)
     cfg.check()
+    check_spread(ds, (target,))
     y = ds.column(target)
     if ds.n_records < 2 or float(np.ptp(y)) == 0.0:
         raise DegenerateDataError(f"target '{target}' has zero variance")

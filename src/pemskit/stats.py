@@ -146,12 +146,29 @@ def correlation_matrix(ds: Dataset,
     for i, n in enumerate(norms):
         if n == 0.0:
             raise DegenerateDataError(f"variable '{names[i]}' has zero variance")
-    z = centered / norms
-    corr = z.T @ z
-    corr = (corr + corr.T) / 2.0
+    corr = gram(centered / norms)
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return CorrelationMatrix(names, corr)
+
+
+def gram(z: np.ndarray, divisor: float = 1.0) -> np.ndarray:
+    """Gram product of z's columns over divisor, made exactly symmetric
+    by averaging it with its transpose."""
+    product = (z.T @ z) / divisor
+    return (product + product.T) / 2.0
+
+
+def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix in descending order, clamped at
+    0, and its eigenvectors as columns, each signed so that its
+    largest-magnitude entry (the first, on ties) is positive."""
+    values, vectors = np.linalg.eigh(matrix)
+    order = np.argsort(values)[::-1]
+    vectors = vectors[:, order]
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(order.size)]
+    vectors[:, lead < 0.0] *= -1.0
+    return np.maximum(values[order], 0.0), vectors
 
 
 def flag_high_nox(ds: Dataset,

@@ -48,16 +48,19 @@ class _Frame:
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float],
                  title: str, x_label: str, y_label: str):
-        self.x_lo, self.x_hi = self._padded(min(xs), max(xs))
-        self.y_lo, self.y_hi = self._padded(min(ys), max(ys))
+        self.x_lo, self.x_hi = self._padded("x", min(xs), max(xs))
+        self.y_lo, self.y_hi = self._padded("y", min(ys), max(ys))
         self.title, self.x_label, self.y_label = title, x_label, y_label
 
     @staticmethod
-    def _padded(lo: float, hi: float) -> tuple[float, float]:
+    def _padded(axis: str, lo: float, hi: float) -> tuple[float, float]:
         if hi == lo:
             pad = 1.0 if lo == 0.0 else abs(lo) * 0.05
         else:
             pad = (hi - lo) * 0.05
+        if not math.isfinite((hi + pad) - (lo - pad)):
+            raise ValueError(f"the {axis} axis cannot span [{lo!r}, {hi!r}]: "
+                             "its padded range overflows float64")
         return lo - pad, hi + pad
 
     def px(self, x: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, PREDICTORS, PROCESS_PREDICTORS
-from .stats import check_finite_spreads
+from .stats import check_finite_spreads, eigenpairs, gram
 
 DEFAULT_THRESHOLD = 1.0
 REASSIGN_PASS_CAP = 100
@@ -70,14 +70,14 @@ def dependence_tag(variable: str) -> str:
 
 
 def second_eigenvalue(corr) -> float:
-    """Second-largest eigenvalue of a symmetric correlation matrix."""
+    """Second-largest eigenvalue of a symmetric correlation matrix,
+    clamped at 0 like every stats.eigenpairs eigenvalue."""
     matrix = np.asarray(getattr(corr, "matrix", corr), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 2:
         raise ConfigError(f"need a square matrix of size >= 2, got shape {matrix.shape}")
     if not np.allclose(matrix, matrix.T, atol=1e-8):
         raise ConfigError("matrix is not symmetric")
-    eigvals = np.linalg.eigvalsh(matrix)
-    return float(eigvals[-2])
+    return float(eigenpairs(matrix)[0][1])
 
 
 def _standardized(ds: Dataset, names: Sequence[str]) -> np.ndarray:
@@ -94,29 +94,12 @@ def _standardized(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     return centered / stds
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    if vec[np.argmax(np.abs(vec))] < 0:
-        return -vec
-    return vec
-
-
 def _cluster_eigs(z: np.ndarray, members: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors (columns) of the members'
-    correlation matrix; singleton clusters get the trivial answer."""
+    """stats.eigenpairs of the members' correlation matrix; singleton
+    clusters get the trivial answer."""
     if len(members) == 1:
         return np.array([1.0]), np.array([[1.0]])
-    sub = z[:, members]
-    corr = (sub.T @ sub) / (z.shape[0] - 1)
-    corr = (corr + corr.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    eigvecs = eigvecs[:, order]
-    return eigvals, eigvecs
-
-
-def _pc_scores(z: np.ndarray, members: list[int], component: np.ndarray) -> np.ndarray:
-    return z[:, members] @ _fix_sign(component)
+    return eigenpairs(gram(z[:, members], z.shape[0] - 1))
 
 
 def _squared_corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -136,7 +119,7 @@ def _reassign(z: np.ndarray, clusters: list[list[int]]) -> list[list[int]]:
         scores = []
         for members in clusters:
             eigvals, eigvecs = _cluster_eigs(z, members)
-            scores.append(_pc_scores(z, members, eigvecs[:, 0]))
+            scores.append(z[:, members] @ eigvecs[:, 0])
         owner = {}
         for ci, members in enumerate(clusters):
             for j in members:
@@ -179,19 +162,18 @@ def cluster_variables(ds: Dataset,
     clusters: list[list[int]] = [list(range(len(names)))]
     blocked: set[int] = set()          # clusters where a split made an empty side
     for _ in range(10 * len(names) + 10):
-        best_ci, best_l2 = -1, threshold
+        best_ci, best_l2, best_vecs = -1, threshold, None
         for ci, members in enumerate(clusters):
             if len(members) < 2 or ci in blocked:
                 continue
-            eigvals, _ = _cluster_eigs(z, members)
+            eigvals, eigvecs = _cluster_eigs(z, members)
             if float(eigvals[1]) > best_l2:
-                best_ci, best_l2 = ci, float(eigvals[1])
+                best_ci, best_l2, best_vecs = ci, float(eigvals[1]), eigvecs
         if best_ci < 0:
             break
         members = clusters[best_ci]
-        _, eigvecs = _cluster_eigs(z, members)
-        pc1 = _pc_scores(z, members, eigvecs[:, 0])
-        pc2 = _pc_scores(z, members, eigvecs[:, 1])
+        pc1 = z[:, members] @ best_vecs[:, 0]
+        pc2 = z[:, members] @ best_vecs[:, 1]
         side1, side2 = [], []
         for j in members:
             zj = z[:, j]
@@ -211,12 +193,15 @@ def cluster_variables(ds: Dataset,
     clusters.sort(key=lambda c: (-len(c), min(c)))
     final_scores = []
     cluster_objs = []
+    r2_own: dict[int, float] = {}      # singletons explain themselves exactly
     for ci, members in enumerate(clusters):
         eigvals, eigvecs = _cluster_eigs(z, members)
-        loading = _fix_sign(eigvecs[:, 0])
+        loading = eigvecs[:, 0]
         final_scores.append(z[:, members] @ loading)
-        r2_by_member = {j: _squared_corr(z[:, j], final_scores[-1]) for j in members}
-        ordered = sorted(members, key=lambda j: (-r2_by_member[j], j))
+        for j in members:
+            r2_own[j] = (_squared_corr(z[:, j], final_scores[-1])
+                         if len(members) > 1 else 1.0)
+        ordered = sorted(members, key=lambda j: (-r2_own[j], j))
         cluster_objs.append(VarCluster(
             id=ci + 1,
             members=tuple(names[j] for j in ordered),
@@ -227,21 +212,17 @@ def cluster_variables(ds: Dataset,
 
     rows = []
     for ci, cluster in enumerate(cluster_objs):
-        members = clusters[ci]
         for name in cluster.members:
             j = names.index(name)
-            if len(members) == 1:
-                r2_own = 1.0
-            else:
-                r2_own = _squared_corr(z[:, j], final_scores[ci])
             others = [_squared_corr(z[:, j], s)
                       for oi, s in enumerate(final_scores) if oi != ci]
             r2_next = max(others) if others else 0.0
-            if r2_own >= 1.0:
+            if r2_own[j] >= 1.0:
                 ratio = 0.0
             elif r2_next >= 1.0:
                 ratio = float("inf")
             else:
-                ratio = (1.0 - r2_own) / (1.0 - r2_next)
-            rows.append(VariableClusterRow(name, cluster.id, r2_own, r2_next, ratio))
+                ratio = (1.0 - r2_own[j]) / (1.0 - r2_next)
+            rows.append(VariableClusterRow(name, cluster.id, r2_own[j], r2_next,
+                                           ratio))
     return VarClusterReport(tuple(cluster_objs), tuple(rows))

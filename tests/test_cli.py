@@ -500,6 +500,23 @@ def test_a_variance_that_overflows_exits_4_naming_the_variable(
     assert not out.exists()
 
 
+def test_drift_exits_4_on_a_fit_column_whose_variance_overflows(
+        tmp_path, capsys):
+    # tep is not a predictor here, so only the yearly tep/cdp fit meets it
+    ds = make_dataset(rows_per_year=60, seed=1)
+    tep = ds.column("tep").copy()
+    tep[:2] = (1.5e308, -1.5e308)
+    write_year_files(Dataset({**ds.columns, "tep": tep}, ds.year.copy(),
+                             ds.years), tmp_path / "data")
+    out = tmp_path / "out"
+    assert _run("drift", "--predictors", "at,ap", "--data-dir",
+                str(tmp_path / "data"), "--out-dir", str(out)) == 4
+    assert capsys.readouterr().err == (
+        "error: year 2011: variable 'tep' spans [-1.5e+308, 1.5e+308]: its "
+        "variance overflows float64\n")
+    assert not out.exists()
+
+
 # Every subcommand's argparse actions, written out by hand as (flags,
 # dest, metavar, help, default, const, nargs): a change to how the options
 # are declared must leave the command-line surface exactly as it is.

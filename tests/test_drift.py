@@ -97,6 +97,16 @@ def test_fit_pca_names_a_variable_whose_variance_overflows():
         fit_pca(wide, ("b", "a"))
 
 
+def test_fit_pca_rejects_a_std_that_underflows():
+    # a subnormal sum of squares: the correlation norm is positive, but the
+    # ddof=1 variance underflows to 0 and could not standardize anything
+    a = np.zeros(1000)
+    a[-1] = 3e-162
+    tiny = _ds_from_columns(a=a, b=np.arange(1000.0))
+    with pytest.raises(DegenerateDataError, match="'a' has zero variance"):
+        fit_pca(tiny, ("a", "b"))
+
+
 def test_linear_fit_recovers_exact_line():
     x = np.linspace(0.0, 10.0, 50)
     fit = linear_fit(x, 2.5 * x - 4.0)
@@ -130,6 +140,28 @@ def test_linear_fit_guards():
         linear_fit(np.array([1.0]), np.array([2.0]))
     with pytest.raises(DegenerateDataError, match="zero variance"):
         linear_fit(np.ones(5), np.arange(5.0))
+
+
+def test_linear_fit_names_an_axis_whose_variance_overflows():
+    # finite cells, overflowing squared deviations; warnings are errors here
+    wide = np.array([1.5e308, -1.5e308, 1.0, 2.0])
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'x': its variance overflows float64"):
+        linear_fit(wide, np.arange(4.0))
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'y': its variance overflows float64"):
+        linear_fit(np.arange(4.0), wide)
+
+
+def test_yearly_fit_names_the_year_and_column_whose_variance_overflows():
+    tep = np.arange(8.0)
+    tep[5:7] = (1.5e308, -1.5e308)
+    ds = _ds_from_columns(year=np.repeat([2011, 2012], 4), tep=tep,
+                          cdp=np.arange(8.0) ** 2)
+    with pytest.raises(DegenerateDataError,
+                       match=r"year 2012: variable 'tep' spans \[-1.5e\+308, "
+                             r"1.5e\+308\]: its variance overflows float64"):
+        yearly_fit(ds, x_unit_scale=0.001)
 
 
 def test_yearly_fit_unit_scale_moves_slope(turbine_ds):

@@ -463,6 +463,24 @@ def test_fit_names_a_predictor_whose_variance_overflows():
         fit_knn(wide, split(wide), ("p0", "p1"), "y", k=2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ds: fit_knn(ds, split(ds), ("p0", "p1"), "y", k=2),
+    lambda ds: select_k(ds, split(ds), ("p0", "p1"), "y", k_max=3),
+    lambda ds: compare_pooled_vs_yearly(ds, k_max=3, predictors=("p0", "p1"),
+                                        target="y"),
+], ids=["fit_knn", "select_k", "compare_pooled_vs_yearly"])
+def test_a_target_whose_variance_overflows_is_named(call):
+    # finite cells, overflowing squared deviations; warnings are errors here
+    x = np.column_stack([np.arange(60.0), np.arange(60.0) % 7])
+    y = np.arange(60.0)
+    y[:2] = (1.5e308, -1.5e308)
+    wide = _ds_from_matrix(x, y, np.repeat([2011, 2012], 30))
+    with pytest.raises(DegenerateDataError,
+                       match=r"variable 'y' spans \[-1.5e\+308, 1.5e\+308\]: "
+                             "its variance overflows float64"):
+        call(wide)
+
+
 def test_leave_self_out_changes_training_predictions(tiny_ds):
     assignment = split(tiny_ds, seed=0)
     train = assignment.rows("Training")

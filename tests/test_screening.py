@@ -96,6 +96,17 @@ def test_constant_target_collapses_to_single_leaf():
         screen_predictors(ds, ("x", "x2"), "y")
 
 
+def test_screening_names_a_target_whose_variance_overflows(planted_ds):
+    # finite cells, overflowing squared deviations; warnings are errors here
+    y = planted_ds.column("y").copy()
+    y[:2] = (1.5e308, -1.5e308)
+    wide = Dataset({**planted_ds.columns, "y": y}, planted_ds.year,
+                   planted_ds.years)
+    with pytest.raises(DegenerateDataError,
+                       match="variable 'y' spans .*: its variance overflows float64"):
+        screen_predictors(wide, ("x1", "x2"), "y", ForestConfig(n_trees=1))
+
+
 def test_screening_ranks_planted_signal(planted_ds):
     cfg = ForestConfig(n_trees=30, seed=1)
     res = screen_predictors(planted_ds, ("x1", "x2", "noise", "const"), "y", cfg)

@@ -8,7 +8,9 @@ from pemskit.ingest import PREDICTORS, Dataset
 from pemskit.stats import (
     CorrelationMatrix,
     correlation_matrix,
+    eigenpairs,
     flag_high_nox,
+    gram,
     pearson,
     summarize,
 )
@@ -129,6 +131,84 @@ def test_summarize_names_a_variable_whose_variance_overflows():
     with pytest.raises(DegenerateDataError,
                        match="variable 'at': its variance overflows float64"):
         summarize(ds, variables=["ap", "at"])
+
+
+# The inline forms that eigenpairs and gram replaced, kept as references:
+# the new functions must give the same bytes.
+def _drift_eigen_reference(corr):
+    eigvals, eigvecs = np.linalg.eigh(corr)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, None)
+    eigvecs = eigvecs[:, order]
+    for j in range(eigvecs.shape[1]):
+        lead = int(np.argmax(np.abs(eigvecs[:, j])))
+        if eigvecs[lead, j] < 0.0:
+            eigvecs[:, j] = -eigvecs[:, j]
+    return eigvals, eigvecs
+
+
+def _varclus_gram_reference(sub, divisor):
+    corr = (sub.T @ sub) / divisor
+    return (corr + corr.T) / 2.0
+
+
+def _varclus_eigen_reference(corr):
+    def fix_sign(vec):
+        if vec[np.argmax(np.abs(vec))] < 0:
+            return -vec
+        return vec
+
+    eigvals, eigvecs = np.linalg.eigh(corr)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.maximum(eigvals[order], 0.0)
+    eigvecs = eigvecs[:, order]
+    return eigvals, np.column_stack([fix_sign(eigvecs[:, j])
+                                     for j in range(eigvecs.shape[1])])
+
+
+def _standardized(x):
+    centered = x - x.mean(axis=0)
+    return centered / centered.std(axis=0, ddof=1)
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(20)
+    for n, p in ((50, 2), (200, 5), (1000, 9)):
+        mixed = rng.normal(size=(n, p)) @ rng.normal(size=(p, p))
+        yield f"random {n}x{p}", _standardized(mixed)
+    twin = rng.normal(size=(40, 3))
+    twin[:, 2] = twin[:, 0]         # two identical columns: a zero eigenvalue
+    yield "singular", _standardized(twin)
+
+
+@pytest.mark.parametrize("name, z", list(_kernel_cases()),
+                         ids=[name for name, _ in _kernel_cases()])
+def test_gram_and_eigenpairs_match_the_inline_forms(name, z):
+    divisor = z.shape[0] - 1
+    corr = gram(z, divisor)
+    assert corr.tobytes() == _varclus_gram_reference(z, divisor).tobytes()
+    plain = z.T @ z                 # correlation_matrix's inline form
+    assert gram(z).tobytes() == ((plain + plain.T) / 2.0).tobytes()
+    values, vectors = eigenpairs(corr)
+    for reference in (_drift_eigen_reference, _varclus_eigen_reference):
+        ref_values, ref_vectors = reference(corr)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+    assert (np.diff(values) <= 0.0).all() and values[-1] >= 0.0
+    lead = vectors[np.abs(vectors).argmax(axis=0), range(z.shape[1])]
+    assert (lead > 0.0).all()
+
+
+def test_eigenpairs_of_a_tie_in_magnitude():
+    # both eigenvectors have entries of equal |value|: the first is signed
+    corr = np.array([[1.0, 0.5], [0.5, 1.0]])
+    values, vectors = eigenpairs(corr)
+    for reference in (_drift_eigen_reference, _varclus_eigen_reference):
+        ref_values, ref_vectors = reference(corr)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+    assert values == pytest.approx([1.5, 0.5])
+    assert (vectors[0] > 0.0).all()
 
 
 def test_flag_high_nox_strictly_above_quantile():

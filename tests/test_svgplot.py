@@ -6,6 +6,7 @@ import sys
 from xml.dom import minidom
 
 import numpy as np
+import pytest
 
 from pemskit.ingest import Dataset, write_year_files
 from pemskit.svgplot import bars, line, scatter
@@ -86,3 +87,15 @@ def test_summary_plots_a_column_a_few_ulps_wide(tmp_path):
                         str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     _parse((tmp_path / "out" / "hist_ap.svg").read_text())
+
+
+@pytest.mark.parametrize("axis, draw", [
+    ("x", lambda wide, ok: scatter([("a", wide, ok)], "t", "x", "y")),
+    ("y", lambda wide, ok: line([("a", ok, wide)], "t", "x", "y")),
+    ("x", lambda wide, ok: bars(wide[:2], wide[:2], ok[:2], "t", "x")),
+], ids=["scatter", "line", "bars"])
+def test_an_axis_whose_range_overflows_is_named(axis, draw):
+    with pytest.raises(ValueError,
+                       match=rf"the {axis} axis cannot span \[-1.5e\+308, "
+                             r"1.5e\+308\]: its padded range overflows"):
+        draw([1.5e308, -1.5e308, 1.0], [1.0, 2.0, 3.0])

@@ -30,6 +30,8 @@ def test_second_eigenvalue_known_matrices():
     assert second_eigenvalue(np.eye(3)) == pytest.approx(1.0)
     assert second_eigenvalue(np.array([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(0.0, abs=1e-12)
     assert second_eigenvalue(np.array([[1.0, 0.5], [0.5, 1.0]])) == pytest.approx(0.5)
+    # not a correlation matrix (eigenvalues 3 and -1): clamped like the rest
+    assert second_eigenvalue(np.array([[1.0, 2.0], [2.0, 1.0]])) == 0.0
 
 
 def test_second_eigenvalue_accepts_correlation_matrix(tiny_ds):
