@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import MAXYEAR, MINYEAR
 from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import drift as drift_mod
 from . import knn as knn_mod
@@ -243,7 +243,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 Table = dict    # {"columns": [...], "rows": [[...], ...]}
 
 
-def _table(columns: Sequence[str], rows: Sequence[Sequence]) -> Table:
+def _table(columns: Sequence[str], rows: Iterable[Sequence]) -> Table:
     return {"columns": list(columns), "rows": [list(r) for r in rows]}
 
 
@@ -267,10 +267,13 @@ def _write_text(path: Path, text: str) -> Path:
 
 def emit_table(out_dir: Path, name: str, table: Table, fmt: str) -> Path:
     if fmt == "csv":
-        lines = [",".join(table["columns"])]
-        lines.extend(",".join(_csv_cell(v) for v in row)
-                     for row in table["rows"])
-        return _write_text(out_dir / f"{name}.csv", "\n".join(lines) + "\n")
+        path = out_dir / f"{name}.csv"
+        with atomic_open(path) as fh:
+            fh.write(",".join(table["columns"]) + "\n")
+            # line by line, so a 37k-row table is never one string
+            fh.writelines(",".join(map(_csv_cell, row)) + "\n"
+                          for row in table["rows"])
+        return path
     return _write_text(out_dir / f"{name}.json",
                        json.dumps(table, indent=2) + "\n")
 
@@ -381,8 +384,8 @@ def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
          for yd in report.years])
     yield "drift_scores", _table(
         ["row", "year", "pc1", "pc2"],
-        [[i, int(ds.year[i]), float(scores[i, 0]), float(scores[i, 1])]
-         for i in range(ds.n_records)])
+        zip(range(ds.n_records), ds.year.tolist(), scores[:, 0].tolist(),
+            scores[:, 1].tolist()))
     if not config.plots:
         return
     series = []

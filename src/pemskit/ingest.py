@@ -7,9 +7,22 @@ pressure appears as GTEP or TEP and the exhaust temperature as TAT or
 TET.  Internally everything uses the canonical lowercase names.
 
 Rows with a non-numeric or non-finite required cell are rejected at
-load time with their coordinates; no imputation is attempted.  One
-reader parses both the per-year files and the single-file export, and
-one writer writes both.
+load time with their coordinates; no imputation is attempted.  A year
+file with a header but no data rows is rejected too.  One reader parses
+both the per-year files and the single-file export, and one writer
+writes both.
+
+The reader maps the header with ``csv``, then parses the body's numeric
+columns in one ``np.loadtxt`` call (numpy's C parser, correctly rounded
+like ``float()``) and checks finiteness and YEAR on whole arrays.  When
+that parse fails, a check fails, or the body holds what the C parser
+reads differently from ``csv`` and ``float()`` (quotes, NUL, the
+U+001C..U+001F separators, an over-long line), a per-cell pass with
+``csv`` and ``float()`` reads the file instead.  It accepts what the C
+parser refused (quoted cells, blank rows, ``1_0``) or raises the
+DataError that names the row, column and cell.  So the set of accepted
+files, their values and the error messages do not depend on which path
+ran.
 """
 
 from __future__ import annotations
@@ -237,10 +250,74 @@ def _map_header(header: Sequence[str], path: Path,
     return positions
 
 
-def _read_columns(path: Path, required: Sequence[str]) -> dict[str, list[float]]:
-    """The ``required`` columns of one CSV, and CO when present.  Each cell
-    must be a finite number, and a YEAR cell a whole year in [MINYEAR,
-    MAXYEAR]; otherwise DataError names the row and column."""
+#: Characters for which the C parse hands a body to the per-cell pass: a
+#: quote (csv reads quoted cells, and a quoted comma would shift
+#: loadtxt's columns), NUL (csv rejects it before Python 3.11), and
+#: U+001C..U+001F, which numpy strips around a number and float() does not.
+_CELL_PASS_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_body(body: str, usecols: list[int]) -> np.ndarray | None:
+    """The ``usecols`` cells of a header-less CSV body as a (column, row)
+    float64 array, or None unless every row parses to finite numbers the
+    way the per-cell pass would parse them."""
+    if not body.strip() or any(c in body for c in _CELL_PASS_CHARS):
+        return None
+    # csv ends a record at \r, \n or \r\n; the empty line this makes of a
+    # \r\n is skipped by both readers
+    lines = body.replace("\r", "\n").split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols,
+                           dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return table.T.copy() if np.isfinite(table).all() else None
+
+
+def _read_cells(path: Path, names: Sequence[str],
+                positions: dict[str, int]) -> dict[str, np.ndarray]:
+    """The per-cell pass: ``float()`` on each named cell of each non-blank
+    row, or the DataError that names the first bad row and column."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        out: dict[str, list[float]] = {n: [] for n in names}
+        fields = [(n, positions[n], out[n]) for n in names]
+        years = out.get("year")
+        for row_no, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            for name, idx, values in fields:
+                try:
+                    cell = row[idx]
+                except IndexError:
+                    raise DataError(f"{path.name}: row {row_no} has only {len(row)} "
+                                    f"column(s), expected value for {name.upper()}") from None
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
+                                    f"non-numeric value {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
+                                    f"non-finite value {cell!r}")
+                values.append(value)
+            if years is not None and not (years[-1].is_integer()
+                                          and MINYEAR <= years[-1] <= MAXYEAR):
+                raise DataError(f"{path.name}: row {row_no}, column YEAR: expected a "
+                                f"whole year, got {row[positions['year']]!r}")
+    return {n: np.asarray(v, dtype=np.float64) for n, v in out.items()}
+
+
+def _read_columns(path: Path, required: Sequence[str]) -> dict[str, np.ndarray]:
+    """The ``required`` columns of one CSV, and CO when present, as float64
+    arrays.  Each cell must be a finite number, and a YEAR cell a whole
+    year in [MINYEAR, MAXYEAR]; otherwise DataError names the row and
+    column.  numpy's C parser reads the body; when it declines, the
+    per-cell pass decides, so both paths accept the same files, return
+    the same values and raise the same messages."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -250,34 +327,19 @@ def _read_columns(path: Path, required: Sequence[str]) -> dict[str, list[float]]
                 raise DataError(f"{path.name}: file is empty") from None
             positions = _map_header(header, path, required)
             names = list(required) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
-            out: dict[str, list[float]] = {n: [] for n in names}
-            fields = [(n, positions[n], out[n]) for n in names]
-            years = out.get("year")
-            for row_no, row in enumerate(reader, start=1):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                for name, idx, values in fields:
-                    try:
-                        cell = row[idx]
-                    except IndexError:
-                        raise DataError(f"{path.name}: row {row_no} has only {len(row)} "
-                                        f"column(s), expected value for {name.upper()}") from None
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
-                                        f"non-numeric value {cell!r}") from None
-                    if not math.isfinite(value):
-                        raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
-                                        f"non-finite value {cell!r}")
-                    values.append(value)
-                if years is not None and not (years[-1].is_integer()
-                                              and MINYEAR <= years[-1] <= MAXYEAR):
-                    raise DataError(f"{path.name}: row {row_no}, column YEAR: expected a "
-                                    f"whole year, got {row[positions['year']]!r}")
+            try:
+                table = _parse_body(fh.read(), [positions[n] for n in names])
+            except UnicodeDecodeError:
+                table = None    # the per-cell pass re-reads and names the bad bytes
+        if table is not None and "year" in names:
+            year = table[names.index("year")]
+            if not np.all((year == np.floor(year)) & (year >= MINYEAR) & (year <= MAXYEAR)):
+                table = None
+        if table is None:
+            return _read_cells(path, names, positions)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path.name}: unreadable CSV: {exc}") from None
-    return out
+    return dict(zip(names, table))
 
 
 def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
@@ -295,7 +357,7 @@ def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
     if not data_dir.is_dir():
         raise DataError(f"data directory not found: {data_dir}")
 
-    per_year: list[tuple[int, dict[str, list[float]]]] = []
+    per_year: list[tuple[int, dict[str, np.ndarray]]] = []
     for year in year_list:
         candidates = _candidate_files(data_dir, year)
         if not candidates:
@@ -304,13 +366,14 @@ def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
         if len(candidates) > 1:
             raise DataError(f"ambiguous files for year {year}: "
                             f"{', '.join(p.name for p in candidates)}")
-        per_year.append((year, _read_columns(candidates[0], REQUIRED)))
+        cols = _read_columns(candidates[0], REQUIRED)
+        if not len(cols[TARGET]):
+            raise DataError(f"{candidates[0].name}: no data rows")
+        per_year.append((year, cols))
 
     keep_co = all(OPTIONAL_TARGET in cols for _, cols in per_year)
     names = list(REQUIRED) + ([OPTIONAL_TARGET] if keep_co else [])
-    columns = {n: np.concatenate([np.asarray(cols[n], dtype=np.float64)
-                                  for _, cols in per_year]) if per_year else np.empty(0)
-               for n in names}
+    columns = {n: np.concatenate([cols[n] for _, cols in per_year]) for n in names}
     year_tags = np.concatenate([np.full(len(cols[TARGET]), yr, dtype=np.int64)
                                 for yr, cols in per_year])
     return Dataset(columns, year_tags, tuple(year_list))
@@ -387,9 +450,8 @@ def read_csv(path: str | Path) -> Dataset:
     if not path.is_file():
         raise DataError(f"file not found: {path}")
     cols = _read_columns(path, REQUIRED + ("year",))
-    year = np.asarray(cols.pop("year")).astype(np.int64)
-    columns = {n: np.asarray(v, dtype=np.float64) for n, v in cols.items()}
-    return Dataset(columns, year, _years_of(year))
+    year = cols.pop("year").astype(np.int64)
+    return Dataset(cols, year, _years_of(year))
 
 
 def write_year_files(ds: Dataset, data_dir: str | Path,

@@ -2,6 +2,15 @@
 
 No plotting dependency; output is a deterministic function of the data,
 so rendered files can be byte-compared in reproducibility tests.
+
+Every coordinate is written with two decimals, then trimmed: a trailing
+``.00`` is dropped, else a trailing ``0``, and ``-0`` becomes ``0``
+(so 1.50 -> "1.5", 2.00 -> "2", -0.004 -> "0").  ``_fmt_all`` applies
+that rule to a whole run of values at once: one ``%.2f`` format over the
+run, then three ``str.replace`` passes.  Scatter and line series map
+whole arrays to pixels and format their points in chunks of
+``_CHUNK`` points, so a 37k-point scatter never holds one string per
+point.
 """
 
 from __future__ import annotations
@@ -10,6 +19,8 @@ import html
 import math
 from typing import Sequence
 
+import numpy as np
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 WIDTH = 720
@@ -17,9 +28,22 @@ HEIGHT = 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 48
 
 
+#: Points formatted per ``%`` operation in scatter and line charts.
+_CHUNK = 1024
+
+
+def _fmt_all(values: Sequence[float]) -> list[str]:
+    """Each value with two decimals, less a trailing ``.00`` or ``0``, and
+    ``-0`` as ``0``."""
+    text = ("%.2f\n" * len(values)) % tuple(values)
+    # "x.y0" -> "x.y" and "x.00" -> "x.0" -> "x"; only a number that is
+    # exactly "-0" holds the substring "-0\n"
+    text = text.replace("0\n", "\n").replace(".0\n", "\n").replace("-0\n", "0\n")
+    return text.split("\n")[:-1]
+
+
 def _fmt(v: float) -> str:
-    s = f"{v:.2f}".rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+    return _fmt_all((v,))[0]
 
 
 def _tick_label(v: float) -> str:
@@ -137,6 +161,21 @@ def _collect(series: Sequence[Series]) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
+def _points(frame: _Frame, sx: Sequence[float], sy: Sequence[float],
+            template: str, sep: str) -> list[str]:
+    """``template`` % (x, y) for each point's pixel text, joined by ``sep``
+    in chunks of ``_CHUNK`` points."""
+    n = min(len(sx), len(sy))
+    xy = np.empty(2 * n)
+    xy[0::2] = frame.px(np.asarray(sx[:n], dtype=np.float64))
+    xy[1::2] = frame.py(np.asarray(sy[:n], dtype=np.float64))
+    chunks = []
+    for start in range(0, 2 * n, 2 * _CHUNK):
+        text = _fmt_all(xy[start:start + 2 * _CHUNK].tolist())
+        chunks.append(sep.join([template] * (len(text) // 2)) % tuple(text))
+    return chunks
+
+
 def scatter(series: Sequence[Series], title: str, x_label: str,
             y_label: str) -> str:
     """Scatter chart; each series gets a palette color and legend row."""
@@ -145,10 +184,8 @@ def scatter(series: Sequence[Series], title: str, x_label: str,
     parts = frame.header()
     for i, (label, sx, sy) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        for x, y in zip(sx, sy):
-            parts.append(f'<circle cx="{_fmt(frame.px(float(x)))}" '
-                         f'cy="{_fmt(frame.py(float(y)))}" r="2" '
-                         f'fill="{color}" fill-opacity="0.55"/>')
+        parts.extend(_points(frame, sx, sy, f'<circle cx="%s" cy="%s" r="2" '
+                             f'fill="{color}" fill-opacity="0.55"/>', "\n"))
     parts.extend(frame.legend([label for label, _, _ in series]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -162,14 +199,11 @@ def line(series: Sequence[Series], title: str, x_label: str,
     parts = frame.header()
     for i, (label, sx, sy) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{_fmt(frame.px(float(x)))},{_fmt(frame.py(float(y)))}"
-                          for x, y in zip(sx, sy))
+        points = " ".join(_points(frame, sx, sy, "%s,%s", " "))
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
-        for x, y in zip(sx, sy):
-            parts.append(f'<circle cx="{_fmt(frame.px(float(x)))}" '
-                         f'cy="{_fmt(frame.py(float(y)))}" r="3" '
-                         f'fill="{color}"/>')
+        parts.extend(_points(frame, sx, sy, f'<circle cx="%s" cy="%s" r="3" '
+                             f'fill="{color}"/>', "\n"))
     parts.extend(frame.legend([label for label, _, _ in series]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

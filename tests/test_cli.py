@@ -348,6 +348,22 @@ def test_exit_code_2_for_data_problems(tmp_path, data_dir):
                 "--out-dir", str(blocker / "sub")) == 2
 
 
+@pytest.mark.parametrize("command", ["summary", "correlate", "screen", "drift"])
+def test_a_header_only_year_file_exits_2_naming_it(data_dir, tmp_path, capsys,
+                                                   command):
+    data = tmp_path / "data"
+    data.mkdir()
+    for year in (2011, 2012):
+        text = (data_dir / f"gt_{year}.csv").read_text()
+        (data / f"gt_{year}.csv").write_text(
+            text.splitlines(keepends=True)[0] if year == 2012 else text)
+    out = tmp_path / "out"
+    assert _run(command, "--years", "2011,2012", "--data-dir", str(data),
+                "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == "error: gt_2012.csv: no data rows\n"
+    assert not out.exists()
+
+
 def test_exit_code_3_for_config_problems(data_dir, tmp_path):
     out = str(tmp_path / "out")
     base = ("--data-dir", str(data_dir), "--out-dir", out)

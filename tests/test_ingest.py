@@ -1,10 +1,17 @@
+import csv
+import math
+from datetime import MAXYEAR, MINYEAR
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pemskit import ingest
 from pemskit.errors import ConfigError, DataError
 from pemskit.ingest import (
+    OPTIONAL_TARGET,
     PREDICTORS,
+    REQUIRED,
     Dataset,
     load_dataset,
     read_csv,
@@ -94,6 +101,15 @@ def test_empty_file_rejected(tmp_path):
     (tmp_path / "gt_2011.csv").write_text("")
     with pytest.raises(DataError, match="file is empty"):
         load_dataset(tmp_path, [2011])
+
+
+@pytest.mark.parametrize("rows", [(), ("",), ("", "  ,  ", " , , ")],
+                         ids=["header-only", "one-blank-line", "blank-rows"])
+def test_a_year_file_without_data_rows_is_rejected(tmp_path, rows):
+    _write(tmp_path / "gt_2011.csv")
+    _write(tmp_path / "gt_2012.csv", rows=rows)
+    with pytest.raises(DataError, match=r"^gt_2012\.csv: no data rows$"):
+        load_dataset(tmp_path, [2011, 2012])
 
 
 def test_missing_year_file_and_directory(tmp_path):
@@ -276,3 +292,212 @@ def test_write_year_files_round_trip(tmp_path, turbine_ds):
     assert [p.name for p in paths] == [f"gt_{y}.csv" for y in turbine_ds.years]
     back = load_dataset(tmp_path / "data", turbine_ds.years)
     assert back == turbine_ds
+
+
+# ------------------------------------------------ the C parse vs float()
+
+def _reference_read_columns(path, required):
+    """The per-cell reader the C parse replaced, kept as the reference:
+    every accepted file, value and error message must match it."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path.name}: file is empty") from None
+            positions = ingest._map_header(header, path, required)
+            names = list(required) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
+            out = {n: [] for n in names}
+            fields = [(n, positions[n], out[n]) for n in names]
+            years = out.get("year")
+            for row_no, row in enumerate(reader, start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                for name, idx, values in fields:
+                    try:
+                        cell = row[idx]
+                    except IndexError:
+                        raise DataError(f"{path.name}: row {row_no} has only {len(row)} "
+                                        f"column(s), expected value for {name.upper()}") from None
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
+                                        f"non-numeric value {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
+                                        f"non-finite value {cell!r}")
+                    values.append(value)
+                if years is not None and not (years[-1].is_integer()
+                                              and MINYEAR <= years[-1] <= MAXYEAR):
+                    raise DataError(f"{path.name}: row {row_no}, column YEAR: expected a "
+                                    f"whole year, got {row[positions['year']]!r}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path.name}: unreadable CSV: {exc}") from None
+    return out
+
+
+def _outcome(read, *args):
+    """What a reader returns, or the message of the DataError it raises."""
+    try:
+        return read(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**6, 10**6).map(str),
+                    st.floats(-1e4, 1e4).map(lambda v: f" {v:.3f} "))
+_YEAR = st.one_of(st.integers(MINYEAR, MAXYEAR).map(str),
+                  st.sampled_from(["2011.0", "2e3", "\t2011 "]))
+# Cells that the C parser refuses, or that it and csv + float() could
+# read differently
+ODD_CELLS = [
+    '"1.5"', '"1,5"', '" 2 "', '""', "#1", "# 1", "1_0", "nan", "-inf",
+    "inf", "1e400", "", " ", "2011.5", "0", "10000", "\ufeff1", "1\x1c",
+    "\x1d1", "1\x1e", "\x1f2", "1\x00", "\u0661", "1\u2003", "1\x85",
+    "+.5", "0x10", "x", "1.5e", "-0"]
+
+
+@st.composite
+def _csv_text(draw, year: bool):
+    """A CSV text: a header holding the required columns (maybe CO, YEAR
+    and an unknown NOTE) in any order, then numeric rows, numeric rows
+    with one odd cell, rows of another length, and blank rows, joined by
+    LF, CRLF or CR, maybe after a BOM."""
+    names = [*REQUIRED, *(["year"] if year else [])]
+    names += [n for n in (OPTIONAL_TARGET, "note") if draw(st.booleans())]
+    names = draw(st.permutations(names))
+    numeric = st.tuples(*[_YEAR if n == "year" else _NUMBER
+                          for n in names]).map(list)
+    odd = st.tuples(numeric, st.integers(0, len(names) - 1),
+                    st.sampled_from(ODD_CELLS))
+    rows = draw(st.lists(st.one_of(
+        numeric,
+        odd.map(lambda r: r[0][:r[1]] + [r[2]] + r[0][r[1] + 1:]),
+        st.lists(_NUMBER, min_size=len(names) - 2, max_size=len(names) + 2),
+        st.sampled_from([[], [""], [" ", " ", " "]])), max_size=6))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(n.upper() for n in names), *map(",".join, rows)]
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def _write_text(tmp_path_factory, name, text):
+    path = tmp_path_factory.getbasetemp() / name
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _assert_same(new, ref, what):
+    # compared outside the assert: pytest's diff of two messages that
+    # quote a 140k-character cell would take minutes
+    same = new == ref
+    assert same, f"{what}: {str(new)[:300]!r} != {str(ref)[:300]!r}"
+
+
+def _assert_same_columns(new, ref):
+    if isinstance(ref, str) or isinstance(new, str):
+        _assert_same(new, ref, "outcome")
+        return
+    assert list(new) == list(ref)
+    for name, values in ref.items():
+        want = np.asarray(values, dtype=np.float64)
+        assert new[name].dtype == want.dtype
+        _assert_same(new[name].tobytes(), want.tobytes(), name)
+
+
+@settings(max_examples=300)
+@given(text=_csv_text(year=False))
+def test_c_parse_matches_the_per_cell_reader(text, tmp_path_factory):
+    path = _write_text(tmp_path_factory, "gt_2011.csv", text)
+    _assert_same_columns(_outcome(ingest._read_columns, path, REQUIRED),
+                         _outcome(_reference_read_columns, path, REQUIRED))
+
+
+def _reference_read_csv(path):
+    cols = _reference_read_columns(path, REQUIRED + ("year",))
+    year = np.asarray(cols.pop("year")).astype(np.int64)
+    columns = {n: np.asarray(v, dtype=np.float64) for n, v in cols.items()}
+    return Dataset(columns, year, tuple(sorted(set(year.tolist()))))
+
+
+def _assert_read_csv_as_reference(path):
+    new, ref = _outcome(read_csv, path), _outcome(_reference_read_csv, path)
+    if isinstance(ref, str) or isinstance(new, str):
+        _assert_same(new, ref, "outcome")
+        return
+    assert new.years == ref.years
+    assert new.year.dtype == ref.year.dtype
+    assert new.year.tobytes() == ref.year.tobytes()
+    _assert_same_columns(new.columns, ref.columns)
+
+
+@settings(max_examples=300)
+@given(text=_csv_text(year=True))
+def test_read_csv_matches_the_per_cell_reader(text, tmp_path_factory):
+    _assert_read_csv_as_reference(
+        _write_text(tmp_path_factory, "export.csv", text))
+
+
+# Each odd cell in a column that is read, in YEAR, and in an unknown
+# column before the ones that are read (where a quoted comma would shift
+# loadtxt's columns); plus cells longer than csv's field limit that
+# float() reads as finite numbers.
+@pytest.mark.parametrize("where", ["TIT", "YEAR", "NOTE"])
+@pytest.mark.parametrize("cell", [*ODD_CELLS, "0." + "0" * 140_000 + "1",
+                                  "1" + " " * 140_000],
+                         ids=[*map(repr, ODD_CELLS), "long-zero", "long-one"])
+def test_each_odd_cell_reads_as_the_per_cell_reader_reads_it(tmp_path, cell,
+                                                             where):
+    header = "NOTE," + HEADER + ",YEAR"
+    rows = [f"n,{ROW_A},2011", f"n,{ROW_B},2012"]
+    col = header.split(",").index(where)
+    rows.append(",".join(cell if i == col else c
+                         for i, c in enumerate(rows[0].split(","))))
+    path = tmp_path / "export.csv"
+    _write(path, header=header, rows=rows)
+    _assert_same_columns(_outcome(ingest._read_columns, path, REQUIRED),
+                         _outcome(_reference_read_columns, path, REQUIRED))
+    _assert_read_csv_as_reference(path)
+
+
+@pytest.mark.parametrize("rows", [
+    ['"n,1",2,' + ROW_A, 'n,m,' + ROW_B],
+    ["n,m," + ROW_A, '"n,m,' + ROW_B + '\n' + "n,m," + ROW_A + '",m,' + ROW_B],
+], ids=["quoted-comma", "quoted-newline"])
+def test_quoted_cells_of_unknown_columns_leave_the_rows_alone(tmp_path, rows):
+    # the C parse splits inside quotes, so it would shift or add rows here
+    path = tmp_path / "gt_2011.csv"
+    _write(path, header="NOTE,MEMO," + HEADER, rows=rows)
+    cols = ingest._read_columns(path, REQUIRED)
+    _assert_same_columns(cols, _reference_read_columns(path, REQUIRED))
+    assert cols["at"].tolist() == [17.0, 20.0]
+
+
+def test_a_bad_byte_past_the_first_chunk_gets_the_same_message(tmp_path):
+    path = tmp_path / "gt_2011.csv"
+    path.write_bytes(f"{HEADER}\n".encode() + f"{ROW_A}\n".encode() * 300
+                     + b"\xff\n")
+    message = _outcome(_reference_read_columns, path, REQUIRED)
+    assert message.startswith("DataError: gt_2011.csv: unreadable CSV")
+    assert _outcome(ingest._read_columns, path, REQUIRED) == message
+
+
+@pytest.mark.parametrize("eol, bom", [("\n", ""), ("\r\n", "\ufeff"), ("\r", "")],
+                         ids=["lf", "crlf-bom", "cr"])
+def test_a_plain_numeric_file_takes_the_c_parse(tmp_path, monkeypatch,
+                                                turbine_ds, eol, bom):
+    write_year_files(turbine_ds.for_year(2011), tmp_path)
+    path = tmp_path / "gt_2011.csv"
+    path.write_bytes((bom + eol.join(path.read_text().splitlines()) + eol)
+                     .encode())
+    want = _reference_read_columns(path, REQUIRED)
+
+    def refuse(*args):
+        raise AssertionError("the per-cell pass ran")
+
+    monkeypatch.setattr(ingest, "_read_cells", refuse)
+    _assert_same_columns(ingest._read_columns(path, REQUIRED), want)

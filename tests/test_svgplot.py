@@ -7,9 +7,11 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from pemskit import svgplot
 from pemskit.ingest import Dataset, write_year_files
-from pemskit.svgplot import bars, line, scatter
+from pemskit.svgplot import _fmt, _fmt_all, bars, line, scatter
 from pemskit.synthetic import make_dataset
 
 
@@ -99,3 +101,85 @@ def test_an_axis_whose_range_overflows_is_named(axis, draw):
                        match=rf"the {axis} axis cannot span \[-1.5e\+308, "
                              r"1.5e\+308\]: its padded range overflows"):
         draw([1.5e308, -1.5e308, 1.0], [1.0, 2.0, 3.0])
+
+
+# ------------------------------------------- bulk 2-decimal formatting
+
+def _reference_fmt(v: float) -> str:
+    """The one-value rule the bulk formatter replaced."""
+    s = f"{v:.2f}".rstrip("0").rstrip(".")
+    return "0" if s == "-0" else s
+
+
+ADVERSARIAL = [
+    0.0, -0.0, -0.004, 0.004, 0.005, -0.005, 0.995, -0.995, 0.9949999,
+    1e6, -1e6, 1e6 + 0.005, 10.0, -10.0, 100.0, 100.5, -100.05, 0.1, 0.01,
+    1.10, 1.01, 2.675, 1.005, 1.015, 0.125, 0.135, 1e-300, 5e-324, 1.5e300,
+    -1.5e300, 99999.995, 9.995, 0.045, -0.045, 720.0, 64.0, 432.0,
+    math.inf, -math.inf, math.nan,
+    *[k / 1000 for k in range(-2005, 2006, 10)],          # x.xx5 ties
+]
+
+
+def test_bulk_formatter_matches_the_one_value_rule():
+    assert _fmt_all(ADVERSARIAL) == [_reference_fmt(v) for v in ADVERSARIAL]
+    assert [_fmt(v) for v in ADVERSARIAL] == \
+        [_reference_fmt(v) for v in ADVERSARIAL]
+    assert _fmt_all([]) == []
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.004, 123456.789), (0.5, -98765.4321),
+                                    (-1e-9, 1e12), (7.0, 7.0)])
+def test_bulk_formatter_over_values_of_mixed_widths(lo, hi):
+    values = np.linspace(lo, hi, 3001).tolist()
+    assert _fmt_all(values) == [_reference_fmt(v) for v in values]
+
+
+@given(st.lists(st.floats(), max_size=50))
+def test_bulk_formatter_matches_the_one_value_rule_on_any_floats(values):
+    assert _fmt_all(values) == [_reference_fmt(v) for v in values]
+
+
+def _reference_chart(series, title, x_label, y_label, polyline):
+    """scatter (``polyline`` False) or line as drawn point by point before
+    the bulk path."""
+    xs, ys = svgplot._collect(series)
+    frame = svgplot._Frame(xs, ys, title, x_label, y_label)
+    px = [[_reference_fmt(frame.px(float(x))) for x in sx] for _, sx, _ in series]
+    py = [[_reference_fmt(frame.py(float(y))) for y in sy] for _, _, sy in series]
+    parts = frame.header()
+    for i in range(len(series)):
+        color = svgplot.PALETTE[i % len(svgplot.PALETTE)]
+        points = list(zip(px[i], py[i]))
+        if polyline:
+            text = " ".join(f"{x},{y}" for x, y in points)
+            parts.append(f'<polyline points="{text}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
+        style = ' r="3"' if polyline else ' r="2"'
+        style += f' fill="{color}"' + ("" if polyline else ' fill-opacity="0.55"')
+        parts += [f'<circle cx="{x}" cy="{y}"{style}/>' for x, y in points]
+    parts += frame.legend([label for label, _, _ in series])
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_scatter_with_an_empty_second_series_matches_the_per_point_path():
+    series = [("normal", [1.0, 2.5, -3.0], [0.5, 0.25, 4.0]),
+              ("high NOx", [], [])]
+    assert scatter(series, "t", "x", "y") == \
+        _reference_chart(series, "t", "x", "y", polyline=False)
+
+
+def test_charts_across_chunk_boundaries_match_the_per_point_path():
+    rng = np.random.default_rng(5)
+    n = 2 * svgplot._CHUNK + 7
+    series = [("a", (rng.normal(size=n) * 40).tolist(),
+               rng.normal(size=n).tolist()),
+              ("b", [], []),
+              ("c", list(range(svgplot._CHUNK)),
+               (rng.normal(size=svgplot._CHUNK) - 9).tolist()),
+              ("d", [0.0, -0.0, 1e-9], [np.float32(0.1), 3, -2.0])]
+    assert scatter(series, "t", "x", "y") == \
+        _reference_chart(series, "t", "x", "y", polyline=False)
+    assert line(series, "t", "x", "y") == \
+        _reference_chart(series, "t", "x", "y", polyline=True)
