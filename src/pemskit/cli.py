@@ -248,6 +248,8 @@ def _table(columns: Sequence[str], rows: Iterable[Sequence]) -> Table:
 
 
 def _csv_cell(v) -> str:
+    if type(v) is float:    # most cells; skips the checks below
+        return repr(v)
     if v is None:
         return ""
     if isinstance(v, bool):
