@@ -254,10 +254,6 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -323,18 +319,16 @@ def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     cm = correlation_matrix(ds, [*config.resolved_predictors(), config.target])
     yield "correlations", _table(
         ["variable", *cm.variables],
-        [[name] + [float(v) for v in cm.matrix[i]]
-         for i, name in enumerate(cm.variables)])
+        [[name, *row]
+         for name, row in zip(cm.variables, cm.matrix.tolist())])
     if not config.plots:
         return
     high = flag_high_nox(ds, DEFAULT_HIGH_NOX_QUANTILE)
     target = ds.column(config.target)
     for name in config.resolved_predictors():
         x = ds.column(name)
-        series = [
-            ("normal", x[~high].tolist(), target[~high].tolist()),
-            ("high NOx", x[high].tolist(), target[high].tolist()),
-        ]
+        series = [("normal", x[~high], target[~high]),
+                  ("high NOx", x[high], target[high])]
         yield f"scatter_{name}_{config.target}.svg", svgplot.scatter(
             series, f"{config.target} vs {name}", name, config.target)
 
@@ -393,8 +387,7 @@ def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     series = []
     for year in ds.years:
         mask = ds.year == year
-        series.append((str(year), scores[mask, 0].tolist(),
-                       scores[mask, 1].tolist()))
+        series.append((str(year), scores[mask, 0], scores[mask, 1]))
     yield "drift_pc.svg", svgplot.scatter(
         series, f"PC scores by year (reference {report.reference_year})",
         "PC1", "PC2")
@@ -447,9 +440,8 @@ def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     labels = assignment.labels()
     yield "knn_residuals", _table(
         ["row", "year", "partition", "actual", "predicted", "residual"],
-        [[i, int(ds.year[i]), labels[i], float(actual[i]),
-          float(predicted[i]), float(residual[i])]
-         for i in range(ds.n_records)])
+        zip(range(ds.n_records), ds.year.tolist(), labels, actual.tolist(),
+            predicted.tolist(), residual.tolist()))
     yield "model.json", pooled.model
     if not config.plots:
         return
@@ -463,10 +455,8 @@ def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     for i, name in enumerate(knn_mod.PARTITIONS):
         mine = assignment.codes == i
         if mine.any():
-            fits.append((name, actual[mine].tolist(),
-                         predicted[mine].tolist()))
-            residuals.append((name, predicted[mine].tolist(),
-                              residual[mine].tolist()))
+            fits.append((name, actual[mine], predicted[mine]))
+            residuals.append((name, predicted[mine], residual[mine]))
     yield "knn_actual_vs_predicted.svg", svgplot.scatter(
         fits, "Predicted vs actual", "actual", "predicted")
     yield "knn_residuals.svg", svgplot.scatter(

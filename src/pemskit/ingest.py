@@ -445,7 +445,10 @@ def to_csv(ds: Dataset, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> Dataset:
-    """Read back a canonical export produced by :func:`to_csv`."""
+    """Read back a canonical export produced by :func:`to_csv`.  A
+    header-only export, which is what an empty Dataset exports to, reads
+    as the empty Dataset: its years come from its YEAR cells.  load_dataset
+    refuses a year file without rows, as the caller asked for that year."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"file not found: {path}")

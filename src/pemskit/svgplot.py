@@ -7,10 +7,12 @@ Every coordinate is written with two decimals, then trimmed: a trailing
 ``.00`` is dropped, else a trailing ``0``, and ``-0`` becomes ``0``
 (so 1.50 -> "1.5", 2.00 -> "2", -0.004 -> "0").  ``_fmt_all`` applies
 that rule to a whole run of values at once: one ``%.2f`` format over the
-run, then three ``str.replace`` passes.  Scatter and line series map
-whole arrays to pixels and format their points in chunks of
-``_CHUNK`` points, so a 37k-point scatter never holds one string per
-point.
+run, then three ``str.replace`` passes.  A series' x and y are float64
+arrays (any number sequence is converted once).  Each axis spans every
+value given for it, and a NaN raises a ValueError naming the axis.  One
+chart body serves scatter and line: it formats each series' points once,
+in chunks of ``_CHUNK`` points, so a 37k-point scatter never holds one
+string per point.
 """
 
 from __future__ import annotations
@@ -67,13 +69,24 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
+def _span(axis: str, arrays: Sequence[np.ndarray]) -> tuple[float, float]:
+    """The smallest and the largest value in ``arrays``."""
+    ends = [end(a) for a in arrays if a.size for end in (np.min, np.max)]
+    if not ends:
+        raise ValueError("no data points to plot")
+    if np.isnan(ends).any():
+        raise ValueError(f"the {axis} axis holds NaN")
+    return float(min(ends)), float(max(ends))
+
+
 class _Frame:
     """Data-to-pixel mapping plus axis/legend boilerplate."""
 
-    def __init__(self, xs: Sequence[float], ys: Sequence[float],
+    def __init__(self, x_span: tuple[float, float],
+                 y_span: tuple[float, float],
                  title: str, x_label: str, y_label: str):
-        self.x_lo, self.x_hi = self._padded("x", min(xs), max(xs))
-        self.y_lo, self.y_hi = self._padded("y", min(ys), max(ys))
+        self.x_lo, self.x_hi = self._padded("x", *x_span)
+        self.y_lo, self.y_hi = self._padded("y", *y_span)
         self.title, self.x_label, self.y_label = title, x_label, y_label
 
     @staticmethod
@@ -150,78 +163,68 @@ class _Frame:
         return parts
 
 
-Series = tuple[str, Sequence[float], Sequence[float]]
+#: (label, x, y): float64 arrays, or number sequences converted once; an
+#: axis spans every value given for it and rejects NaN.
+Series = tuple[str, np.ndarray | Sequence[float], np.ndarray | Sequence[float]]
 
 
-def _collect(series: Sequence[Series]) -> tuple[list[float], list[float]]:
-    xs = [float(v) for _, sx, _ in series for v in sx]
-    ys = [float(v) for _, _, sy in series for v in sy]
-    if not xs:
-        raise ValueError("no data points to plot")
-    return xs, ys
-
-
-def _points(frame: _Frame, sx: Sequence[float], sy: Sequence[float],
-            template: str, sep: str) -> list[str]:
-    """``template`` % (x, y) for each point's pixel text, joined by ``sep``
-    in chunks of ``_CHUNK`` points."""
-    n = min(len(sx), len(sy))
-    xy = np.empty(2 * n)
-    xy[0::2] = frame.px(np.asarray(sx[:n], dtype=np.float64))
-    xy[1::2] = frame.py(np.asarray(sy[:n], dtype=np.float64))
-    chunks = []
-    for start in range(0, 2 * n, 2 * _CHUNK):
-        text = _fmt_all(xy[start:start + 2 * _CHUNK].tolist())
-        chunks.append(sep.join([template] * (len(text) // 2)) % tuple(text))
-    return chunks
+def _chart(series: Sequence[Series], title: str, x_label: str,
+           y_label: str, marker: str, polyline: bool) -> str:
+    """A circle with the attributes ``marker`` (``{}`` is the color) per
+    point, after a polyline through each series' points if ``polyline``."""
+    xs = [np.asarray(sx, dtype=np.float64) for _, sx, _ in series]
+    ys = [np.asarray(sy, dtype=np.float64) for _, _, sy in series]
+    frame = _Frame(_span("x", xs), _span("y", ys), title, x_label, y_label)
+    parts = frame.header()
+    for i, (sx, sy) in enumerate(zip(xs, ys)):
+        color = PALETTE[i % len(PALETTE)]
+        circle = f'<circle cx="%s" cy="%s" {marker.format(color)}/>'
+        n = min(len(sx), len(sy))
+        xy = np.column_stack((frame.px(sx[:n]), frame.py(sy[:n]))).ravel()
+        path, circles = [], []
+        for start in range(0, 2 * n, 2 * _CHUNK):
+            text = tuple(_fmt_all(xy[start:start + 2 * _CHUNK].tolist()))
+            points = len(text) // 2
+            if polyline:
+                path.append(" ".join(["%s,%s"] * points) % text)
+            circles.append("\n".join([circle] * points) % text)
+        if polyline:
+            parts.append(f'<polyline points="{" ".join(path)}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
+        parts.extend(circles)
+    parts.extend(frame.legend([label for label, _, _ in series]))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def scatter(series: Sequence[Series], title: str, x_label: str,
             y_label: str) -> str:
     """Scatter chart; each series gets a palette color and legend row."""
-    xs, ys = _collect(series)
-    frame = _Frame(xs, ys, title, x_label, y_label)
-    parts = frame.header()
-    for i, (label, sx, sy) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        parts.extend(_points(frame, sx, sy, f'<circle cx="%s" cy="%s" r="2" '
-                             f'fill="{color}" fill-opacity="0.55"/>', "\n"))
-    parts.extend(frame.legend([label for label, _, _ in series]))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _chart(series, title, x_label, y_label,
+                  'r="2" fill="{}" fill-opacity="0.55"', polyline=False)
 
 
 def line(series: Sequence[Series], title: str, x_label: str,
          y_label: str) -> str:
     """Line chart with point markers."""
-    xs, ys = _collect(series)
-    frame = _Frame(xs, ys, title, x_label, y_label)
-    parts = frame.header()
-    for i, (label, sx, sy) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        points = " ".join(_points(frame, sx, sy, "%s,%s", " "))
-        parts.append(f'<polyline points="{points}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.extend(_points(frame, sx, sy, f'<circle cx="%s" cy="%s" r="3" '
-                             f'fill="{color}"/>', "\n"))
-    parts.extend(frame.legend([label for label, _, _ in series]))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _chart(series, title, x_label, y_label, 'r="3" fill="{}"',
+                  polyline=True)
 
 
 def bars(edges_lo: Sequence[float], edges_hi: Sequence[float],
          counts: Sequence[float], title: str, x_label: str,
          y_label: str = "count") -> str:
     """Histogram-style bars over [lo, hi) bins."""
-    xs = [float(v) for v in edges_lo] + [float(v) for v in edges_hi]
-    ys = [0.0] + [float(c) for c in counts]
-    frame = _Frame(xs, ys, title, x_label, y_label)
+    lo, hi, heights = (np.asarray(v, dtype=np.float64)
+                       for v in (edges_lo, edges_hi, counts))
+    frame = _Frame(_span("x", (lo, hi)), _span("y", (np.zeros(1), heights)),
+                   title, x_label, y_label)
     parts = frame.header()
     base = frame.py(0.0)
-    for lo, hi, c in zip(edges_lo, edges_hi, counts):
-        x = frame.px(float(lo))
-        w = max(frame.px(float(hi)) - x, 0.5)
-        top = frame.py(float(c))
+    for left, right, c in zip(lo.tolist(), hi.tolist(), heights.tolist()):
+        x = frame.px(left)
+        w = max(frame.px(right) - x, 0.5)
+        top = frame.py(c)
         parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(top)}" '
                      f'width="{_fmt(w)}" height="{_fmt(max(base - top, 0.0))}" '
                      f'fill="{PALETTE[0]}" stroke="white" stroke-width="0.5"/>')

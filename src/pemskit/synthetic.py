@@ -17,6 +17,7 @@ not change the other columns.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -51,8 +52,9 @@ def make_dataset(years=DEFAULT_YEARS, rows_per_year: int = 400,
 
     names = ["at", "ap", "ah", "afdp", "tit", "tat", "tep", "tey", "cdp",
              "nox", "co"]
-    data: dict[str, list[float]] = {name: [] for name in names}
-    year_col: list[int] = []
+    # 8 bytes a value, where a list of floats takes 32: ~10 MB less at 5 x 7,400
+    data = {name: array("d") for name in names}
+    year_col = array("q")
 
     for yi, year in enumerate(sorted(years)):
         rng = SplitMix64(derive_seed(seed, year))

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pemskit.cli import ENV_DATA_DIR, build_parser, main, resolve_config
+from pemskit.cli import (_COMMANDS, ENV_DATA_DIR, build_parser, emit_table,
+                         main, resolve_config)
 from pemskit.errors import ConfigError
-from pemskit.ingest import Dataset, write_year_files
+from pemskit.ingest import Dataset, load_dataset, write_year_files
 from pemskit.knn import load_model, split
 from pemskit.synthetic import make_dataset
 
@@ -107,6 +108,33 @@ def test_csv_and_json_agree_numerically(data_dir, tmp_path):
                 assert cval == repr(jval)
             else:
                 assert cval == str(jval)
+
+
+class _Reading(float):
+    pass
+
+
+def test_csv_and_json_tables_agree_on_numpy_and_subclassed_floats(tmp_path):
+    table = {"columns": ["a", "b", "c"],
+             "rows": [[np.float64(1.5), _Reading(0.1), np.float64(-2e-308)],
+                      [np.float64(1 / 3), _Reading(-0.0), np.float64(1e16)]]}
+    _, rows = _read_csv(emit_table(tmp_path, "t", table, "csv"))
+    doc = json.loads(emit_table(tmp_path, "t", table, "json").read_text())
+    assert rows == [[repr(v) for v in row] for row in doc["rows"]]
+    assert rows[0] == ["1.5", "0.1", "-2e-308"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_table_cell_is_a_plain_python_value(data_dir, command):
+    config = resolve_config(build_parser().parse_args(
+        [command, "--plots", "--data-dir", str(data_dir), "--trees", "2",
+         "--k-max", "3"]))
+    plain = {type(None), bool, int, float, str}
+    for name, content in _COMMANDS[command](
+            load_dataset(config.data_dir, config.years), config):
+        if isinstance(content, dict):
+            for row in content["rows"]:
+                assert {type(cell) for cell in row} <= plain, (name, row)
 
 
 def test_knn_outputs_are_byte_reproducible(data_dir, tmp_path):

@@ -225,6 +225,14 @@ def test_to_csv_read_csv_round_trip(tmp_path, tiny_ds):
     assert np.array_equal(back.column("nox"), tiny_ds.column("nox"))
 
 
+def test_an_empty_dataset_survives_the_export_round_trip(tmp_path, tiny_ds):
+    empty = tiny_ds.subset(np.arange(0))
+    to_csv(empty, tmp_path / "export.csv")
+    assert (tmp_path / "export.csv").read_text().count("\n") == 1
+    back = read_csv(tmp_path / "export.csv")
+    assert back == empty and back.n_records == 0 and back.years == ()
+
+
 def test_read_csv_requires_year_column(tmp_path):
     _write(tmp_path / "flat.csv")
     with pytest.raises(DataError, match="YEAR"):

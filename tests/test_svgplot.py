@@ -103,6 +103,30 @@ def test_an_axis_whose_range_overflows_is_named(axis, draw):
         draw([1.5e308, -1.5e308, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("where", [0, 2], ids=["first", "middle"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("chart", ["scatter", "line", "bars"])
+def test_a_nan_on_an_axis_is_named(chart, axis, where):
+    values = [1.0, 2.0, 3.0, 4.0]
+    holed = values.copy()
+    holed[where] = math.nan
+    xs, ys = (holed, values) if axis == "x" else (values, holed)
+    with pytest.raises(ValueError, match=rf"^the {axis} axis holds NaN$"):
+        if chart == "bars":
+            bars(xs, [x + 1.0 for x in xs], ys, "t", "x")
+        else:
+            {"scatter": scatter, "line": line}[chart](
+                [("a", [0.5], [0.5]), ("b", xs, ys)], "t", "x", "y")
+
+
+@pytest.mark.parametrize("series", [[], [("a", [], [])], [("a", [1.0], [])]],
+                         ids=["no-series", "empty-series", "no-y"])
+@pytest.mark.parametrize("chart", [scatter, line])
+def test_a_chart_without_points_says_so(chart, series):
+    with pytest.raises(ValueError, match="^no data points to plot$"):
+        chart(series, "t", "x", "y")
+
+
 # ------------------------------------------- bulk 2-decimal formatting
 
 def _reference_fmt(v: float) -> str:
@@ -143,8 +167,12 @@ def test_bulk_formatter_matches_the_one_value_rule_on_any_floats(values):
 def _reference_chart(series, title, x_label, y_label, polyline):
     """scatter (``polyline`` False) or line as drawn point by point before
     the bulk path."""
-    xs, ys = svgplot._collect(series)
-    frame = svgplot._Frame(xs, ys, title, x_label, y_label)
+    xs = [float(v) for _, sx, _ in series for v in sx]
+    ys = [float(v) for _, _, sy in series for v in sy]
+    if not xs:
+        raise ValueError("no data points to plot")
+    frame = svgplot._Frame((min(xs), max(xs)), (min(ys), max(ys)),
+                           title, x_label, y_label)
     px = [[_reference_fmt(frame.px(float(x))) for x in sx] for _, sx, _ in series]
     py = [[_reference_fmt(frame.py(float(y))) for y in sy] for _, _, sy in series]
     parts = frame.header()
@@ -178,8 +206,28 @@ def test_charts_across_chunk_boundaries_match_the_per_point_path():
               ("b", [], []),
               ("c", list(range(svgplot._CHUNK)),
                (rng.normal(size=svgplot._CHUNK) - 9).tolist()),
-              ("d", [0.0, -0.0, 1e-9], [np.float32(0.1), 3, -2.0])]
-    assert scatter(series, "t", "x", "y") == \
-        _reference_chart(series, "t", "x", "y", polyline=False)
-    assert line(series, "t", "x", "y") == \
-        _reference_chart(series, "t", "x", "y", polyline=True)
+              ("d", [0.0, -0.0, 1e-9], [np.float32(0.1), 3, -2.0]),
+              # the axes span the x and y that no point is drawn with
+              ("e", [-0.0, 0.0, 2500.0], [0.0, -0.0]),
+              ("f", [1.0], [0.0, 40.0])]
+    arrays = [(label, np.asarray(sx, dtype=np.float64),
+               np.asarray(sy, dtype=np.float64)) for label, sx, sy in series]
+    for chart, polyline in ((scatter, False), (line, True)):
+        svg = chart(series, "t", "x", "y")
+        assert svg == _reference_chart(series, "t", "x", "y", polyline)
+        assert chart(arrays, "t", "x", "y") == svg
+
+
+_COORD = st.integers(-10**8, 10**8).map(lambda i: i / 128)
+
+
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=20),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), max_size=4))
+def test_axis_ends_match_the_per_point_path_on_any_floats(points, zeros):
+    """np.min and np.max may pick -0.0 where min and max pick 0.0, or the
+    reverse; no byte may depend on which."""
+    series = [("a", [x for x, _ in points], [y for _, y in points]),
+              ("b", zeros, zeros[::-1])]
+    for chart, polyline in ((scatter, False), (line, True)):
+        assert chart(series, "t", "x", "y") == \
+            _reference_chart(series, "t", "x", "y", polyline)
