@@ -18,8 +18,10 @@ like ``float()``) and checks finiteness and YEAR on whole arrays.  When
 that parse fails, a check fails, or the body holds what the C parser
 reads differently from ``csv`` and ``float()`` (quotes, NUL, the
 U+001C..U+001F separators, an over-long line), a per-cell pass with
-``csv`` and ``float()`` reads the file instead.  It accepts what the C
-parser refused (quoted cells, blank rows, ``1_0``) or raises the
+``csv`` and ``float()`` reads the file instead.  Blank rows are dropped
+before the C parse when some line is too short to hold every used cell.
+The per-cell pass accepts what the C parser refused (quoted cells, a
+blank row long enough to be kept, ``1_0``) or raises the
 DataError that names the row, column and cell.  So the set of accepted
 files, their values and the error messages do not depend on which path
 ran.
@@ -101,27 +103,6 @@ def check_rows(rows, n_records: int, name: str = "rows") -> np.ndarray:
 EXPORT_HEADER = ("AT", "AP", "AH", "AFDP", "TIT", "TAT", "TEP", "TEY", "CDP", "NOX")
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One hourly reading: nine predictors, NOx, optional CO, year tag."""
-
-    at: float
-    ap: float
-    ah: float
-    afdp: float
-    tit: float
-    tat: float
-    tep: float
-    tey: float
-    cdp: float
-    nox: float
-    year: int
-    co: float | None = None
-
-    def predictor(self, name: str) -> float:
-        return getattr(self, name)
-
-
 def _years_of(year: np.ndarray) -> tuple[int, ...]:
     """The distinct year tags, ascending."""
     return tuple(sorted(set(year.tolist())))
@@ -175,15 +156,11 @@ class Dataset:
             raise DataError(f"year {year} not present (have {list(self.years)})")
         return self.subset(self.year == year)
 
-    def record(self, i: int) -> ObservationRecord:
-        kwargs = {name: float(self.columns[name][i]) for name in REQUIRED}
-        if self.has_co:
-            kwargs["co"] = float(self.columns["co"][i])
-        return ObservationRecord(year=int(self.year[i]), **kwargs)
-
-    def iter_records(self) -> Iterator[ObservationRecord]:
-        for i in range(self.n_records):
-            yield self.record(i)
+    def record(self, i: int) -> dict[str, float | int]:
+        """Row ``i`` as a mapping: each column's value as a float, in
+        column order, then ``"year"`` as an int."""
+        rec = {name: float(col[i]) for name, col in self.columns.items()}
+        return rec | {"year": int(self.year[i])}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -266,8 +243,15 @@ def _parse_body(body: str, usecols: list[int]) -> np.ndarray | None:
     # csv ends a record at \r, \n or \r\n; the empty line this makes of a
     # \r\n is skipped by both readers
     lines = body.replace("\r", "\n").split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    lengths = set(map(len, lines))
+    if max(lengths) > csv.field_size_limit():
         return None
+    # a line too short to hold a cell for each used column may be a blank
+    # row, which loadtxt refuses and the per-cell pass skips: drop those
+    if any(0 < n < max(usecols) + len(usecols) for n in lengths):
+        lines = [ln for ln in lines if ln.replace(",", "").strip()]
+        if not lines:
+            return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols,
                            dtype=np.float64, ndmin=2)

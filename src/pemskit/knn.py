@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
-from .ingest import (Dataset, ObservationRecord, PREDICTORS, TARGET,
-                     atomic_open, check_predictors, check_rows)
+from .ingest import (Dataset, PREDICTORS, TARGET, atomic_open,
+                     check_predictors, check_rows)
 from .rng import SplitMix64, derive_seed
 from .stats import check_finite_spreads, check_spread
 
@@ -286,6 +286,14 @@ def _sweep(model: KnnModel, q: np.ndarray,
     """Predictions of the raw query rows ``q`` for every k <= model.k:
     row k-1 folds each query's first k neighbors (see _fold_all)."""
     q_z = (q - model.means) / model.stds
+    # a query is its own training row only if it also has that row's
+    # values: the same row number in another dataset is another record
+    if (self_rows >= 0).any():
+        pos = _self_positions(model.train_rows, self_rows)
+        mine = np.nonzero(pos >= 0)[0]
+        same = (q_z[mine] == model.train_z[pos[mine]]).all(axis=1)
+        self_rows = self_rows.copy()
+        self_rows[mine[~same]] = -1
     d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, model.k)
     return _fold_all(d2, ix, model.train_y, model.k, model.weighting)
 
@@ -296,15 +304,12 @@ def _self_rows(model: KnnModel, rows: np.ndarray) -> np.ndarray:
 
 
 def _query_vector(model: KnnModel, record) -> np.ndarray:
-    if isinstance(record, ObservationRecord):
-        values = [record.predictor(name) for name in model.predictors]
-    elif isinstance(record, Mapping):
-        for name in model.predictors:
-            if name not in record:
-                raise DataError(f"record missing predictor '{name}'")
-        values = [record[name] for name in model.predictors]
-    else:
+    if not isinstance(record, Mapping):
         raise DataError(f"unsupported record type {type(record).__name__}")
+    for name in model.predictors:
+        if name not in record:
+            raise DataError(f"record missing predictor '{name}'")
+    values = [record[name] for name in model.predictors]
     q = np.empty(len(values))
     for j, (name, v) in enumerate(zip(model.predictors, values)):
         if isinstance(v, bool) or not isinstance(v, Real):
@@ -319,10 +324,11 @@ def _query_vector(model: KnnModel, record) -> np.ndarray:
 
 
 def predict(model: KnnModel, record) -> float:
-    """Predict one record (ObservationRecord or name→value mapping).
+    """Predict one record: a mapping that holds the model's predictors.
 
-    Self-exclusion needs row identity, which a bare record lacks; it
-    applies only in evaluate/residuals, where rows are known.
+    Leave-self-out applies only to the model's own training rows (same
+    row, same values), which a bare record does not name; so no
+    neighbor is left out here.
     """
     q = _query_vector(model, record)
     return float(_sweep(model, q[None, :], np.array([-1]))[-1, 0])
@@ -330,8 +336,10 @@ def predict(model: KnnModel, record) -> float:
 
 def predict_rows(model: KnnModel, ds: Dataset,
                  rows: np.ndarray | None = None) -> np.ndarray:
-    """Predict dataset rows; training members are left out of their own
-    neighbor sets when the model says so."""
+    """Predict dataset rows.  When the model says so, a row is left out
+    of its own neighbor set if it is one of the model's training rows:
+    the same row number with the same values, as on the fitted dataset.
+    Rows of another dataset keep every training row as a neighbor."""
     rows = np.arange(ds.n_records, dtype=np.int64) if rows is None \
         else check_rows(rows, ds.n_records)
     q = ds.matrix(model.predictors)[rows]

@@ -53,11 +53,12 @@ def _tick_label(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / target
+    if not raw > 0.0:   # hi <= lo, or a subnormal span whose step underflows
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
-    step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw)
+    # mag underflows to 0 when raw is the smallest subnormal
+    step = next((m * mag for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw), raw)
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
@@ -92,7 +93,7 @@ class _Frame:
     @staticmethod
     def _padded(axis: str, lo: float, hi: float) -> tuple[float, float]:
         if hi == lo:
-            pad = 1.0 if lo == 0.0 else abs(lo) * 0.05
+            pad = abs(lo) * 0.05 or 1.0     # also when 5 % of lo underflows
         else:
             pad = (hi - lo) * 0.05
         if not math.isfinite((hi + pad) - (lo - pad)):

@@ -19,6 +19,7 @@ from pemskit.ingest import (
     validate,
     write_year_files,
 )
+from pemskit.synthetic import make_dataset
 
 HEADER = "AT,AP,AH,AFDP,TIT,TAT,TEP,TEY,CDP,NOX"
 ROW_A = "17.0,1013.0,77.0,4.0,1086.0,546.0,25.0,134.0,12.0,65.0"
@@ -95,6 +96,18 @@ def test_short_row_rejected(tmp_path):
 def test_blank_lines_skipped(tmp_path):
     _write(tmp_path / "gt_2011.csv", rows=(ROW_A, "", "  ,  ", ROW_B))
     assert load_dataset(tmp_path, [2011]).n_records == 2
+
+
+def test_blank_rows_are_dropped_before_the_c_parse(tmp_path, monkeypatch):
+    _write(tmp_path / "gt_2011.csv",
+           rows=(ROW_A, "", " , , ", ",,,,,,,,,", ROW_B, "  ,  "))
+
+    def cell_pass(*args):
+        raise AssertionError("the per-cell pass ran")
+
+    monkeypatch.setattr(ingest, "_read_cells", cell_pass)
+    ds = load_dataset(tmp_path, [2011])
+    assert ds.column("nox").tolist() == [65.0, 70.0]
 
 
 def test_empty_file_rejected(tmp_path):
@@ -181,12 +194,25 @@ def test_columns_are_read_only(tiny_ds):
 
 def test_record_round_trips_values(tiny_ds):
     rec = tiny_ds.record(3)
-    assert rec.year == 2011
-    assert rec.co is None
+    assert rec["year"] == 2011
+    assert "co" not in rec
     for name in PREDICTORS:
-        assert rec.predictor(name) == tiny_ds.column(name)[3]
-    assert rec.nox == tiny_ds.column("nox")[3]
-    assert sum(1 for _ in tiny_ds.iter_records()) == 80
+        assert rec[name] == tiny_ds.column(name)[3]
+    assert rec["nox"] == tiny_ds.column("nox")[3]
+
+
+@pytest.mark.parametrize("include_co", [False, True])
+def test_record_holds_the_columns_in_order_and_the_year(include_co):
+    ds = make_dataset(years=(2011, 2012), rows_per_year=5, seed=2,
+                      include_co=include_co)
+    assert ds.has_co is include_co
+    for i in (0, 7):
+        rec = ds.record(i)
+        assert list(rec) == [*ds.columns, "year"]
+        assert ("co" in rec) is include_co
+        assert type(rec["year"]) is int and rec["year"] == ds.year[i]
+        for name, col in ds.columns.items():
+            assert type(rec[name]) is float and rec[name] == col[i]
 
 
 def test_validate_flags_each_rule():

@@ -31,6 +31,7 @@ from pemskit.knn import (
     select_k,
     split,
 )
+from pemskit.synthetic import make_dataset
 
 # ------------------------------------------------------------- the oracle
 #
@@ -493,6 +494,37 @@ def test_leave_self_out_changes_training_predictions(tiny_ds):
     # bare-record prediction has no row identity, so no self-exclusion
     rec = tiny_ds.record(int(train[0]))
     assert predict(honest, rec) == predict(leaky, rec)
+
+
+def test_rows_of_another_dataset_keep_every_training_neighbor(tmp_path):
+    a = make_dataset(rows_per_year=200, seed=1)
+    model = fit_knn(a, split(a, seed=1), k=3)
+    b = make_dataset(years=(2016,), rows_per_year=300, seed=9)
+    # b's row numbers name training rows of a, but not a's records
+    assert np.isin(np.arange(b.n_records), model.train_rows).any()
+    single = [predict(model, b.record(i)) for i in range(b.n_records)]
+    assert predict_rows(model, b).tolist() == single
+    # on the fitted dataset a training row is still left out of its own
+    # neighbor set, also after the model's file round trip
+    save_model(model, tmp_path / "m.json")
+    loaded = load_model(tmp_path / "m.json")
+    leaky = fit_knn(a, split(a, seed=1), k=3, leave_self_out=False)
+    train = model.train_rows
+    assert predict_rows(loaded, a, train).tolist() \
+        == predict_rows(model, a, train).tolist()
+    assert not np.array_equal(predict_rows(loaded, a, train),
+                              predict_rows(leaky, a, train))
+
+
+@pytest.mark.parametrize("include_co", [False, True])
+def test_predict_takes_a_record_or_a_hand_built_mapping(include_co):
+    ds = make_dataset(years=(2011, 2012), rows_per_year=60, seed=4,
+                      include_co=include_co)
+    target = "co" if include_co else "nox"
+    model = fit_knn(ds, split(ds, seed=4), target=target, k=3)
+    for i in (0, 31, 119):
+        hand = {name: float(ds.column(name)[i]) for name in model.predictors}
+        assert predict(model, ds.record(i)).hex() == predict(model, hand).hex()
 
 
 def test_k_equal_to_training_size_needs_self_included():

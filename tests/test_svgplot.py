@@ -91,6 +91,29 @@ def test_summary_plots_a_column_a_few_ulps_wide(tmp_path):
     _parse((tmp_path / "out" / "hist_ap.svg").read_text())
 
 
+@pytest.mark.parametrize("values", [[0.0, 5e-324], [0.0, 2e-323],
+                                    [5e-324, 5e-324]],
+                         ids=["one-subnormal", "four-subnormals",
+                              "one-subnormal-twice"])
+def test_an_axis_spanning_only_subnormals_plots(values):
+    _parse(scatter([("a", values, [1.0, 2.0])], "t", "x", "y"))
+    _parse(bars(values[:1], values[1:], [3.0], "t", "x"))
+
+
+@pytest.mark.parametrize("cells", [(0.0, 5e-324), (5e-324, 5e-324)],
+                         ids=["alternating", "constant"])
+def test_summary_plots_a_column_of_subnormals(tmp_path, cells):
+    ds = make_dataset(rows_per_year=20, seed=3)
+    ah = np.resize(np.array(cells), ds.n_records)
+    write_year_files(Dataset({**ds.columns, "ah": ah}, ds.year.copy(),
+                             ds.years), tmp_path)
+    proc = _run_bounded("-m", "pemskit.cli", "summary", "--plots",
+                        "--data-dir", str(tmp_path), "--out-dir",
+                        str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    _parse((tmp_path / "out" / "hist_ah.svg").read_text())
+
+
 @pytest.mark.parametrize("axis, draw", [
     ("x", lambda wide, ok: scatter([("a", wide, ok)], "t", "x", "y")),
     ("y", lambda wide, ok: line([("a", ok, wide)], "t", "x", "y")),
