@@ -18,10 +18,8 @@ like ``float()``) and checks finiteness and YEAR on whole arrays.  When
 that parse fails, a check fails, or the body holds what the C parser
 reads differently from ``csv`` and ``float()`` (quotes, NUL, the
 U+001C..U+001F separators, an over-long line), a per-cell pass with
-``csv`` and ``float()`` reads the file instead.  Blank rows are dropped
-before the C parse when some line is too short to hold every used cell.
-The per-cell pass accepts what the C parser refused (quoted cells, a
-blank row long enough to be kept, ``1_0``) or raises the
+``csv`` and ``float()`` reads the file instead.  It accepts what the C
+parser refused (quoted cells, blank rows, ``1_0``) or raises the
 DataError that names the row, column and cell.  So the set of accepted
 files, their values and the error messages do not depend on which path
 ran.
@@ -243,15 +241,8 @@ def _parse_body(body: str, usecols: list[int]) -> np.ndarray | None:
     # csv ends a record at \r, \n or \r\n; the empty line this makes of a
     # \r\n is skipped by both readers
     lines = body.replace("\r", "\n").split("\n")
-    lengths = set(map(len, lines))
-    if max(lengths) > csv.field_size_limit():
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
-    # a line too short to hold a cell for each used column may be a blank
-    # row, which loadtxt refuses and the per-cell pass skips: drop those
-    if any(0 < n < max(usecols) + len(usecols) for n in lengths):
-        lines = [ln for ln in lines if ln.replace(",", "").strip()]
-        if not lines:
-            return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols,
                            dtype=np.float64, ndmin=2)

@@ -286,14 +286,6 @@ def _sweep(model: KnnModel, q: np.ndarray,
     """Predictions of the raw query rows ``q`` for every k <= model.k:
     row k-1 folds each query's first k neighbors (see _fold_all)."""
     q_z = (q - model.means) / model.stds
-    # a query is its own training row only if it also has that row's
-    # values: the same row number in another dataset is another record
-    if (self_rows >= 0).any():
-        pos = _self_positions(model.train_rows, self_rows)
-        mine = np.nonzero(pos >= 0)[0]
-        same = (q_z[mine] == model.train_z[pos[mine]]).all(axis=1)
-        self_rows = self_rows.copy()
-        self_rows[mine[~same]] = -1
     d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, model.k)
     return _fold_all(d2, ix, model.train_y, model.k, model.weighting)
 
@@ -343,7 +335,17 @@ def predict_rows(model: KnnModel, ds: Dataset,
     rows = np.arange(ds.n_records, dtype=np.int64) if rows is None \
         else check_rows(rows, ds.n_records)
     q = ds.matrix(model.predictors)[rows]
-    return _sweep(model, q, _self_rows(model, rows))[-1]
+    self_rows = _self_rows(model, rows)
+    # a row is its own training row only if it also has that row's
+    # values: the same row number in another dataset is another record
+    pos = _self_positions(model.train_rows, self_rows)
+    mine = np.nonzero(pos >= 0)[0]
+    q_z = (q[mine] - model.means) / model.stds
+    other = mine[(q_z != model.train_z[pos[mine]]).any(axis=1)]
+    if other.shape[0]:
+        self_rows = self_rows.copy()
+        self_rows[other] = -1
+    return _sweep(model, q, self_rows)[-1]
 
 
 # -------------------------------------------------------------- metrics

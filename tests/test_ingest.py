@@ -98,18 +98,6 @@ def test_blank_lines_skipped(tmp_path):
     assert load_dataset(tmp_path, [2011]).n_records == 2
 
 
-def test_blank_rows_are_dropped_before_the_c_parse(tmp_path, monkeypatch):
-    _write(tmp_path / "gt_2011.csv",
-           rows=(ROW_A, "", " , , ", ",,,,,,,,,", ROW_B, "  ,  "))
-
-    def cell_pass(*args):
-        raise AssertionError("the per-cell pass ran")
-
-    monkeypatch.setattr(ingest, "_read_cells", cell_pass)
-    ds = load_dataset(tmp_path, [2011])
-    assert ds.column("nox").tolist() == [65.0, 70.0]
-
-
 def test_empty_file_rejected(tmp_path):
     (tmp_path / "gt_2011.csv").write_text("")
     with pytest.raises(DataError, match="file is empty"):
