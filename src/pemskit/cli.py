@@ -40,7 +40,7 @@ from . import knn as knn_mod
 from . import svgplot
 from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (Dataset, OPTIONAL_TARGET, PREDICTORS, PROCESS_PREDICTORS,
-                     TARGET, atomic_open, check_predictors, load_dataset)
+                     TARGET, atomic_open, load_dataset, resolve_predictors)
 from .screening import ForestConfig, screen_predictors
 from .stats import (DEFAULT_HIGH_NOX_QUANTILE, check_spread,
                     correlation_matrix, flag_high_nox, summarize)
@@ -113,11 +113,8 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
 
 
 def _parse_predictors(text: str) -> tuple[str, ...]:
-    names = tuple(_parse_variable(t) for t in text.split(",") if t.strip())
-    if not names:
-        raise ConfigError("empty variable list")
-    check_predictors(names)
-    return names
+    return resolve_predictors(
+        [_parse_variable(t) for t in text.split(",") if t.strip()])
 
 
 def _option(default, parse: Callable[[str], object],
@@ -234,7 +231,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config.predictors is not None and config.exclude_weather:
         raise ConfigError("--predictors and --exclude-weather are mutually "
                           "exclusive")
-    check_predictors(config.resolved_predictors(), config.target)
+    resolve_predictors(config.resolved_predictors(), config.target)
     return config
 
 

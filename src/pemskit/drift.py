@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, PREDICTORS
+from .ingest import Dataset, resolve_predictors
 from .stats import (check_finite_spreads, check_spread, correlation_matrix,
                     eigenpairs)
 
@@ -102,9 +102,7 @@ def fit_pca(ds: Dataset, variables: Sequence[str] | None = None) -> PcaModel:
     Standardization uses means/stds (ddof=1) of the fitting data; they
     are retained so other data can be projected in the same frame.
     """
-    names = tuple(variables) if variables is not None else PREDICTORS
-    if not names:
-        raise ConfigError("empty variable list")
+    names = resolve_predictors(variables)
     x = ds.matrix(names)
     if x.shape[0] <= len(names):
         raise DegenerateDataError(
@@ -184,7 +182,7 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
     ref = reference_year if reference_year is not None else ds.years[0]
     if ref not in ds.years:
         raise ConfigError(f"reference year {ref} not in dataset years {ds.years}")
-    names = tuple(variables) if variables is not None else PREDICTORS
+    names = resolve_predictors(variables)
     if len(names) < 2:
         raise ConfigError("the (PC1, PC2) centroids need at least 2 variables, "
                           f"got {len(names)}")

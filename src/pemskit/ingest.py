@@ -73,13 +73,19 @@ COLUMN_ALIASES = {
 REQUIRED = PREDICTORS + (TARGET,)
 
 
-def check_predictors(names: Sequence[str], target: str | None = None) -> None:
-    """ConfigError if a predictor is listed twice or is also the target."""
+def resolve_predictors(names: Sequence[str] | None = None,
+                       target: str | None = None) -> tuple[str, ...]:
+    """``names`` as a tuple, PREDICTORS when None; ConfigError if the
+    list is empty, names a predictor twice, or holds the target."""
+    names = PREDICTORS if names is None else tuple(names)
+    if not names:
+        raise ConfigError("empty predictor list")
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"predictor '{name}' is listed twice")
     if target is not None and target in names:
         raise ConfigError(f"target '{target}' is also a predictor")
+    return names
 
 
 def check_rows(rows, n_records: int, name: str = "rows") -> np.ndarray:

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
-from .ingest import (Dataset, PREDICTORS, TARGET, atomic_open,
-                     check_predictors, check_rows)
+from .ingest import (Dataset, TARGET, atomic_open, check_rows,
+                     resolve_predictors)
 from .rng import SplitMix64, derive_seed
 from .stats import check_finite_spreads, check_spread
 
@@ -139,10 +139,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
             k: int = 3, weighting: str = "inverse_distance",
             leave_self_out: bool = True) -> KnnModel:
     """Standardize on Training rows only and retain them for lookup."""
-    names = tuple(predictors) if predictors is not None else PREDICTORS
-    if not names:
-        raise ConfigError("empty predictor list")
-    check_predictors(names, target)
+    names = resolve_predictors(predictors, target)
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     check_spread(ds, (target,))
@@ -192,21 +189,22 @@ def _self_positions(train_rows: np.ndarray, self_rows: np.ndarray) -> np.ndarray
     return pos
 
 
-def _scan(train_z, train_rows, q_z, self_rows, k):
-    """Top-k neighbors per query by (squared distance, training index).
+def _scan(train_z, q_z, own, k):
+    """Exact top-k neighbors of the standardised queries ``q_z`` by
+    (squared distance, training index); ``own[i]`` is the training
+    position query i may not use, or -1.
 
     Queries run in blocks of about _BLOCK_CELLS distance cells.  Squared
     distance accumulates in place, predictor by predictor in declared
     order: the first writes diff*diff (equal to 0.0 + diff*diff, as a
     square is never -0.0) and each later one adds its own.  A query's
-    own training row, if any, is set to +inf.  The k-th smallest value
-    bounds the candidates, which are ordered by (distance, index); ties
-    at the bound keep the earlier training rows.
+    excluded position is set to +inf.  The k-th smallest value bounds
+    the candidates, which are ordered by (distance, index); ties at the
+    bound keep the earlier training rows.
     """
     n_q, p = q_z.shape
     n_t = train_z.shape[0]
-    pos = _self_positions(train_rows, self_rows)
-    if k > n_t - 1 and (pos >= 0).any():
+    if k > n_t - 1 and (own >= 0).any():
         raise DegenerateDataError(
             "k exceeds available neighbors under leave-self-out")
     out_d2 = np.empty((n_q, k), np.float64)
@@ -227,9 +225,9 @@ def _scan(train_z, train_rows, q_z, self_rows, k):
             np.subtract(q[:, j:j + 1], cols[j], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
             np.add(d2, tmp, out=d2)
-        me = pos[lo:hi]
-        own = np.nonzero(me >= 0)[0]
-        d2[own, me[own]] = np.inf
+        me = own[lo:hi]
+        left_out = np.nonzero(me >= 0)[0]
+        d2[left_out, me[left_out]] = np.inf
         bound = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         cand = np.flatnonzero(d2 <= bound)
         row, col = np.divmod(cand, n_t)
@@ -281,18 +279,16 @@ def _fold_all(d2, ix, train_y, k_max: int, weighting: str) -> np.ndarray:
     return out
 
 
-def _sweep(model: KnnModel, q: np.ndarray,
-           self_rows: np.ndarray) -> np.ndarray:
-    """Predictions of the raw query rows ``q`` for every k <= model.k:
-    row k-1 folds each query's first k neighbors (see _fold_all)."""
-    q_z = (q - model.means) / model.stds
-    d2, ix = _scan(model.train_z, model.train_rows, q_z, self_rows, model.k)
+def _sweep(model: KnnModel, q_z: np.ndarray,
+           own: np.ndarray | None = None) -> np.ndarray:
+    """Predictions of the standardised queries ``q_z`` for every
+    k <= model.k: row k-1 folds each query's first k neighbors (see
+    _fold_all).  ``own`` is as in _scan; by default no neighbor is left
+    out."""
+    if own is None:
+        own = np.full(q_z.shape[0], -1, dtype=np.int64)
+    d2, ix = _scan(model.train_z, q_z, own, model.k)
     return _fold_all(d2, ix, model.train_y, model.k, model.weighting)
-
-
-def _self_rows(model: KnnModel, rows: np.ndarray) -> np.ndarray:
-    """The dataset rows to leave out of their own neighbor sets."""
-    return rows if model.leave_self_out else np.full_like(rows, -1)
 
 
 def _query_vector(model: KnnModel, record) -> np.ndarray:
@@ -322,8 +318,8 @@ def predict(model: KnnModel, record) -> float:
     row, same values), which a bare record does not name; so no
     neighbor is left out here.
     """
-    q = _query_vector(model, record)
-    return float(_sweep(model, q[None, :], np.array([-1]))[-1, 0])
+    q_z = (_query_vector(model, record) - model.means) / model.stds
+    return float(_sweep(model, q_z[None, :])[-1, 0])
 
 
 def predict_rows(model: KnnModel, ds: Dataset,
@@ -334,18 +330,14 @@ def predict_rows(model: KnnModel, ds: Dataset,
     Rows of another dataset keep every training row as a neighbor."""
     rows = np.arange(ds.n_records, dtype=np.int64) if rows is None \
         else check_rows(rows, ds.n_records)
-    q = ds.matrix(model.predictors)[rows]
-    self_rows = _self_rows(model, rows)
+    q_z = (ds.matrix(model.predictors)[rows] - model.means) / model.stds
+    own = _self_positions(model.train_rows, rows) if model.leave_self_out \
+        else np.full(rows.shape[0], -1, dtype=np.int64)
     # a row is its own training row only if it also has that row's
     # values: the same row number in another dataset is another record
-    pos = _self_positions(model.train_rows, self_rows)
-    mine = np.nonzero(pos >= 0)[0]
-    q_z = (q[mine] - model.means) / model.stds
-    other = mine[(q_z != model.train_z[pos[mine]]).any(axis=1)]
-    if other.shape[0]:
-        self_rows = self_rows.copy()
-        self_rows[other] = -1
-    return _sweep(model, q, self_rows)[-1]
+    mine = np.nonzero(own >= 0)[0]
+    own[mine[(q_z[mine] != model.train_z[own[mine]]).any(axis=1)]] = -1
+    return _sweep(model, q_z, own)[-1]
 
 
 # -------------------------------------------------------------- metrics
@@ -438,8 +430,9 @@ def _fit_and_sweep(ds: Dataset, assignment: SplitAssignment,
     val_rows = assignment.rows("Validation")
     if val_rows.shape[0] == 0:
         raise DegenerateDataError("validation partition is empty")
-    q = ds.matrix(model.predictors)[val_rows]
-    preds = _sweep(model, q, _self_rows(model, val_rows))
+    # Validation rows are never Training rows, so none is left out
+    q_z = (ds.matrix(model.predictors)[val_rows] - model.means) / model.stds
+    preds = _sweep(model, q_z)
     actual = ds.column(target)[val_rows]
     points = []
     chosen = 1
@@ -455,11 +448,13 @@ def _fit_and_sweep(ds: Dataset, assignment: SplitAssignment,
 
 def select_k(ds: Dataset, assignment: SplitAssignment,
              predictors: Sequence[str] | None = None, target: str = TARGET,
-             k_max: int = 10, weighting: str = "inverse_distance",
-             leave_self_out: bool = True) -> KSelectionCurve:
-    """Validation RASE for k = 1..k_max; chosen k = argmin, ties low."""
+             k_max: int = 10, weighting: str = "inverse_distance"
+             ) -> KSelectionCurve:
+    """Validation RASE for k = 1..k_max; chosen k = argmin, ties low.
+    Validation rows are never Training rows, so leave-self-out, which
+    shapes only Training-row predictions, has no say here."""
     return _fit_and_sweep(ds, assignment, predictors, target, k_max,
-                          weighting, leave_self_out)[1]
+                          weighting, True)[1]
 
 
 # ------------------------------------------------------------ residuals
@@ -566,7 +561,7 @@ def compare_pooled_vs_yearly(ds: Dataset,
     """
     if len(ds.years) < 2:
         raise ConfigError("comparison needs at least 2 years")
-    names = tuple(predictors) if predictors is not None else PREDICTORS
+    names = resolve_predictors(predictors, target)
     assignment = split(ds, fractions, seed)
     scope = dict(predictors=names, target=target, k=None, k_max=k_max,
                  weighting=weighting, leave_self_out=leave_self_out)

@@ -81,8 +81,3 @@ class SplitMix64:
         for i in range(len(values) - 1, 0, -1):
             j = self.below(i + 1)
             values[i], values[j] = values[j], values[i]
-
-    def permutation(self, n: int) -> np.ndarray:
-        perm = np.arange(n, dtype=np.int64)
-        self.shuffle(perm)
-        return perm

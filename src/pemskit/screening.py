@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, PREDICTORS, TARGET, check_predictors, check_rows
+from .ingest import Dataset, TARGET, check_rows, resolve_predictors
 from .rng import SplitMix64, derive_seed
 from .stats import check_spread
 
@@ -265,10 +265,7 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
     positive reductions are accepted).
     """
     cfg.check()
-    names = tuple(predictors)
-    if not names:
-        raise ConfigError("empty predictor list")
-    check_predictors(names, target)
+    names = resolve_predictors(predictors, target)
     n = ds.n_records
     rows = np.arange(n, dtype=np.int64) if sample_rows is None \
         else check_rows(sample_rows, n, "sample_rows")
@@ -294,10 +291,9 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     largest portion; rank ties and zero-contribution predictors fall
     back to canonical predictor order.
     """
-    names = tuple(predictors) if predictors is not None else PREDICTORS
+    names = resolve_predictors(predictors, target)
     if len(names) < 2:
         raise ConfigError("screening needs at least 2 predictors")
-    check_predictors(names, target)
     cfg.check()
     check_spread(ds, (target,))
     y = ds.column(target)

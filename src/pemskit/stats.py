@@ -8,7 +8,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, PREDICTORS, TARGET, OPTIONAL_TARGET
+from .ingest import (Dataset, PREDICTORS, TARGET, OPTIONAL_TARGET,
+                     resolve_predictors)
 
 DEFAULT_BINS = 30
 DEFAULT_HIGH_NOX_QUANTILE = 0.80
@@ -135,7 +136,7 @@ def correlation_matrix(ds: Dataset,
     The result is exactly symmetric with a unit diagonal; entries are
     clipped to [-1, 1] to absorb last-ulp excursions.
     """
-    names = tuple(variables) if variables is not None else PREDICTORS
+    names = resolve_predictors(variables)
     if ds.n_records < 2:
         raise DegenerateDataError("correlation needs at least 2 records")
     data = ds.matrix(names)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, PREDICTORS, PROCESS_PREDICTORS
+from .ingest import Dataset, PROCESS_PREDICTORS, resolve_predictors
 from .stats import check_finite_spreads, eigenpairs, gram
 
 DEFAULT_THRESHOLD = 1.0
@@ -75,6 +75,10 @@ def second_eigenvalue(corr) -> float:
     matrix = np.asarray(getattr(corr, "matrix", corr), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 2:
         raise ConfigError(f"need a square matrix of size >= 2, got shape {matrix.shape}")
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.shape[0]:
+        cells = ", ".join(f"[{i}, {j}] = {matrix[i, j]}" for i, j in bad)
+        raise ConfigError(f"matrix has non-finite entries: {cells}")
     if not np.allclose(matrix, matrix.T, atol=1e-8):
         raise ConfigError("matrix is not symmetric")
     return float(eigenpairs(matrix)[0][1])
@@ -152,7 +156,7 @@ def cluster_variables(ds: Dataset,
     (1 - r2_own) / (1 - r2_next).  Singleton clusters report
     r2_own = 1 and ratio = 0 exactly.
     """
-    names = tuple(variables) if variables is not None else PREDICTORS
+    names = resolve_predictors(variables)
     if len(names) < 2:
         raise ConfigError("variable clustering needs at least 2 variables")
     if not threshold > 0.0:

@@ -60,9 +60,9 @@ def knn_work(monkeypatch) -> dict[str, int]:
         work["fits"] += 1
         return fit_knn(*args, **kwargs)
 
-    def counted_scan(train_z, train_rows, q_z, self_rows, k):
+    def counted_scan(train_z, q_z, own, k):
         work["queries"] += q_z.shape[0]
-        return scan(train_z, train_rows, q_z, self_rows, k)
+        return scan(train_z, q_z, own, k)
 
     monkeypatch.setattr(knn, "fit_knn", counted_fit)
     monkeypatch.setattr(knn, "_scan", counted_scan)

@@ -441,6 +441,13 @@ def test_duplicate_predictor_is_named(data_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_empty_predictor_list_is_named(data_dir, tmp_path, capsys):
+    assert _run("summary", "--data-dir", str(data_dir), "--predictors", ",",
+                "--out-dir", str(tmp_path / "out")) == 3
+    assert "--predictors: empty predictor list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_short_year_does_not_match_a_longer_one(data_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("summary", "--data-dir", str(data_dir), "--years", "13",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pemskit import ingest
+from pemskit.drift import drift_report, fit_pca
 from pemskit.errors import ConfigError, DataError
 from pemskit.ingest import (
     OPTIONAL_TARGET,
@@ -19,7 +20,12 @@ from pemskit.ingest import (
     validate,
     write_year_files,
 )
+from pemskit.knn import compare_pooled_vs_yearly, fit_knn, split
+from pemskit.screening import (ForestConfig, fit_regression_tree,
+                               screen_predictors)
+from pemskit.stats import correlation_matrix
 from pemskit.synthetic import make_dataset
+from pemskit.varclus import cluster_variables
 
 HEADER = "AT,AP,AH,AFDP,TIT,TAT,TEP,TEY,CDP,NOX"
 ROW_A = "17.0,1013.0,77.0,4.0,1086.0,546.0,25.0,134.0,12.0,65.0"
@@ -523,3 +529,42 @@ def test_a_plain_numeric_file_takes_the_c_parse(tmp_path, monkeypatch,
 
     monkeypatch.setattr(ingest, "_read_cells", refuse)
     _assert_same_columns(ingest._read_columns(path, REQUIRED), want)
+
+
+# Each entry point that takes a predictor (or variable) list, called on
+# a list; the ones with a target use "nox".
+_TAKES_PREDICTORS = {
+    "fit_knn": lambda ds, names: fit_knn(ds, split(ds), names),
+    "compare_pooled_vs_yearly":
+        lambda ds, names: compare_pooled_vs_yearly(ds, predictors=names),
+    "fit_regression_tree": lambda ds, names: fit_regression_tree(
+        ds, names, "nox", ForestConfig(n_trees=1)),
+    "screen_predictors": lambda ds, names: screen_predictors(
+        ds, names, cfg=ForestConfig(n_trees=1)),
+    "cluster_variables": cluster_variables,
+    "fit_pca": fit_pca,
+    "drift_report": lambda ds, names: drift_report(ds, variables=names),
+    "correlation_matrix": correlation_matrix,
+}
+_WITH_TARGET = ("fit_knn", "compare_pooled_vs_yearly", "fit_regression_tree",
+                "screen_predictors")
+
+
+@pytest.mark.parametrize("entry", _TAKES_PREDICTORS)
+def test_every_entry_point_resolves_a_predictor_list_alike(entry, tiny_ds,
+                                                           knn_work):
+    call = _TAKES_PREDICTORS[entry]
+    with pytest.raises(ConfigError, match="^empty predictor list$"):
+        call(tiny_ds, [])
+    with pytest.raises(ConfigError,
+                       match="^predictor 'at' is listed twice$"):
+        call(tiny_ds, ["at", "at", "ap"])
+    if entry in _WITH_TARGET:
+        with pytest.raises(ConfigError,
+                           match="^target 'nox' is also a predictor$"):
+            call(tiny_ds, ["at", "nox"])
+    # a list is rejected before any KNN model is fitted
+    assert knn_work["fits"] == 0
+    result = call(tiny_ds, None)    # None stands for PREDICTORS
+    for names in ("predictors", "variables"):
+        assert getattr(result, names, PREDICTORS) == PREDICTORS

@@ -19,6 +19,7 @@ from pemskit.knn import (
     _fold_all,
     _partition_counts,
     _scan,
+    _self_positions,
     compare_pooled_vs_yearly,
     evaluate,
     evaluate_all,
@@ -190,8 +191,9 @@ def _assert_scan_matches(train_z, train_rows, q_z, self_rows, ks):
     # the top-k under a total order is a prefix of the top-k_max, so one
     # reference run at the largest k checks every smaller k too
     d2a, ixa = _reference_scan(train_z, train_rows, q_z, self_rows, max(ks))
+    own = _self_positions(train_rows, self_rows)
     for k in ks:
-        d2b, ixb = _scan(train_z, train_rows, q_z, self_rows, k)
+        d2b, ixb = _scan(train_z, q_z, own, k)
         assert d2b.tobytes() == d2a[:, :k].tobytes(), k
         assert np.array_equal(ixb, ixa[:, :k]), k
 
@@ -251,18 +253,17 @@ def test_scan_k_is_all_but_self_under_leave_self_out():
     self_rows = train_rows[::2].copy()
     _assert_scan_matches(train_z, train_rows, q_z, self_rows, (n_t - 1,))
     with pytest.raises(DegenerateDataError, match="exceeds available"):
-        _scan(train_z, train_rows, q_z, self_rows, n_t)
+        _scan(train_z, q_z, _self_positions(train_rows, self_rows), n_t)
 
 
 def test_scan_memory_is_bounded():
     rng = np.random.default_rng(3)
     train_z = np.asfortranarray(rng.normal(size=(5000, 3)))
-    train_rows = np.arange(5000, dtype=np.int64)
     q_z = rng.normal(size=(4000, 3))
-    self_rows = np.arange(4000, dtype=np.int64)
+    own = np.arange(4000, dtype=np.int64)
     tracemalloc.start()
     try:
-        _scan(train_z, train_rows, q_z, self_rows, 5)
+        _scan(train_z, q_z, own, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -702,6 +703,21 @@ def test_scope_predictions_equal_a_fresh_model_at_the_chosen_k(iid_ds,
         assert np.array_equal(ev.model.train_z, fresh.train_z)
         assert ev.predicted.tobytes() == predict_rows(fresh, ds).tobytes()
         assert ev.metrics == evaluate_all(fresh, ds, assignment)
+
+
+def test_leave_self_out_moves_only_training_predictions(iid_ds):
+    honest = compare_pooled_vs_yearly(iid_ds, seed=2, k_max=5)
+    leaky = compare_pooled_vs_yearly(iid_ds, seed=2, k_max=5,
+                                     leave_self_out=False)
+    train = honest.assignment.codes == PARTITIONS.index("Training")
+    scopes = [(honest.pooled, leaky.pooled, train)]
+    for year, h, l in zip(iid_ds.years, honest.yearly, leaky.yearly):
+        scopes.append((h, l, train[iid_ds.year == year]))
+    for h, l, mine in scopes:
+        # the K sweep queries only Validation rows, never a self row
+        assert h.curve == l.curve
+        assert h.predicted[~mine].tobytes() == l.predicted[~mine].tobytes()
+        assert (h.predicted[mine] != l.predicted[mine]).any()
 
 
 def test_pooled_vs_yearly_deterministic(iid_ds):

@@ -89,14 +89,6 @@ def test_shuffle_is_a_permutation_and_deterministic():
     assert x != base  # astronomically unlikely to be identity
 
 
-def test_permutation_matches_shuffle_of_arange():
-    perm = SplitMix64(3).permutation(25)
-    manual = np.arange(25, dtype=np.int64)
-    SplitMix64(3).shuffle(manual)
-    assert np.array_equal(perm, manual)
-    assert np.array_equal(np.sort(perm), np.arange(25))
-
-
 def test_derive_seed_identity_and_distinct_children():
     assert derive_seed(123) == 123
     children = {derive_seed(0, part) for part in range(100)}

@@ -48,6 +48,14 @@ def test_second_eigenvalue_rejects_bad_input():
         second_eigenvalue(np.array([[1.0, 0.3], [0.7, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_second_eigenvalue_names_non_finite_entries(bad):
+    matrix = np.array([[1.0, bad, 0.2], [bad, 1.0, 0.1], [0.2, 0.1, 1.0]])
+    with pytest.raises(ConfigError, match=rf"non-finite entries: "
+                                          rf"\[0, 1\] = {bad}, \[1, 0\] = {bad}$"):
+        second_eigenvalue(matrix)
+
+
 def test_two_blocks_split_into_two_clusters(two_block_ds):
     report = cluster_variables(two_block_ds, ("x", "y", "w", "w2"))
     assert report.n_clusters == 2
