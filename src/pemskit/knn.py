@@ -10,6 +10,14 @@ per predictor in declared order, and each prediction is a left-to-right
 fold over the selected neighbors.  Any brute-force reimplementation
 following those three rules reproduces predictions bit for bit, which
 is what the oracle-equivalence tests check.
+
+The neighbor scan (_scan) keeps that contract behind a filter.  One BLAS
+matrix product per block of queries gives every squared distance up to
+a rounding error that a Higham γₙ bound caps at E; the rows that could
+be among the k nearest, given E, are few, and only their distances are
+computed in declared order and ordered as the contract says.  So the
+bytes do not depend on the BLAS kernel, its summation order or its
+thread count.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Real
 from pathlib import Path
 
@@ -133,6 +142,11 @@ class KnnModel:
     def n_training(self) -> int:
         return int(self.train_z.shape[0])
 
+    @cached_property
+    def _train_aug(self):
+        """_augment(train_z), built on first use: train_z is read-only."""
+        return _augment(self.train_z)
+
 
 def fit_knn(ds: Dataset, assignment: SplitAssignment,
             predictors: Sequence[str] | None = None, target: str = TARGET,
@@ -166,9 +180,17 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
 
 # ------------------------------------------------------ neighbor search
 
-#: Distance cells per query block: two float64 buffers of this many cells
-#: (512 KB each) stay in cache while every predictor is accumulated.
-_BLOCK_CELLS = 1 << 16
+#: Queries per block of the filter: one matrix product gives the block's
+#: approximate distances to every training row.
+_BLOCK_QUERIES = 64
+
+#: Chunks (interleaved column groups) per approximate distance row; the
+#: k-th smallest chunk minimum bounds the k-th distance (at least k
+#: chunks are used).
+_CHUNKS = 128
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
 
 
 def _self_positions(train_rows: np.ndarray, self_rows: np.ndarray) -> np.ndarray:
@@ -189,49 +211,110 @@ def _self_positions(train_rows: np.ndarray, self_rows: np.ndarray) -> np.ndarray
     return pos
 
 
-def _scan(train_z, q_z, own, k):
+def _augment(train_z):
+    """The training side of _scan's filter: the rows [-2t, |t|², 1] as
+    the columns of a (p + 2) x n_t matrix, and the largest |t|."""
+    n_t, p = train_z.shape
+    aug = np.empty((p + 2, n_t))
+    with np.errstate(over="ignore"):
+        np.multiply(train_z.T, -2.0, out=aug[:p])
+        np.einsum("ij,ij->i", train_z, train_z, out=aug[p])
+    aug[p + 1] = 1.0
+    return aug, math.sqrt(aug[p].max())
+
+
+def _scan(train_z, q_z, own, k, train_aug=None):
     """Exact top-k neighbors of the standardised queries ``q_z`` by
     (squared distance, training index); ``own[i]`` is the training
-    position query i may not use, or -1.
+    position query i may not use, or -1.  ``train_aug`` is
+    ``_augment(train_z)``, built here when not given.
 
-    Queries run in blocks of about _BLOCK_CELLS distance cells.  Squared
-    distance accumulates in place, predictor by predictor in declared
+    The distance D of the contract accumulates per predictor in declared
     order: the first writes diff*diff (equal to 0.0 + diff*diff, as a
-    square is never -0.0) and each later one adds its own.  A query's
-    excluded position is set to +inf.  The k-th smallest value bounds
-    the candidates, which are ordered by (distance, index); ties at the
-    bound keep the earlier training rows.
+    square is never -0.0) and each later one adds its own.  Computing D
+    for every training row is most of a scan, so a filter picks a few
+    candidates per query first, and D is computed for those alone.
+
+    Filter.  For each block of _BLOCK_QUERIES queries, one matrix
+    product of the rows [q, 1, |q|²] and [-2t, |t|², 1] gives
+    G ≈ |q - t|² for every pair.  Let M = |q| + max|t| and u = 2**-53.
+    With γ_n = n·u / (1 - n·u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, §3.1), a dot product of n terms in any order,
+    with or without fused multiply-adds, is within γ_n·Σ|a_i·b_i| of the
+    exact one.  Here Σ|a_i·b_i| <= M²(1 + γ_p), the computed |q|² and
+    |t|² are each within γ_p of theirs, and D is within γ_{p+2} of the
+    exact squared distance, which is at most M².  So
+    |G - D| <= (3p + 4)·u·M² + O(u²), and E = 4(p + 4)·(u·M² + η) bounds
+    it; η = 2**-1075 covers a product that underflows, which errs by at
+    most that much absolutely.  The margin of E also covers the
+    rounding of the bound below.
+
+    Bound.  Each G row, the own position set to +inf and padded to a
+    multiple of c = max(k, min(_CHUNKS, n_t)) columns with +inf, splits
+    into c interleaved chunks (columns j, j + c, ...).  The k-th
+    smallest chunk minimum is G of k distinct rows, so the exact k-th
+    distance is at most that minimum plus E, and every row of the exact
+    top k, ties included, has G at most the minimum plus 2E.  Those rows
+    are the candidates: the cells not greater than the bound, so that a
+    NaN G (inf - inf, where |q|² or |t|² overflows) stays a candidate.
+    Only chunks whose minimum is not greater than the bound can hold
+    one, so only their cells are compared.  2E is computed as
+    4(p + 4)·(u·2M² + 2η): when 2M² overflows, the bound is +inf (or
+    NaN) and every row is a candidate, and while it is finite no partial
+    sum of G can overflow.  The padded columns and the own position are
+    dropped from the candidates explicitly, as the bound may be +inf.
+
+    Refine.  D is computed for each candidate in declared order, with
+    the operations of the contract (a sequential np.add.accumulate of
+    the squared differences), and the candidates are ordered by
+    (D, index).  The first k are the exact top k, since no row outside
+    the candidates can precede them; so neither the result nor its bits
+    depend on the BLAS kernel or on how it sums.
     """
     n_q, p = q_z.shape
     n_t = train_z.shape[0]
     if k > n_t - 1 and (own >= 0).any():
         raise DegenerateDataError(
             "k exceeds available neighbors under leave-self-out")
+    aug, t_max = _augment(train_z) if train_aug is None else train_aug
+    chunks = max(k, min(_CHUNKS, n_t))
+    width = -(-n_t // chunks) * chunks
+    block = max(1, min(_BLOCK_QUERIES, n_q))
+    g_buf = np.empty((block, width))
+    g_buf[:, n_t:] = np.inf
+    q_aug = np.empty((block, p + 2))
+    q_aug[:, p] = 1.0
     out_d2 = np.empty((n_q, k), np.float64)
     out_ix = np.empty((n_q, k), np.int64)
-    block = max(1, _BLOCK_CELLS // max(1, n_t))
-    d2_buf = np.empty((min(block, n_q), n_t))
-    tmp_buf = np.empty_like(d2_buf)
-    cols = [train_z[:, j] for j in range(p)]
     first_k = np.arange(k)
     for lo in range(0, n_q, block):
         hi = min(lo + block, n_q)
         q = q_z[lo:hi]
-        d2 = d2_buf[:hi - lo]
-        tmp = tmp_buf[:hi - lo]
-        np.subtract(q[:, :1], cols[0], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for j in range(1, p):
-            np.subtract(q[:, j:j + 1], cols[j], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            np.add(d2, tmp, out=d2)
+        g = g_buf[:hi - lo]
+        qa = q_aug[:hi - lo]
         me = own[lo:hi]
         left_out = np.nonzero(me >= 0)[0]
-        d2[left_out, me[left_out]] = np.inf
-        bound = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        cand = np.flatnonzero(d2 <= bound)
-        row, col = np.divmod(cand, n_t)
-        dist = d2.ravel()[cand]
+        qa[:, :p] = q
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.einsum("ij,ij->i", q, q, out=qa[:, p + 1])
+            np.matmul(qa, aug, out=g[:, :n_t])
+            g[left_out, me[left_out]] = np.inf
+            by_chunk = g.reshape(hi - lo, -1, chunks)
+            low = by_chunk.min(axis=1)
+            kth = np.partition(low, k - 1, axis=1)[:, k - 1]
+            two_m2 = (np.sqrt(qa[:, p + 1]) + t_max) ** 2 * 2.0
+            bound = kth + 4 * (p + 4) * (_U * two_m2 + 2.0 ** -1074)
+            near = np.flatnonzero(~(low > bound[:, None]))
+            r, c = np.divmod(near, chunks)
+            cells = by_chunk[r, :, c]
+            hit, at = np.divmod(np.flatnonzero(~(cells > bound[r, None])),
+                                cells.shape[1])
+        row, col = r[hit], at * chunks + c[hit]
+        allowed = (col < n_t) & (col != me[row])
+        row, col = row[allowed], col[allowed]
+        sq = q[row] - train_z[col]
+        sq *= sq
+        dist = np.add.accumulate(sq, axis=1)[:, -1]
         order = np.lexsort((col, dist, row))
         counts = np.bincount(row, minlength=hi - lo)
         take = order[((np.cumsum(counts) - counts)[:, None] + first_k).ravel()]
@@ -287,7 +370,7 @@ def _sweep(model: KnnModel, q_z: np.ndarray,
     out."""
     if own is None:
         own = np.full(q_z.shape[0], -1, dtype=np.int64)
-    d2, ix = _scan(model.train_z, q_z, own, model.k)
+    d2, ix = _scan(model.train_z, q_z, own, model.k, model._train_aug)
     return _fold_all(d2, ix, model.train_y, model.k, model.weighting)
 
 

@@ -90,6 +90,10 @@ def summarize(ds: Dataset, bins: int = DEFAULT_BINS,
               variables: Sequence[str] | None = None) -> list[VariableSummary]:
     """One summary per numeric variable; equal-width bins over [min, max].
 
+    ``variables`` defaults to default_summary_variables; a given list is
+    checked as resolve_predictors checks one (ConfigError if it is empty
+    or names a variable twice).
+
     The last bin is closed so the histogram counts sum to the record
     count.  A constant column collapses to a single occupied bin.
     """
@@ -97,7 +101,8 @@ def summarize(ds: Dataset, bins: int = DEFAULT_BINS,
         raise DegenerateDataError("cannot summarize an empty dataset")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    names = list(variables) if variables is not None else default_summary_variables(ds)
+    names = default_summary_variables(ds) if variables is None \
+        else resolve_predictors(variables)
     out = []
     for name in names:
         col = ds.column(name)

@@ -60,9 +60,9 @@ def knn_work(monkeypatch) -> dict[str, int]:
         work["fits"] += 1
         return fit_knn(*args, **kwargs)
 
-    def counted_scan(train_z, q_z, own, k):
+    def counted_scan(train_z, q_z, own, k, train_aug=None):
         work["queries"] += q_z.shape[0]
-        return scan(train_z, q_z, own, k)
+        return scan(train_z, q_z, own, k, train_aug)
 
     monkeypatch.setattr(knn, "fit_knn", counted_fit)
     monkeypatch.setattr(knn, "_scan", counted_scan)

@@ -11,6 +11,10 @@ change of output bytes must say so in CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,3 +269,26 @@ def test_golden_input_hashes(golden_dir, tmp_path):
     to_csv(make_dataset(rows_per_year=120, seed=23, drift=0.25),
            tmp_path / "export.csv")
     assert {**_hashes(golden_dir), **_hashes(tmp_path)} == INPUT_GOLDEN
+
+
+#: Runs pemskit.cli.main on each argv of a JSON list; exits nonzero if any
+#: run does.
+_RUN_ALL = ("import json, sys\n"
+            "from pemskit.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_knn_golden_hashes_on_other_blas_kernels(coretype, golden_dir,
+                                                 tmp_path):
+    # the neighbor scan's matrix product only picks candidates; their
+    # declared-order distances decide, so no byte depends on the kernel
+    cases = [case for case in sorted(CASES) if CASES[case][0] == "knn"]
+    runs = [[*CASES[case], "--data-dir", str(golden_dir),
+             "--out-dir", str(tmp_path / case)] for case in cases]
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "OPENBLAS_CORETYPE": coretype})
+    assert proc.returncode == 0, proc.stderr
+    for case in cases:
+        assert _hashes(tmp_path / case) == GOLDEN[case], case

@@ -23,7 +23,7 @@ from pemskit.ingest import (
 from pemskit.knn import compare_pooled_vs_yearly, fit_knn, split
 from pemskit.screening import (ForestConfig, fit_regression_tree,
                                screen_predictors)
-from pemskit.stats import correlation_matrix
+from pemskit.stats import correlation_matrix, summarize
 from pemskit.synthetic import make_dataset
 from pemskit.varclus import cluster_variables
 
@@ -545,6 +545,7 @@ _TAKES_PREDICTORS = {
     "fit_pca": fit_pca,
     "drift_report": lambda ds, names: drift_report(ds, variables=names),
     "correlation_matrix": correlation_matrix,
+    "summarize": lambda ds, names: summarize(ds, variables=names),
 }
 _WITH_TARGET = ("fit_knn", "compare_pooled_vs_yearly", "fit_regression_tree",
                 "screen_predictors")

@@ -15,7 +15,7 @@ from pemskit.knn import (
     WEIGHTINGS,
     KnnModel,
     SplitAssignment,
-    _BLOCK_CELLS,
+    _BLOCK_QUERIES,
     _fold_all,
     _partition_counts,
     _scan,
@@ -163,6 +163,42 @@ def _reference_scan(train_z, train_rows, q_z, self_rows, k):
     return out_d2, out_ix
 
 
+def _blocked_reference_scan(train_z, q_z, own, k):
+    """The blocked scan that _scan's filter replaced: every squared
+    distance of a block of queries, accumulated in place predictor by
+    predictor in declared order, then the candidates at or below the k-th
+    smallest, ordered by (distance, index).  Unlike the loop scan it also
+    ranks infinite distances."""
+    n_q, p = q_z.shape
+    n_t = train_z.shape[0]
+    out_d2 = np.empty((n_q, k), np.float64)
+    out_ix = np.empty((n_q, k), np.int64)
+    block = max(1, (1 << 16) // n_t)
+    first_k = np.arange(k)
+    for lo in range(0, n_q, block):
+        hi = min(lo + block, n_q)
+        q = q_z[lo:hi]
+        d2 = np.subtract(q[:, :1], train_z[:, 0])
+        np.multiply(d2, d2, out=d2)
+        for j in range(1, p):
+            tmp = np.subtract(q[:, j:j + 1], train_z[:, j])
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(d2, tmp, out=d2)
+        me = own[lo:hi]
+        left_out = np.nonzero(me >= 0)[0]
+        d2[left_out, me[left_out]] = np.inf
+        bound = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        cand = np.flatnonzero(d2 <= bound)
+        row, col = np.divmod(cand, n_t)
+        dist = d2.ravel()[cand]
+        order = np.lexsort((col, dist, row))
+        counts = np.bincount(row, minlength=hi - lo)
+        take = order[((np.cumsum(counts) - counts)[:, None] + first_k).ravel()]
+        out_d2[lo:hi] = dist[take].reshape(hi - lo, k)
+        out_ix[lo:hi] = col[take].reshape(hi - lo, k)
+    return out_d2, out_ix
+
+
 def _reference_fold(d2_row, ix_row, train_y, k: int, weighting: str) -> float:
     """Scalar left-to-right fold of the first k neighbors of one query."""
     if d2_row[0] == 0.0:
@@ -210,12 +246,11 @@ def test_scan_matches_reference_loop():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_scan_matches_reference_across_blocks(order):
-    # 70 queries x 2,600 training rows: two full blocks of queries and a
-    # partial last one; a half-unit grid makes distance ties common
+    # 150 queries x 2,600 training rows: two full blocks of queries and
+    # a partial last one; a half-unit grid makes distance ties common
     rng = np.random.default_rng(5)
-    n_t, n_q = 2600, 70
-    block = max(1, _BLOCK_CELLS // n_t)
-    assert n_q > 2 * block and n_q % block != 0
+    n_t, n_q = 2600, 150
+    assert n_q > 2 * _BLOCK_QUERIES and n_q % _BLOCK_QUERIES != 0
     train_z = np.asarray(np.round(rng.normal(size=(n_t, 3)) * 2.0) / 2.0,
                          order=order)
     q_z = np.round(rng.normal(size=(n_q, 3)) * 2.0) / 2.0
@@ -254,6 +289,81 @@ def test_scan_k_is_all_but_self_under_leave_self_out():
     _assert_scan_matches(train_z, train_rows, q_z, self_rows, (n_t - 1,))
     with pytest.raises(DegenerateDataError, match="exceeds available"):
         _scan(train_z, q_z, _self_positions(train_rows, self_rows), n_t)
+
+
+def test_scan_k_is_all_but_self_past_the_chunk_count():
+    # k = 299 puts the 300 training rows in 299 chunks, all but one with
+    # a single row; a query whose own row sits alone has a +inf bound,
+    # so every row but its own is a candidate
+    rng = np.random.default_rng(12)
+    n_t = 300
+    train_z = np.round(rng.normal(size=(n_t, 3)), 1)
+    train_rows = np.arange(n_t, dtype=np.int64) * 3
+    q_z = train_z[::7].copy()
+    self_rows = train_rows[::7].copy()
+    _assert_scan_matches(train_z, train_rows, q_z, self_rows, (n_t - 1,))
+
+
+def test_scan_filter_margin_separates_near_ties():
+    # |z| near 1e3 makes the matrix product's rounding error (~1e-9 here)
+    # dwarf the distances between training points 1e-7 apart, some of
+    # them duplicated: only the error term E keeps the true top k among
+    # the candidates (with E = 0 this case picks other neighbors)
+    rng = np.random.default_rng(8)
+    p = 9
+    centre = rng.uniform(-1e3, 1e3, size=p)
+    line = centre + np.outer(np.arange(40) * 1e-7, np.eye(p)[0])
+    train_z = np.concatenate([line, line[::2],
+                              centre + rng.normal(size=(220, p))])
+    rng.shuffle(train_z)
+    q_z = centre + np.outer(rng.uniform(-1e-6, 5e-6, 30), np.eye(p)[0])
+    q_z[:10] += rng.normal(scale=1e-7, size=(10, p))
+    train_rows = np.arange(train_z.shape[0], dtype=np.int64)
+    self_rows = np.full(30, -1, dtype=np.int64)
+    _assert_scan_matches(train_z, train_rows, q_z, self_rows, (5,))
+
+
+def test_scan_filter_margin_covers_underflow():
+    # at |z| near 1e-160 every square underflows into the subnormals,
+    # where a product errs by up to 2**-1075 absolutely, however small
+    # E's relative term; a half-unit grid makes ties common
+    rng = np.random.default_rng(2)
+    train_rows = np.arange(300, dtype=np.int64)
+    self_rows = np.full(40, -1, dtype=np.int64)
+    for scale in (1e-158, 1e-161, 1e-163):
+        train_z = np.round(rng.normal(size=(300, 4)) * 4.0) / 4.0 * scale
+        q_z = np.round(rng.normal(size=(40, 4)) * 4.0) / 4.0 * scale
+        _assert_scan_matches(train_z, train_rows, q_z, self_rows, (5,))
+
+
+def test_scan_keeps_nan_filter_cells_near_the_float_limit():
+    # |q|² and |t|² overflow near ±1.7e308, so the matrix product gives
+    # inf - inf = NaN for the pairs whose distances are finite; those
+    # cells must stay candidates
+    rng = np.random.default_rng(4)
+    train_z = rng.normal(size=(300, 3))
+    big = np.array([[1.7e308, 0.0, 0.0], [1.7e308, 1.0, 0.0],
+                    [1.6e308, 0.0, 1.0], [-1.7e308, 0.0, 0.0],
+                    [-1.7e308, 0.5, 0.0], [-1.69e308, 0.0, 0.0]])
+    at = [5, 50, 90, 130, 200, 299]
+    train_z[at] = big
+    q_z = np.concatenate([big + [0.0, 0.25, 0.0], big[:2],
+                          rng.normal(size=(4, 3))])
+    own = np.full(q_z.shape[0], -1, dtype=np.int64)
+    own[6:8] = at[:2]
+    # the distances to all other rows overflow in both scans; the loop
+    # scan would not rank an infinite distance, so the blocked one is
+    # the reference here
+    with np.errstate(over="ignore"):
+        d2a, ixa = _blocked_reference_scan(train_z, q_z, own, 3)
+        d2b, ixb = _scan(train_z, q_z, own, 3)
+    assert d2b.tobytes() == d2a.tobytes()
+    assert np.array_equal(ixb, ixa)
+    # |q|², |t|² and -2t overflow but no distance does: the filter adds
+    # no warning
+    same = np.full((300, 3), 1e308)
+    d2, ix = _scan(same, same[:2], np.full(2, -1, dtype=np.int64), 3)
+    assert not d2.any() and (ix == [0, 1, 2]).all()
 
 
 def test_scan_memory_is_bounded():
