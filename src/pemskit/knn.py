@@ -11,13 +11,15 @@ fold over the selected neighbors.  Any brute-force reimplementation
 following those three rules reproduces predictions bit for bit, which
 is what the oracle-equivalence tests check.
 
-The neighbor scan (_scan) keeps that contract behind a filter.  One BLAS
-matrix product per block of queries gives every squared distance up to
-a rounding error that a Higham γₙ bound caps at E; the rows that could
-be among the k nearest, given E, are few, and only their distances are
-computed in declared order and ordered as the contract says.  So the
-bytes do not depend on the BLAS kernel, its summation order or its
-thread count.
+The neighbor scan (_scan) keeps that contract behind a filter.  One
+float32 BLAS matrix product per block of queries gives every squared
+distance up to a rounding error that a Higham γₙ bound, with
+u = 2**-24 and a term for float32 underflow, caps at E; past a cutoff
+where float32 could overflow, every row is a candidate.  The rows that
+could be among the k nearest, given E, are few, and only their
+distances are computed, in float64 and in declared order, and ordered
+as the contract says.  So the bytes do not depend on the BLAS kernel,
+its summation order or its thread count.
 """
 
 from __future__ import annotations
@@ -189,8 +191,17 @@ _BLOCK_QUERIES = 64
 #: chunks are used).
 _CHUNKS = 128
 
-#: Unit roundoff of float64.
-_U = 2.0 ** -53
+#: Unit roundoff of float32, the filter's precision.
+_U = 2.0 ** -24
+
+#: Largest error of a float32 rounding that underflows: half the
+#: smallest subnormal.
+_ETA = 2.0 ** -150
+
+#: From this 2M² on, every row is a candidate.  Below it no float32
+#: input, term or partial sum of the filter comes near 2**128, where
+#: float32 ends.
+_F32_CUTOFF = 2.0 ** 100
 
 
 def _self_positions(train_rows: np.ndarray, self_rows: np.ndarray) -> np.ndarray:
@@ -213,14 +224,16 @@ def _self_positions(train_rows: np.ndarray, self_rows: np.ndarray) -> np.ndarray
 
 def _augment(train_z):
     """The training side of _scan's filter: the rows [-2t, |t|², 1] as
-    the columns of a (p + 2) x n_t matrix, and the largest |t|."""
+    the columns of a float32 (p + 2) x n_t matrix, and the largest |t|.
+    |t|² and that largest |t| are taken in float64, then |t|² rounded."""
     n_t, p = train_z.shape
-    aug = np.empty((p + 2, n_t))
+    aug = np.empty((p + 2, n_t), np.float32)
     with np.errstate(over="ignore"):
+        norms = np.einsum("ij,ij->i", train_z, train_z)
         np.multiply(train_z.T, -2.0, out=aug[:p])
-        np.einsum("ij,ij->i", train_z, train_z, out=aug[p])
+        aug[p] = norms
     aug[p + 1] = 1.0
-    return aug, math.sqrt(aug[p].max())
+    return aug, math.sqrt(norms.max())
 
 
 def _scan(train_z, q_z, own, k, train_aug=None):
@@ -235,34 +248,54 @@ def _scan(train_z, q_z, own, k, train_aug=None):
     for every training row is most of a scan, so a filter picks a few
     candidates per query first, and D is computed for those alone.
 
-    Filter.  For each block of _BLOCK_QUERIES queries, one matrix
-    product of the rows [q, 1, |q|²] and [-2t, |t|², 1] gives
-    G ≈ |q - t|² for every pair.  Let M = |q| + max|t| and u = 2**-53.
-    With γ_n = n·u / (1 - n·u) (Higham, Accuracy and Stability of
-    Numerical Algorithms, §3.1), a dot product of n terms in any order,
-    with or without fused multiply-adds, is within γ_n·Σ|a_i·b_i| of the
-    exact one.  Here Σ|a_i·b_i| <= M²(1 + γ_p), the computed |q|² and
-    |t|² are each within γ_p of theirs, and D is within γ_{p+2} of the
-    exact squared distance, which is at most M².  So
-    |G - D| <= (3p + 4)·u·M² + O(u²), and E = 4(p + 4)·(u·M² + η) bounds
-    it; η = 2**-1075 covers a product that underflows, which errs by at
-    most that much absolutely.  The margin of E also covers the
-    rounding of the bound below.
+    Filter.  For each block of _BLOCK_QUERIES queries, one float32
+    matrix product of the rows a = [q, 1, |q|²] and b = [-2t, |t|², 1]
+    gives G ≈ |q - t|² for every pair.  q, t, |q|² and |t|² are float64
+    (the norms summed in float64) rounded to float32.  Let M = |q| +
+    max|t|, u = 2**-24 and η = 2**-150.  Under IEEE gradual underflow a
+    float32 rounding of x errs by at most u·|x| when the result is
+    normal and by at most η when it is subnormal.  So:
+
+    - Rounding the inputs.  Each q_i moves by at most u·|q_i| or η,
+      and so does each t_i.  So 2q·t moves by at most
+      (2u + u²)·2|q||t| + 2η(1 + u)·√p·M, as Σ|q_i| + Σ|t_i| <= √p·M.
+      |q|² and |t|², summed in float64 to within p·2**-53 = O(u²) of
+      themselves, move by u of themselves plus η each.  As
+      2|q||t| + |q|² + |t|² <= M² and 2|q||t| <= M²/2, the exact
+      Σa_i·b_i of the rounded rows is within 2u·M² + 2η(√p·M + 1) of
+      the exact |q - t|², up to O(u²)·M².
+    - The product.  With γ_n = n·u / (1 - n·u) (Higham, Accuracy and
+      Stability of Numerical Algorithms, §3.1), a float32 dot product of
+      n = p + 2 terms in any order, with or without fused multiply-adds,
+      is within γ_n·Σ|a_i·b_i| of Σa_i·b_i, plus η for each of its at
+      most n roundings that underflow.  Here Σ|a_i·b_i| <= M²(1 + 3u),
+      up to O(η·M).
+    - D, the declared-order float64 distance, is within (p + 1)·2**-53
+      = O(u²) of the exact |q - t|² <= M², plus p·2**-1075.
+
+    So |G - D| <= (p + 4)·u·M² + η·(2√p·M + p + 4) + O(u²)·M², and
+    E = 4(p + 4)·(u·M² + η·(M + 1)) bounds it: 2√p <= 4(p + 4), and the
+    factor 4 covers the O(u²) terms and the float64 rounding of the
+    bound below.  The bound assumes gradual underflow, numpy's default;
+    the refine assumes it anyway.
 
     Bound.  Each G row, the own position set to +inf and padded to a
     multiple of c = max(k, min(_CHUNKS, n_t)) columns with +inf, splits
     into c interleaved chunks (columns j, j + c, ...).  The k-th
     smallest chunk minimum is G of k distinct rows, so the exact k-th
     distance is at most that minimum plus E, and every row of the exact
-    top k, ties included, has G at most the minimum plus 2E.  Those rows
-    are the candidates: the cells not greater than the bound, so that a
-    NaN G (inf - inf, where |q|² or |t|² overflows) stays a candidate.
-    Only chunks whose minimum is not greater than the bound can hold
-    one, so only their cells are compared.  2E is computed as
-    4(p + 4)·(u·2M² + 2η): when 2M² overflows, the bound is +inf (or
-    NaN) and every row is a candidate, and while it is finite no partial
-    sum of G can overflow.  The padded columns and the own position are
-    dropped from the candidates explicitly, as the bound may be +inf.
+    top k, ties included, has G at most the minimum plus 2E.  That
+    bound is computed in float64, from float64 M.  The candidates are
+    the cells not greater than the bound, so that a NaN G (inf - inf)
+    stays a candidate.  Only chunks whose minimum is not greater than
+    the bound can hold one, so only their cells are compared.
+
+    Overflow.  float32 ends near 2**128, far below float64.  While
+    2M² < 2**100, every input, |a_i·b_i| <= M² and every partial sum
+    (at most (1 + γ_n)·M²) stays far from it.  At or past that cutoff
+    the bound is +inf and every row is a candidate.  The padded columns
+    and the own position are dropped from the candidates explicitly, as
+    the bound may be +inf.
 
     Refine.  D is computed for each candidate in declared order, with
     the operations of the contract (a sequential np.add.accumulate of
@@ -280,9 +313,9 @@ def _scan(train_z, q_z, own, k, train_aug=None):
     chunks = max(k, min(_CHUNKS, n_t))
     width = -(-n_t // chunks) * chunks
     block = max(1, min(_BLOCK_QUERIES, n_q))
-    g_buf = np.empty((block, width))
+    g_buf = np.empty((block, width), np.float32)
     g_buf[:, n_t:] = np.inf
-    q_aug = np.empty((block, p + 2))
+    q_aug = np.empty((block, p + 2), np.float32)
     q_aug[:, p] = 1.0
     out_d2 = np.empty((n_q, k), np.float64)
     out_ix = np.empty((n_q, k), np.int64)
@@ -294,16 +327,19 @@ def _scan(train_z, q_z, own, k, train_aug=None):
         qa = q_aug[:hi - lo]
         me = own[lo:hi]
         left_out = np.nonzero(me >= 0)[0]
-        qa[:, :p] = q
         with np.errstate(over="ignore", invalid="ignore"):
-            np.einsum("ij,ij->i", q, q, out=qa[:, p + 1])
+            norms = np.einsum("ij,ij->i", q, q)
+            qa[:, :p] = q
+            qa[:, p + 1] = norms
             np.matmul(qa, aug, out=g[:, :n_t])
             g[left_out, me[left_out]] = np.inf
             by_chunk = g.reshape(hi - lo, -1, chunks)
             low = by_chunk.min(axis=1)
             kth = np.partition(low, k - 1, axis=1)[:, k - 1]
-            two_m2 = (np.sqrt(qa[:, p + 1]) + t_max) ** 2 * 2.0
-            bound = kth + 4 * (p + 4) * (_U * two_m2 + 2.0 ** -1074)
+            m = np.sqrt(norms) + t_max
+            two_e = 8 * (p + 4) * (_U * m * m + _ETA * (m + 1.0))
+            two_e[~(2.0 * m * m < _F32_CUTOFF)] = np.inf
+            bound = kth + two_e
             near = np.flatnonzero(~(low > bound[:, None]))
             r, c = np.divmod(near, chunks)
             cells = by_chunk[r, :, c]
@@ -312,9 +348,10 @@ def _scan(train_z, q_z, own, k, train_aug=None):
         row, col = r[hit], at * chunks + c[hit]
         allowed = (col < n_t) & (col != me[row])
         row, col = row[allowed], col[allowed]
-        sq = q[row] - train_z[col]
-        sq *= sq
-        dist = np.add.accumulate(sq, axis=1)[:, -1]
+        with np.errstate(over="ignore"):
+            sq = q[row] - train_z[col]
+            sq *= sq
+            dist = np.add.accumulate(sq, axis=1)[:, -1]
         order = np.lexsort((col, dist, row))
         counts = np.bincount(row, minlength=hi - lo)
         take = order[((np.cumsum(counts) - counts)[:, None] + first_k).ravel()]
@@ -362,15 +399,29 @@ def _fold_all(d2, ix, train_y, k_max: int, weighting: str) -> np.ndarray:
     return out
 
 
-def _sweep(model: KnnModel, q_z: np.ndarray,
-           own: np.ndarray | None = None) -> np.ndarray:
+def _standardize(model: KnnModel, x: np.ndarray) -> np.ndarray:
+    """Raw predictor values in the model's units; a value far outside
+    the training range may become ±inf."""
+    with np.errstate(over="ignore"):
+        return (x - model.means) / model.stds
+
+
+def _sweep(model: KnnModel, q_z: np.ndarray, own: np.ndarray | None = None,
+           rows: np.ndarray | None = None) -> np.ndarray:
     """Predictions of the standardised queries ``q_z`` for every
     k <= model.k: row k-1 folds each query's first k neighbors (see
     _fold_all).  ``own`` is as in _scan; by default no neighbor is left
-    out."""
+    out.  A query whose every squared distance overflows has no nearest
+    neighbor to weigh: DataError names it by its dataset row in
+    ``rows``, or as the record when ``rows`` is None."""
     if own is None:
         own = np.full(q_z.shape[0], -1, dtype=np.int64)
     d2, ix = _scan(model.train_z, q_z, own, model.k, model._train_aug)
+    far = np.flatnonzero(np.isinf(d2[:, 0]))
+    if far.shape[0]:
+        what = "the record" if rows is None else f"row {rows[far[0]]}"
+        raise DataError(f"{what} is too far from every training row: "
+                        "its squared distances overflow")
     return _fold_all(d2, ix, model.train_y, model.k, model.weighting)
 
 
@@ -399,9 +450,10 @@ def predict(model: KnnModel, record) -> float:
 
     Leave-self-out applies only to the model's own training rows (same
     row, same values), which a bare record does not name; so no
-    neighbor is left out here.
+    neighbor is left out here.  DataError: a record whose squared
+    distance to every training row overflows.
     """
-    q_z = (_query_vector(model, record) - model.means) / model.stds
+    q_z = _standardize(model, _query_vector(model, record))
     return float(_sweep(model, q_z[None, :])[-1, 0])
 
 
@@ -410,17 +462,19 @@ def predict_rows(model: KnnModel, ds: Dataset,
     """Predict dataset rows.  When the model says so, a row is left out
     of its own neighbor set if it is one of the model's training rows:
     the same row number with the same values, as on the fitted dataset.
-    Rows of another dataset keep every training row as a neighbor."""
+    Rows of another dataset keep every training row as a neighbor.
+    DataError names a row whose squared distance to every training row
+    overflows."""
     rows = np.arange(ds.n_records, dtype=np.int64) if rows is None \
         else check_rows(rows, ds.n_records)
-    q_z = (ds.matrix(model.predictors)[rows] - model.means) / model.stds
+    q_z = _standardize(model, ds.matrix(model.predictors)[rows])
     own = _self_positions(model.train_rows, rows) if model.leave_self_out \
         else np.full(rows.shape[0], -1, dtype=np.int64)
     # a row is its own training row only if it also has that row's
     # values: the same row number in another dataset is another record
     mine = np.nonzero(own >= 0)[0]
     own[mine[(q_z[mine] != model.train_z[own[mine]]).any(axis=1)]] = -1
-    return _sweep(model, q_z, own)[-1]
+    return _sweep(model, q_z, own, rows)[-1]
 
 
 # -------------------------------------------------------------- metrics
@@ -514,8 +568,8 @@ def _fit_and_sweep(ds: Dataset, assignment: SplitAssignment,
     if val_rows.shape[0] == 0:
         raise DegenerateDataError("validation partition is empty")
     # Validation rows are never Training rows, so none is left out
-    q_z = (ds.matrix(model.predictors)[val_rows] - model.means) / model.stds
-    preds = _sweep(model, q_z)
+    q_z = _standardize(model, ds.matrix(model.predictors)[val_rows])
+    preds = _sweep(model, q_z, rows=val_rows)
     actual = ds.column(target)[val_rows]
     points = []
     chosen = 1

@@ -278,17 +278,37 @@ _RUN_ALL = ("import json, sys\n"
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_knn_golden_hashes_on_other_blas_kernels(coretype, golden_dir,
-                                                 tmp_path):
+def _cpu_dispatch() -> list[str]:
+    """The CPU features numpy picks its SIMD loops from at run time, of
+    those this machine has (disabling one it lacks changes nothing)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:   # numpy < 2
+        from numpy.core import _multiarray_umath
+    have = getattr(_multiarray_umath, "__cpu_features__", {})
+    return [name for name in getattr(_multiarray_umath, "__cpu_dispatch__", [])
+            if have.get(name)]
+
+
+@pytest.mark.parametrize("env", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="Haswell"),
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="Prescott"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "1"}, id="one-thread"),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(_cpu_dispatch())},
+                 id="no-simd-dispatch"),
+])
+def test_knn_golden_hashes_on_other_blas_kernels(env, golden_dir, tmp_path):
     # the neighbor scan's matrix product only picks candidates; their
-    # declared-order distances decide, so no byte depends on the kernel
+    # declared-order distances decide, so no byte depends on the BLAS
+    # kernel, its thread count or the SIMD level of numpy's own loops
+    if not all(env.values()):
+        pytest.skip("numpy dispatches to no CPU feature of this machine")
     cases = [case for case in sorted(CASES) if CASES[case][0] == "knn"]
     runs = [[*CASES[case], "--data-dir", str(golden_dir),
              "--out-dir", str(tmp_path / case)] for case in cases]
     proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
                           capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "OPENBLAS_CORETYPE": coretype})
+                          env={**os.environ, **env})
     assert proc.returncode == 0, proc.stderr
     for case in cases:
         assert _hashes(tmp_path / case) == GOLDEN[case], case

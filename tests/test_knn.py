@@ -234,6 +234,15 @@ def _assert_scan_matches(train_z, train_rows, q_z, self_rows, ks):
         assert np.array_equal(ixb, ixa[:, :k]), k
 
 
+def _assert_scan_matches_blocked(train_z, q_z, own, k):
+    # _scan keeps its own overflow quiet; the reference does not
+    with np.errstate(over="ignore"):
+        d2a, ixa = _blocked_reference_scan(train_z, q_z, own, k)
+    d2b, ixb = _scan(train_z, q_z, own, k)
+    assert d2b.tobytes() == d2a.tobytes()
+    assert np.array_equal(ixb, ixa)
+
+
 def test_scan_matches_reference_loop():
     rng = np.random.default_rng(77)
     train_z = np.ascontiguousarray(np.round(rng.normal(size=(90, 3)), 1))
@@ -305,10 +314,10 @@ def test_scan_k_is_all_but_self_past_the_chunk_count():
 
 
 def test_scan_filter_margin_separates_near_ties():
-    # |z| near 1e3 makes the matrix product's rounding error (~1e-9 here)
+    # |z| near 1e3 makes the float32 product's rounding error (~1 here)
     # dwarf the distances between training points 1e-7 apart, some of
     # them duplicated: only the error term E keeps the true top k among
-    # the candidates (with E = 0 this case picks other neighbors)
+    # the candidates
     rng = np.random.default_rng(8)
     p = 9
     centre = rng.uniform(-1e3, 1e3, size=p)
@@ -324,9 +333,10 @@ def test_scan_filter_margin_separates_near_ties():
 
 
 def test_scan_filter_margin_covers_underflow():
-    # at |z| near 1e-160 every square underflows into the subnormals,
-    # where a product errs by up to 2**-1075 absolutely, however small
-    # E's relative term; a half-unit grid makes ties common
+    # at |z| near 1e-160 every float64 square underflows into the
+    # subnormals, and every float32 input of the filter rounds to 0, so
+    # G is 0 for every row and the refine alone orders the subnormal
+    # distances; a half-unit grid makes ties common
     rng = np.random.default_rng(2)
     train_rows = np.arange(300, dtype=np.int64)
     self_rows = np.full(40, -1, dtype=np.int64)
@@ -354,16 +364,76 @@ def test_scan_keeps_nan_filter_cells_near_the_float_limit():
     # the distances to all other rows overflow in both scans; the loop
     # scan would not rank an infinite distance, so the blocked one is
     # the reference here
-    with np.errstate(over="ignore"):
-        d2a, ixa = _blocked_reference_scan(train_z, q_z, own, 3)
-        d2b, ixb = _scan(train_z, q_z, own, 3)
-    assert d2b.tobytes() == d2a.tobytes()
-    assert np.array_equal(ixb, ixa)
+    _assert_scan_matches_blocked(train_z, q_z, own, 3)
     # |q|², |t|² and -2t overflow but no distance does: the filter adds
     # no warning
     same = np.full((300, 3), 1e308)
     d2, ix = _scan(same, same[:2], np.full(2, -1, dtype=np.int64), 3)
     assert not d2.any() and (ix == [0, 1, 2]).all()
+
+
+@pytest.mark.parametrize("scale", [10.0, 100.0])
+def test_scan_float32_margin_separates_near_ties(scale):
+    # the float32 product errs by ~u·M² (about 1e-4 at |z| near 10 and
+    # 1e-2 near 100), far more than the distances between training
+    # points 1e-5 apart, some duplicated: only E's relative term keeps
+    # the true top k among the candidates
+    rng = np.random.default_rng(21)
+    p = 9
+    centre = rng.uniform(-scale, scale, size=p)
+    line = centre + np.outer(np.arange(40) * 1e-5, np.eye(p)[0])
+    train_z = np.concatenate([line, line[::3],
+                              centre + rng.normal(size=(250, p))])
+    rng.shuffle(train_z)
+    q_z = centre + np.outer(rng.uniform(-1e-4, 5e-4, 40), np.eye(p)[0])
+    q_z[:15] += rng.normal(scale=1e-5, size=(15, p))
+    own = np.full(40, -1, dtype=np.int64)
+    own[::4] = rng.integers(0, train_z.shape[0], size=10)
+    _assert_scan_matches_blocked(train_z, q_z, own, 5)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-23, 1e-26])
+def test_scan_float32_margin_covers_underflow(scale):
+    # squares near 1e-40 are float32 subnormals, near 1e-46 they round
+    # to 0 or the smallest subnormal, and near 1e-52 (with z itself a
+    # normal float32) to 0: there a rounding errs by up to 2**-150
+    # absolutely, however small E's relative term; a half-unit grid
+    # makes ties common
+    rng = np.random.default_rng(6)
+    train_z = np.round(rng.normal(size=(300, 4)) * 4.0) / 4.0 * scale
+    q_z = np.round(rng.normal(size=(70, 4)) * 4.0) / 4.0 * scale
+    q_z[::5] = train_z[:14]
+    own = np.full(70, -1, dtype=np.int64)
+    own[::10] = np.arange(7)
+    _assert_scan_matches_blocked(train_z, q_z, own, 5)
+
+
+@pytest.mark.parametrize("scale", [1e17, 1.2e19, 1e20, 1e30])
+def test_scan_float32_cutoff_past_the_float32_range(scale):
+    # values finite in float64 near or past the end of float32, in one
+    # block with ordinary queries.  Past 1e19 a square overflows float32,
+    # so G is NaN or ±inf; at 1.2e19 the squares do not, but a product
+    # with a decoy row 1.25 times as far out does, and G = -inf for the
+    # decoys would make the bound -inf.  Past the cutoff every row is a
+    # candidate, while the ordinary queries keep their own bound.
+    rng = np.random.default_rng(13)
+    p = 3
+    line = rng.normal(size=(30, p))
+    line[:, 0] = scale * (1.0 + np.arange(30) * 1e-6)
+    decoys = line[:10] * [1.25, 1.0, 1.0]
+    at = rng.choice(400, size=40, replace=False)
+    train_z = rng.normal(size=(400, p))
+    train_z[at] = np.concatenate([line, decoys])
+    q_z = rng.normal(size=(_BLOCK_QUERIES + 10, p))
+    q_z[::3] = line[rng.integers(0, 30, size=25)] \
+        + rng.normal(size=(25, p)) * [scale * 1e-7, 1.0, 1.0]
+    q_z[1::9] = line[:9]
+    own = np.full(q_z.shape[0], -1, dtype=np.int64)
+    own[1::9] = at[:9]
+    _assert_scan_matches_blocked(train_z, q_z, own, 3)
+    ordinary = np.delete(train_z, at, axis=0)
+    _assert_scan_matches_blocked(ordinary, q_z,
+                                 np.full(q_z.shape[0], -1, dtype=np.int64), 3)
 
 
 def test_scan_memory_is_bounded():
@@ -462,6 +532,30 @@ def test_predict_validates_records():
     for good in (np.float64(0.25), np.float32(0.25)):
         assert predict(model, {"x": good}) == want
     assert predict(model, {"x": 1}) == predict(model, {"x": 1.0})
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_a_record_far_from_every_training_row_is_refused(weighting):
+    # afdp = 1e200 standardises to about 1e200: every declared-order
+    # squared distance overflows, so no neighbor is nearer than another
+    # and the inverse-distance fold would give 0/0.  No warning leaks
+    # (warnings are errors here).
+    ds = make_dataset(rows_per_year=60, seed=1)
+    model = fit_knn(ds, split(ds, seed=1), k=3, weighting=weighting)
+    other = make_dataset(years=(2016,), rows_per_year=8, seed=2)
+    for value in (1e200, 1e308, -1e308):
+        with pytest.raises(DataError, match="the record is too far"):
+            predict(model, dict(other.record(0), afdp=value))
+    afdp = other.column("afdp").copy()
+    afdp[5] = 1e200
+    far = Dataset({**other.columns, "afdp": afdp}, other.year, other.years)
+    with pytest.raises(DataError, match="row 5 is too far"):
+        predict_rows(model, far)
+    # a record far out along one predictor but within float64 still
+    # has a nearest neighbor
+    assert math.isfinite(predict(model, dict(other.record(0), afdp=1e30)))
+    assert predict_rows(model, far, [0, 1, 2]).tolist() == \
+        predict_rows(model, other, [0, 1, 2]).tolist()
 
 
 @pytest.mark.parametrize("rows, match", [
