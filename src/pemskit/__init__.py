@@ -8,8 +8,7 @@ from .ingest import (Dataset, PREDICTORS, PROCESS_PREDICTORS, TARGET,
                      validate, write_year_files)
 from .stats import (CorrelationMatrix, VariableSummary, correlation_matrix,
                     flag_high_nox, pearson, summarize)
-from .varclus import (VarCluster, VarClusterReport, cluster_variables,
-                      second_eigenvalue)
+from .varclus import VarCluster, VarClusterReport, cluster_variables
 from .screening import (ForestConfig, RegressionTree, ScreeningResult,
                         fit_regression_tree, screen_predictors)
 from .drift import (DriftReport, LinearFit, PcaModel, drift_report, fit_pca,
@@ -30,7 +29,6 @@ __all__ = [
     "CorrelationMatrix", "VariableSummary", "correlation_matrix",
     "flag_high_nox", "pearson", "summarize",
     "VarCluster", "VarClusterReport", "cluster_variables",
-    "second_eigenvalue",
     "ForestConfig", "RegressionTree", "ScreeningResult",
     "fit_regression_tree", "screen_predictors",
     "DriftReport", "LinearFit", "PcaModel", "drift_report", "fit_pca",

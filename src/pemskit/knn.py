@@ -360,43 +360,45 @@ def _scan(train_z, q_z, own, k, train_aug=None):
     return out_d2, out_ix
 
 
+def _running_sums(a: np.ndarray) -> np.ndarray:
+    """Overwrite each row of ``a`` with its running totals, left to right
+    from 0.0, and return it.
+
+    ``np.add.accumulate`` is a sequential scan; the ``+= 0.0`` turns a
+    -0.0 prefix into 0.0, as a loop's 0.0 start does.  Working in place
+    spares a fresh (and, on a large block, page-faulting) array per step.
+    """
+    np.add.accumulate(a, axis=1, out=a)
+    a += 0.0
+    return a
+
+
 def _fold_all(d2, ix, train_y, k_max: int, weighting: str) -> np.ndarray:
     """Predictions for k = 1..k_max: row k-1 folds the first k neighbors.
 
-    Each fold runs left to right, one vectorised column step across all
-    queries per neighbor, so every row equals the scalar fold of that k.
-    Queries whose nearest neighbor is at distance 0 take the mean of the
-    zero-distance targets instead; their total starts at +0.0 and so is
-    never -0.0, which makes adding 0.0 for the other neighbors exact.
+    Each fold is a running sum along a query's neighbors, left to right,
+    so every row equals the scalar fold of that k.  Queries whose
+    nearest neighbor is at distance 0 take the mean of the zero-distance
+    targets instead; their total starts at +0.0 and so is never -0.0,
+    which makes adding 0.0 for the other neighbors exact.  The result is
+    a (k_max, n) view of a query-major array.
     """
-    n = d2.shape[0]
-    y = train_y[ix[:, :k_max]]
-    out = np.empty((k_max, n))
+    y = train_y[ix[:, :k_max]].astype(np.float64, copy=False)
     if weighting == "uniform":
-        total = np.zeros(n)
-        for j in range(k_max):
-            total += y[:, j]
-            out[j] = total / (j + 1)
+        out = _running_sums(y)
+        out /= np.arange(1, k_max + 1)
     else:
-        num = np.zeros(n)
-        den = np.zeros(n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(k_max):
-                d = np.sqrt(d2[:, j])
-                num += y[:, j] / d
-                den += 1.0 / d
-                out[j] = num / den
+            d = np.sqrt(d2[:, :k_max])
+            y /= d
+            out = _running_sums(y)
+            out /= _running_sums(np.divide(1.0, d, out=d))
     zero = np.nonzero(d2[:, 0] == 0.0)[0]
     if zero.shape[0]:
         hit = d2[zero, :k_max] == 0.0
-        yz = y[zero]
-        total = np.zeros(zero.shape[0])
-        count = np.zeros(zero.shape[0])
-        for j in range(k_max):
-            total += np.where(hit[:, j], yz[:, j], 0.0)
-            count += hit[:, j]
-            out[j, zero] = total / count
-    return out
+        y_hit = np.where(hit, train_y[ix[zero, :k_max]], 0.0)
+        out[zero] = _running_sums(y_hit) / np.add.accumulate(hit, axis=1)
+    return out.T
 
 
 def _standardize(model: KnnModel, x: np.ndarray) -> np.ndarray:

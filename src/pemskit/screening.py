@@ -19,11 +19,21 @@ never a pairwise ``np.sum``; and the chosen cut is the first position
 of the largest reduction, replacing the best of earlier predictors only
 on a strict ``>``.  The bytes are those of the plain per-row loop that
 ``tests/test_screening.py`` keeps as a reference.
+
+Workers: the trees are split into contiguous blocks, one per CPU the
+process may run on (``os.sched_getaffinity``), and each block after the
+first is grown in a forked child that sends its per-tree contribution
+rows back through a pipe.  Each tree reads only its own stream, and the
+contributions are added in tree order from zeros, so the bytes do not
+depend on the number of CPUs; a block whose worker fails is grown again
+in the main process.  Without ``os.fork`` everything runs in process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,6 +167,89 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     return (feature[:node_count], cut[:node_count], reduction[:node_count],
             left[:node_count], right[:node_count], n_node[:node_count],
             value[:node_count])
+
+
+def _worker_count(n_items: int) -> int:
+    """One worker per CPU this process may run on, at most one per item;
+    1 where the platform has no ``fork`` or no CPU affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_items)
+
+
+def _fork_worker(work, block: range) -> tuple[int, int]:
+    """Fork a child that writes ``work(block)``'s float64 bytes to a pipe
+    and exits; returns (pid, read end).  The child never returns here,
+    and exits non-zero on any error."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            view = memoryview(work(block).tobytes())
+            while view:
+                view = view[os.write(write_end, view):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _in_forked_blocks(work, n_items: int, width: int) -> np.ndarray:
+    """``work(range(n_items))``, an (n_items, width) float64 array, made
+    of contiguous blocks of items, one block per worker.
+
+    The parent forks a child for each block after the first, computes
+    the first block itself, then reads each child's rows from its pipe.
+    A block whose child could not start, exited non-zero or sent a short
+    payload is computed again in the parent, so a worker failure costs
+    time and never changes a byte, and a real error surfaces from the
+    parent with its usual type.  Every child is reaped before return;
+    if the parent's own block raises, the children are killed first.
+    """
+    workers = _worker_count(n_items)
+    bounds = [n_items * w // workers for w in range(workers + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    children = []                       # (pid, read end), for blocks[1:]
+    try:
+        for block in blocks[1:]:
+            try:
+                children.append(_fork_worker(work, block))
+            except OSError:
+                break
+        parts = [work(blocks[0])]
+        payloads = [_read_to_end(fd) for _, fd in children]
+    except BaseException:
+        for pid, _ in children:         # their rows are no longer wanted
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # close every read end before waiting, so no child blocks on a
+        # full pipe
+        for _, fd in children:
+            os.close(fd)
+        codes = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for i, block in enumerate(blocks[1:]):
+        if i < len(children) and codes[i] == 0 \
+                and len(payloads[i]) == len(block) * width * 8:
+            parts.append(np.frombuffer(payloads[i]).reshape(len(block), width))
+        else:
+            parts.append(work(block))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -308,12 +401,19 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
 
     y = y.astype(np.float64)
+
+    def grow(trees: range) -> np.ndarray:
+        out = np.empty((len(trees), len(names)))
+        for i, t in enumerate(trees):
+            rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, size)
+            arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf,
+                                depth_cap, state)
+            out[i] = RegressionTree(names, *arrays).contributions()
+        return out
+
     contrib = np.zeros(len(names))
-    for t in range(cfg.n_trees):
-        rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, size)
-        arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf,
-                            depth_cap, state)
-        contrib += RegressionTree(names, *arrays).contributions()
+    for row in _in_forked_blocks(grow, cfg.n_trees, len(names)):
+        contrib += row
 
     total = float(contrib.sum())
     portions = contrib / total if total > 0.0 else np.zeros_like(contrib)

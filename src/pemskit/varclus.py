@@ -69,21 +69,6 @@ def dependence_tag(variable: str) -> str:
     return "process" if variable in PROCESS_PREDICTORS else "weather"
 
 
-def second_eigenvalue(corr) -> float:
-    """Second-largest eigenvalue of a symmetric correlation matrix,
-    clamped at 0 like every stats.eigenpairs eigenvalue."""
-    matrix = np.asarray(getattr(corr, "matrix", corr), dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 2:
-        raise ConfigError(f"need a square matrix of size >= 2, got shape {matrix.shape}")
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.shape[0]:
-        cells = ", ".join(f"[{i}, {j}] = {matrix[i, j]}" for i, j in bad)
-        raise ConfigError(f"matrix has non-finite entries: {cells}")
-    if not np.allclose(matrix, matrix.T, atol=1e-8):
-        raise ConfigError("matrix is not symmetric")
-    return float(eigenpairs(matrix)[0][1])
-
-
 def _standardized(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     if ds.n_records < 2:
         raise DegenerateDataError("variable clustering needs at least 2 records")

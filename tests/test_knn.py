@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -474,6 +475,21 @@ def test_fold_all_matches_reference_fold(rows, train_y, weighting):
         assert got[k - 1].tobytes() == want.tobytes(), k
 
 
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_fold_all_sums_start_at_plus_zero(weighting):
+    # -0.0 targets first: the scalar fold's 0.0 + -0.0 is 0.0, where a
+    # bare running sum of the targets would stay -0.0
+    d2 = np.array([[0.0, 0.0, 1.0], [1.0, 4.0, 4.0]])
+    ix = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int64)
+    y = np.array([-0.0, -0.0, 5.0])
+    got = _fold_all(d2, ix, y, 3, weighting)
+    assert not np.signbit(got[:2]).any()
+    for k in range(1, 4):
+        want = np.array([_reference_fold(d2[i], ix[i], y, k, weighting)
+                         for i in range(2)])
+        assert got[k - 1].tobytes() == want.tobytes(), k
+
+
 # ------------------------------------------------------------ fold rules
 
 
@@ -500,6 +516,12 @@ def test_inverse_distance_hand_value():
 def test_uniform_hand_value():
     model = _toy_model(weighting="uniform")
     assert predict(model, {"x": 0.25}) == 5.0  # (0 + 10) / 2, exact
+    # integer targets fold as floats, in both weightings
+    for weighting in WEIGHTINGS:
+        ints = replace(_toy_model(weighting=weighting),
+                       train_y=np.array([0, 10]))
+        assert predict(ints, {"x": 0.25}) == predict(
+            _toy_model(weighting=weighting), {"x": 0.25})
 
 
 def test_zero_distance_rule_beats_weighting():

@@ -69,13 +69,42 @@ def test_below_rejects_nonpositive():
         gen.below(0)
     with pytest.raises(ValueError):
         gen.below(-3)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            gen.integers_below(n, 5)
+
+
+# the block draws must equal the scalar loop from any state, including
+# those next to the 2**64 wrap
+_SEEDS = [0, MASK64, MASK64 - GOLDEN_GAMMA] + [
+    int(s) for s in np.random.default_rng(16).integers(
+        0, MASK64, size=3, dtype=np.uint64, endpoint=True)]
 
 
 def test_integers_below_equals_repeated_below():
-    a = SplitMix64(5).integers_below(10, 50)
-    gen = SplitMix64(5)
-    b = np.array([gen.below(10) for _ in range(50)], dtype=np.int64)
-    assert np.array_equal(a, b)
+    for seed in _SEEDS:
+        for n in (1, 2, 7, 5000):
+            for size in (0, 1, 5000):
+                block, loop = SplitMix64(seed), SplitMix64(seed)
+                got = block.integers_below(n, size)
+                assert got.dtype == np.int64
+                assert got.tolist() == [loop.below(n) for _ in range(size)]
+                assert block._state == loop._state
+
+
+@pytest.mark.parametrize("container", [list, np.array])
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 5000])
+def test_shuffle_is_the_below_loop(length, container):
+    for seed in _SEEDS:
+        block, loop = SplitMix64(seed), SplitMix64(seed)
+        got = container(range(length))
+        block.shuffle(got)
+        want = list(range(length))
+        for i in range(length - 1, 0, -1):
+            j = loop.below(i + 1)
+            want[i], want[j] = want[j], want[i]
+        assert list(got) == want
+        assert block._state == loop._state
 
 
 def test_shuffle_is_a_permutation_and_deterministic():

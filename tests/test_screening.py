@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pemskit import screening
 from pemskit.errors import ConfigError, DegenerateDataError
 from pemskit.ingest import PREDICTORS, Dataset
 from pemskit.rng import SplitMix64, derive_seed
@@ -428,3 +431,118 @@ def test_grower_matches_reference_on_random_data(seed, n, p, decimals,
     rows, state = _bootstrap_rows(derive_seed(seed, 0), n, size)
     depth = _UNLIMITED_DEPTH if max_depth is None else max_depth
     _assert_grows_like_reference(x, y, rows, m, min_leaf, depth, state)
+
+
+# ------------------------------------------------------------ workers
+
+_NAMES = ("x1", "x2", "noise", "const")
+
+
+def _tree_by_tree(ds, cfg):
+    """Contributions as hex, each tree grown here in turn and added in
+    tree order from zeros: the bytes any worker count must give."""
+    contrib = np.zeros(len(_NAMES))
+    for t in range(cfg.n_trees):
+        rows, state = _bootstrap_rows(derive_seed(cfg.seed, t),
+                                      ds.n_records, ds.n_records)
+        contrib += fit_regression_tree(ds, _NAMES, "y", cfg, sample_rows=rows,
+                                       rng_state=state).contributions()
+    return [float(c).hex() for c in contrib]
+
+
+def _screen_hex(ds, cfg):
+    res = screen_predictors(ds, _NAMES, "y", cfg)
+    return [res.by_predictor(name).contribution.hex() for name in _NAMES]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """cpus(n) makes screening see n CPUs, without starting n of
+    anything, and returns the list that each fork appends to."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+        return forks
+
+    return use
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 5])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_any_worker_count_gives_the_same_bytes(planted_ds, cpus, workers,
+                                               n_trees):
+    cfg = ForestConfig(n_trees=n_trees, seed=4)
+    forks = cpus(workers)
+    assert _screen_hex(planted_ds, cfg) == _tree_by_tree(planted_ds, cfg)
+    # one block per worker, at most one per tree; the parent grows one
+    assert len(forks) == min(workers, n_trees) - 1
+    _assert_no_child_left()
+
+
+def test_without_fork_the_trees_grow_in_process(planted_ds, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    cfg = ForestConfig(n_trees=3, seed=4)
+    assert _screen_hex(planted_ds, cfg) == _tree_by_tree(planted_ds, cfg)
+
+
+def test_a_failing_worker_costs_time_not_bytes(planted_ds, cpus,
+                                               monkeypatch):
+    parent = os.getpid()
+    grow = screening._grow_tree
+
+    def grow_in_parent_only(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("tree grown in a worker")
+        return grow(*args)
+
+    monkeypatch.setattr(screening, "_grow_tree", grow_in_parent_only)
+    cfg = ForestConfig(n_trees=5, seed=4)
+    forks = cpus(3)
+    assert _screen_hex(planted_ds, cfg) == _tree_by_tree(planted_ds, cfg)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_a_short_payload_is_grown_again(planted_ds, cpus, monkeypatch):
+    parent = os.getpid()
+    write = os.write
+
+    def short_write(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        write(fd, bytes(data)[:8])      # the child believes it sent all
+        return len(data)
+
+    monkeypatch.setattr(os, "write", short_write)
+    cfg = ForestConfig(n_trees=4, seed=4)
+    forks = cpus(2)
+    assert _screen_hex(planted_ds, cfg) == _tree_by_tree(planted_ds, cfg)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_an_error_in_every_tree_surfaces_with_its_type(planted_ds, cpus,
+                                                       monkeypatch):
+    def broken(*args):
+        raise DegenerateDataError("no tree today")
+
+    monkeypatch.setattr(screening, "_grow_tree", broken)
+    forks = cpus(3)
+    with pytest.raises(DegenerateDataError, match="no tree today"):
+        screen_predictors(planted_ds, _NAMES, "y", ForestConfig(n_trees=6))
+    assert len(forks) == 2
+    _assert_no_child_left()

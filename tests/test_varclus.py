@@ -3,12 +3,7 @@ import pytest
 
 from pemskit.errors import ConfigError, DegenerateDataError
 from pemskit.ingest import PREDICTORS, Dataset
-from pemskit.stats import correlation_matrix
-from pemskit.varclus import (
-    cluster_variables,
-    dependence_tag,
-    second_eigenvalue,
-)
+from pemskit.varclus import cluster_variables, dependence_tag
 
 
 def _ds_from_columns(**cols):
@@ -24,36 +19,6 @@ def two_block_ds():
     x = rng.normal(size=400)
     w = rng.normal(size=400)
     return _ds_from_columns(x=x, y=-x, w=w, w2=w + 0.1 * rng.normal(size=400))
-
-
-def test_second_eigenvalue_known_matrices():
-    assert second_eigenvalue(np.eye(3)) == pytest.approx(1.0)
-    assert second_eigenvalue(np.array([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(0.0, abs=1e-12)
-    assert second_eigenvalue(np.array([[1.0, 0.5], [0.5, 1.0]])) == pytest.approx(0.5)
-    # not a correlation matrix (eigenvalues 3 and -1): clamped like the rest
-    assert second_eigenvalue(np.array([[1.0, 2.0], [2.0, 1.0]])) == 0.0
-
-
-def test_second_eigenvalue_accepts_correlation_matrix(tiny_ds):
-    cm = correlation_matrix(tiny_ds, ("at", "ap", "ah"))
-    assert second_eigenvalue(cm) == pytest.approx(second_eigenvalue(cm.matrix))
-
-
-def test_second_eigenvalue_rejects_bad_input():
-    with pytest.raises(ConfigError, match="square"):
-        second_eigenvalue(np.ones((2, 3)))
-    with pytest.raises(ConfigError, match="square"):
-        second_eigenvalue(np.ones((1, 1)))
-    with pytest.raises(ConfigError, match="symmetric"):
-        second_eigenvalue(np.array([[1.0, 0.3], [0.7, 1.0]]))
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_second_eigenvalue_names_non_finite_entries(bad):
-    matrix = np.array([[1.0, bad, 0.2], [bad, 1.0, 0.1], [0.2, 0.1, 1.0]])
-    with pytest.raises(ConfigError, match=rf"non-finite entries: "
-                                          rf"\[0, 1\] = {bad}, \[1, 0\] = {bad}$"):
-        second_eigenvalue(matrix)
 
 
 def test_two_blocks_split_into_two_clusters(two_block_ds):
