@@ -32,7 +32,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -174,30 +174,6 @@ class Dataset:
         if not np.array_equal(self.year, other.year):
             return False
         return all(np.array_equal(v, other.columns[k]) for k, v in self.columns.items())
-
-
-@dataclass(frozen=True)
-class Violation:
-    row: int
-    variable: str
-    rule: str
-    value: float
-
-
-@dataclass
-class ValidationReport:
-    rows_checked: int
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def n_violations(self) -> int:
-        return len(self.violations)
-
-    def counts_by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for v in self.violations:
-            counts[v.rule] = counts.get(v.rule, 0) + 1
-        return counts
 
 
 def _candidate_files(data_dir: Path, year: int) -> list[Path]:
@@ -358,37 +334,6 @@ def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
     year_tags = np.concatenate([np.full(len(cols[TARGET]), yr, dtype=np.int64)
                                 for yr, cols in per_year])
     return Dataset(columns, year_tags, tuple(year_list))
-
-
-def validate(ds: Dataset) -> ValidationReport:
-    """Report every invariant violation in ``ds`` without modifying it.
-
-    Violations are data, not errors: out-of-range humidity, non-positive
-    pressures/yield, negative NOx, non-finite values, unknown year tags.
-    """
-    report = ValidationReport(rows_checked=ds.n_records)
-    rules = [
-        ("ah", "humidity out of range", lambda v: (v < 0.0) | (v > 100.0)),
-        ("ap", "non-positive ambient pressure", lambda v: v <= 0.0),
-        ("cdp", "non-positive compressor discharge pressure", lambda v: v <= 0.0),
-        ("tey", "non-positive energy yield", lambda v: v <= 0.0),
-        ("nox", "negative NOx", lambda v: v < 0.0),
-    ]
-    for name in list(REQUIRED) + (["co"] if ds.has_co else []):
-        col = ds.column(name)
-        for row in np.flatnonzero(~np.isfinite(col)):
-            report.violations.append(Violation(int(row), name, "non-finite value",
-                                               float(col[row])))
-    for name, rule, pred in rules:
-        col = ds.column(name)
-        finite = np.isfinite(col)
-        for row in np.flatnonzero(pred(col) & finite):
-            report.violations.append(Violation(int(row), name, rule, float(col[row])))
-    year_set = set(ds.years)
-    for row in np.flatnonzero([int(y) not in year_set for y in ds.year]):
-        report.violations.append(Violation(int(row), "year", "year not declared",
-                                           float(ds.year[row])))
-    return report
 
 
 @contextmanager

@@ -187,9 +187,11 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
 _BLOCK_QUERIES = 64
 
 #: Chunks (interleaved column groups) per approximate distance row; the
-#: k-th smallest chunk minimum bounds the k-th distance (at least k
-#: chunks are used).
+#: k-th smallest chunk minimum bounds the k-th distance.  At least
+#: _CHUNKS and k chunks are used, and more on large training sets, so
+#: that a chunk holds about _CHUNK_ROWS rows.
 _CHUNKS = 128
+_CHUNK_ROWS = 64
 
 #: Unit roundoff of float32, the filter's precision.
 _U = 2.0 ** -24
@@ -280,11 +282,12 @@ def _scan(train_z, q_z, own, k, train_aug=None):
     the refine assumes it anyway.
 
     Bound.  Each G row, the own position set to +inf and padded to a
-    multiple of c = max(k, min(_CHUNKS, n_t)) columns with +inf, splits
-    into c interleaved chunks (columns j, j + c, ...).  The k-th
-    smallest chunk minimum is G of k distinct rows, so the exact k-th
-    distance is at most that minimum plus E, and every row of the exact
-    top k, ties included, has G at most the minimum plus 2E.  That
+    multiple of c = max(k, min(max(_CHUNKS, ⌈n_t / _CHUNK_ROWS⌉), n_t))
+    columns with +inf, splits into c interleaved chunks (columns j,
+    j + c, ...), of about _CHUNK_ROWS rows each when n_t is large.  The
+    k-th smallest chunk minimum is G of k distinct rows, so the exact
+    k-th distance is at most that minimum plus E, and every row of the
+    exact top k, ties included, has G at most the minimum plus 2E.  That
     bound is computed in float64, from float64 M.  The candidates are
     the cells not greater than the bound, so that a NaN G (inf - inf)
     stays a candidate.  Only chunks whose minimum is not greater than
@@ -310,7 +313,7 @@ def _scan(train_z, q_z, own, k, train_aug=None):
         raise DegenerateDataError(
             "k exceeds available neighbors under leave-self-out")
     aug, t_max = _augment(train_z) if train_aug is None else train_aug
-    chunks = max(k, min(_CHUNKS, n_t))
+    chunks = max(k, min(max(_CHUNKS, -(-n_t // _CHUNK_ROWS)), n_t))
     width = -(-n_t // chunks) * chunks
     block = max(1, min(_BLOCK_QUERIES, n_q))
     g_buf = np.empty((block, width), np.float32)

@@ -11,13 +11,15 @@ depth-first, left-child-first node order.  Identical (data, config,
 seed) therefore reproduce bit-identical results.
 
 Tree growth is vectorised per node and fixes its floating-point order:
-each tried predictor's values are ordered by ``np.argsort`` of the
-default kind, so tied values keep the order, and with it the summation
-order, that a per-row loop over the same argsort sees; every node total
-and running sum is a sequential ``np.add.accumulate`` scan from 0.0,
-never a pairwise ``np.sum``; and the chosen cut is the first position
-of the largest reduction, replacing the best of earlier predictors only
-on a strict ``>``.  The bytes are those of the plain per-row loop that
+a node's m drawn predictors form one (m, s) block, one row per
+predictor in draw order, and a row-wise ``np.argsort`` of the default
+kind sorts each row as the 1-D call would, so tied values keep the
+order, and with it the summation order, that a per-row loop sees; every
+node total and running sum is a sequential ``np.add.accumulate`` scan
+from 0.0, never a pairwise ``np.sum``; and a row-major ``argmax`` over
+the block picks the first largest reduction in draw order, then cut
+order, as a loop over the predictors that replaces the best only on a
+strict ``>`` does.  The bytes are those of the plain per-row loop that
 ``tests/test_screening.py`` keeps as a reference.
 
 Workers: the trees are split into contiguous blocks, one per CPU the
@@ -70,8 +72,8 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     Splits maximize SSE reduction over midpoint cuts of m predictors
     drawn per node (partial Fisher-Yates from the tree's rng stream).
     Returns parallel node arrays; feature == -1 marks a leaf.  Each node
-    is processed with array operations in the order the module
-    docstring pins, so the bytes are those of a per-row loop.
+    evaluates its m drawn predictors as one (m, s) block, in the order
+    the module docstring pins, so the bytes are those of a per-row loop.
     """
     n = rows.shape[0]
     p = x.shape[1]
@@ -84,6 +86,7 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     n_node = np.zeros(max_nodes, np.int64)
     value = np.zeros(max_nodes, np.float64)
 
+    block_rows = np.arange(m)[:, None]
     idx = rows.copy()
     stream = SplitMix64(rng_state)
     sizes = np.arange(1, n, dtype=np.int64)     # left-child sizes of cuts
@@ -116,37 +119,42 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
             j = t + stream.below(p - t)
             feats[t], feats[j] = feats[j], feats[t]
 
-        # A cut after the i-th sorted row leaves i rows on the left; only
-        # first <= i <= last keeps both children at min_leaf rows or more.
+        # Row r of the block holds the r-th drawn predictor's values,
+        # sorted.  A cut after the i-th sorted row leaves i rows on the
+        # left; only first <= i <= last keeps both children at min_leaf
+        # rows or more.
+        vs = x[seg, np.array(feats[:m])[:, None]]
+        order = vs.argsort(axis=1)
+        vs = vs[block_rows, order]
         first, last = min_leaf, s - min_leaf
         n_left = sizes[first - 1:last]
-        n_right = s - n_left
-        whole = (c_sum * c_sum) / s
-        best_red = 0.0
-        best_feat = -1
-        best_cut = 0.0
-        for f in feats[:m]:
-            v = x[seg, f]
-            order = np.argsort(v)
-            vs = v[order]
-            s_left = np.add.accumulate(ys[order[:last]] - mean)[first - 1:]
-            s_right = c_sum - s_left
-            red = (s_left * s_left) / n_left + (s_right * s_right) / n_right \
-                - whole
-            # a cut needs distinct values astride it; NaN never beats best
-            ok = (vs[first:last + 1] > vs[first - 1:last]) & (red > best_red)
-            if not ok.any():
-                continue
-            k = int(np.argmax(np.where(ok, red, -np.inf)))
-            best_red = red[k]
-            best_feat = f
-            prev = vs[first - 1 + k]
-            cur = vs[first + k]
-            mid = 0.5 * (prev + cur)
-            best_cut = prev if mid >= cur else mid
-
-        if best_feat < 0:
+        # red = s_left²/n_left + s_right²/n_right - c_sum²/s, left to
+        # right, in place to spare (m, s) temporaries on large nodes; the
+        # right-child sizes s - i are the left ones reversed
+        red = c[order[:, :last]]
+        np.add.accumulate(red, axis=1, out=red)
+        red = red[:, first - 1:]
+        s_right = c_sum - red
+        red *= red
+        red /= n_left
+        s_right *= s_right
+        s_right /= n_left[::-1]
+        red += s_right
+        red -= (c_sum * c_sum) / s
+        # a cut needs distinct values astride it and a positive
+        # reduction; masked cells (NaN among them) become -inf, so the
+        # row-major argmax is the first best in draw, then cut, order
+        ok = (vs[:, first:last + 1] > vs[:, first - 1:last]) & (red > 0.0)
+        red[~ok] = -np.inf
+        r, k = divmod(int(red.argmax()), red.shape[1])
+        best_red = red[r, k]
+        if not best_red > 0.0:
             continue
+        prev = vs[r, first - 1 + k]
+        cur = vs[r, first + k]
+        mid = 0.5 * (prev + cur)
+        best_cut = prev if mid >= cur else mid
+        best_feat = feats[r]
 
         # Stable partition: rows with value <= cut keep order on the left.
         goes_left = x[seg, best_feat] <= best_cut

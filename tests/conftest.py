@@ -4,6 +4,19 @@ import pytest
 from pemskit import knn, make_dataset
 from pemskit.ingest import Dataset
 
+
+def cpu_dispatch() -> list[str]:
+    """The CPU features numpy picks its SIMD loops from at run time, of
+    those this machine has (disabling one it lacks changes nothing)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:   # numpy < 2
+        from numpy.core import _multiarray_umath
+    have = getattr(_multiarray_umath, "__cpu_features__", {})
+    return [name for name in getattr(_multiarray_umath, "__cpu_dispatch__", [])
+            if have.get(name)]
+
+
 # one line per acceptance criterion, printed after the run so the
 # verdicts are visible even with pytest's output capture on
 ACCEPTANCE_LINES: list[str] = []

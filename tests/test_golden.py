@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import cpu_dispatch
 
 from pemskit.cli import main
 from pemskit.ingest import to_csv, write_year_files
@@ -278,23 +279,11 @@ _RUN_ALL = ("import json, sys\n"
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
 
 
-def _cpu_dispatch() -> list[str]:
-    """The CPU features numpy picks its SIMD loops from at run time, of
-    those this machine has (disabling one it lacks changes nothing)."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:   # numpy < 2
-        from numpy.core import _multiarray_umath
-    have = getattr(_multiarray_umath, "__cpu_features__", {})
-    return [name for name in getattr(_multiarray_umath, "__cpu_dispatch__", [])
-            if have.get(name)]
-
-
 @pytest.mark.parametrize("env", [
     pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="Haswell"),
     pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="Prescott"),
     pytest.param({"OPENBLAS_NUM_THREADS": "1"}, id="one-thread"),
-    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(_cpu_dispatch())},
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(cpu_dispatch())},
                  id="no-simd-dispatch"),
 ])
 def test_knn_golden_hashes_on_other_blas_kernels(env, golden_dir, tmp_path):

@@ -17,7 +17,6 @@ from pemskit.ingest import (
     load_dataset,
     read_csv,
     to_csv,
-    validate,
     write_year_files,
 )
 from pemskit.knn import compare_pooled_vs_yearly, fit_knn, split
@@ -207,33 +206,6 @@ def test_record_holds_the_columns_in_order_and_the_year(include_co):
         assert type(rec["year"]) is int and rec["year"] == ds.year[i]
         for name, col in ds.columns.items():
             assert type(rec[name]) is float and rec[name] == col[i]
-
-
-def test_validate_flags_each_rule():
-    n = 6
-    cols = {name: np.full(n, 10.0) for name in PREDICTORS + ("nox",)}
-    cols["ah"] = np.array([50.0, 101.0, -1.0, 100.0, 0.0, 50.0])
-    cols["ap"] = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
-    cols["tey"] = np.array([1.0, 1.0, 1.0, -2.0, 1.0, 1.0])
-    cols["nox"] = np.array([0.0, 1.0, 1.0, 1.0, -0.5, np.nan])
-    year = np.array([2011] * 5 + [2035], dtype=np.int64)
-    ds = Dataset(cols, year, (2011,))
-    report = validate(ds)
-    assert report.rows_checked == n
-    counts = report.counts_by_rule()
-    assert counts["humidity out of range"] == 2
-    assert counts["non-positive ambient pressure"] == 1
-    assert counts["non-positive energy yield"] == 1
-    assert counts["negative NOx"] == 1
-    assert counts["non-finite value"] == 1
-    assert counts["year not declared"] == 1
-    assert report.n_violations == 7
-    v = next(x for x in report.violations if x.rule == "negative NOx")
-    assert (v.row, v.variable, v.value) == (4, "nox", -0.5)
-
-
-def test_validate_clean_dataset(iid_ds):
-    assert validate(iid_ds).n_violations == 0
 
 
 def test_to_csv_read_csv_round_trip(tmp_path, tiny_ds):

@@ -17,6 +17,8 @@ from pemskit.knn import (
     KnnModel,
     SplitAssignment,
     _BLOCK_QUERIES,
+    _CHUNK_ROWS,
+    _CHUNKS,
     _fold_all,
     _partition_counts,
     _scan,
@@ -312,6 +314,22 @@ def test_scan_k_is_all_but_self_past_the_chunk_count():
     q_z = train_z[::7].copy()
     self_rows = train_rows[::7].copy()
     _assert_scan_matches(train_z, train_rows, q_z, self_rows, (n_t - 1,))
+
+
+def test_scan_matches_reference_past_the_chunk_minimum():
+    # 9,000 training rows need ceil(9000 / 64) = 141 chunks, more than
+    # the 128-chunk minimum; a half-unit grid makes ties common and every
+    # third query is its own training row
+    rng = np.random.default_rng(13)
+    n_t, n_q = 9000, 16
+    assert -(-n_t // _CHUNK_ROWS) > _CHUNKS
+    train_z = np.round(rng.normal(size=(n_t, 3)) * 2.0) / 2.0
+    q_z = np.round(rng.normal(size=(n_q, 3)) * 2.0) / 2.0
+    train_rows = np.arange(n_t, dtype=np.int64)
+    self_rows = np.full(n_q, -1, dtype=np.int64)
+    self_rows[::3] = rng.integers(0, n_t, size=self_rows[::3].size)
+    q_z[::3] = train_z[self_rows[::3]]
+    _assert_scan_matches(train_z, train_rows, q_z, self_rows, (1, 10))
 
 
 def test_scan_filter_margin_separates_near_ties():

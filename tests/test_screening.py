@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import cpu_dispatch
 from hypothesis import given, settings, strategies as st
 
 from pemskit import screening
@@ -431,6 +434,63 @@ def test_grower_matches_reference_on_random_data(seed, n, p, decimals,
     rows, state = _bootstrap_rows(derive_seed(seed, 0), n, size)
     depth = _UNLIMITED_DEPTH if max_depth is None else max_depth
     _assert_grows_like_reference(x, y, rows, m, min_leaf, depth, state)
+
+
+def _preorder(left, right):
+    """Node ids in the order the grower processes them: depth first,
+    left child first."""
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if left[node] >= 0:
+            stack += [int(right[node]), int(left[node])]
+    return order
+
+
+def test_twin_predictors_split_on_the_earlier_drawn():
+    # two identical columns tie on every cut; with m = p both are drawn
+    # at each node, and the one drawn first must win, as the reference
+    # loop's strict > has it.  Distinct rows and targets give every node
+    # of two or more rows a positive SSE, so each of them draws.
+    rng = np.random.default_rng(21)
+    n = 200
+    col = rng.normal(size=n)
+    x = np.ascontiguousarray(np.stack((col, col), axis=1))
+    y = 2.0 * col + rng.normal(size=n)
+    rows = np.arange(n, dtype=np.int64)
+    feature, _, _, left, right, n_node, _ = _assert_grows_like_reference(
+        x, y, rows, 2, 1, _UNLIMITED_DEPTH, 77)
+    stream = SplitMix64(77)
+    split_on = set()
+    for node in _preorder(left, right):
+        if n_node[node] < 2:
+            continue
+        feats = [0, 1]
+        for t in range(2):
+            j = t + stream.below(2 - t)
+            feats[t], feats[j] = feats[j], feats[t]
+        if feature[node] >= 0:
+            assert feature[node] == feats[0], node
+            split_on.add(int(feature[node]))
+    # the draws, not the column order, decide
+    assert split_on == {0, 1}
+
+
+def test_grower_matches_reference_without_simd_dispatch():
+    # each node argsorts its (m, s) block row by row; numpy's baseline
+    # sort must order ties as the 1-D sort of the reference loop does
+    disabled = " ".join(cpu_dispatch())
+    if not disabled:
+        pytest.skip("numpy dispatches to no CPU feature of this machine")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "(matches_reference or twin) and not without_simd",
+         __file__],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled})
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert " passed" in proc.stdout and "deselected" in proc.stdout
 
 
 # ------------------------------------------------------------ workers
