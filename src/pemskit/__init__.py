@@ -4,8 +4,7 @@ predictor screening, process-drift detection, and KNN NOx modeling."""
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      PemskitError)
 from .ingest import (Dataset, PREDICTORS, PROCESS_PREDICTORS, TARGET,
-                     WEATHER_PREDICTORS, load_dataset, read_csv, to_csv,
-                     write_year_files)
+                     WEATHER_PREDICTORS, load_dataset, write_year_files)
 from .stats import (CorrelationMatrix, VariableSummary, correlation_matrix,
                     flag_high_nox, pearson, summarize)
 from .varclus import VarCluster, VarClusterReport, cluster_variables
@@ -24,8 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "DegenerateDataError", "PemskitError",
     "Dataset", "PREDICTORS", "PROCESS_PREDICTORS", "TARGET",
-    "WEATHER_PREDICTORS", "load_dataset", "read_csv", "to_csv",
-    "write_year_files",
+    "WEATHER_PREDICTORS", "load_dataset", "write_year_files",
     "CorrelationMatrix", "VariableSummary", "correlation_matrix",
     "flag_high_nox", "pearson", "summarize",
     "VarCluster", "VarClusterReport", "cluster_variables",

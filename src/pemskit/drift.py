@@ -52,9 +52,6 @@ class PcaModel:
     def n_variables(self) -> int:
         return len(self.variables)
 
-    def explained_portion(self) -> np.ndarray:
-        return self.eigenvalues / float(self.eigenvalues.sum())
-
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -85,15 +82,6 @@ class DriftReport:
 
     def __post_init__(self):
         self.scores.setflags(write=False)
-
-    def for_year(self, year: int) -> YearDrift:
-        for yd in self.years:
-            if yd.year == year:
-                return yd
-        raise KeyError(year)
-
-    def r2_trajectory(self) -> list[tuple[int, float]]:
-        return [(yd.year, yd.fit.r_squared) for yd in self.years]
 
 
 def fit_pca(ds: Dataset, variables: Sequence[str] | None = None) -> PcaModel:

@@ -1,4 +1,4 @@
-"""Loading, validation, and re-export of hourly turbine telemetry CSVs.
+"""Loading and writing of hourly turbine telemetry CSVs.
 
 One CSV per year, one header row, decimal-point numbers.  Column names
 are mapped through an alias table because the public files and the
@@ -8,21 +8,20 @@ TET.  Internally everything uses the canonical lowercase names.
 
 Rows with a non-numeric or non-finite required cell are rejected at
 load time with their coordinates; no imputation is attempted.  A year
-file with a header but no data rows is rejected too.  One reader parses
-both the per-year files and the single-file export, and one writer
-writes both.
+file with a header but no data rows is rejected too.  The year comes
+from the file's name; a YEAR column, like any column the alias table
+does not name, is not read.  One writer writes the per-year files.
 
 The reader maps the header with ``csv``, then parses the body's numeric
 columns in one ``np.loadtxt`` call (numpy's C parser, correctly rounded
-like ``float()``) and checks finiteness and YEAR on whole arrays.  When
-that parse fails, a check fails, or the body holds what the C parser
-reads differently from ``csv`` and ``float()`` (quotes, NUL, the
-U+001C..U+001F separators, an over-long line), a per-cell pass with
-``csv`` and ``float()`` reads the file instead.  It accepts what the C
-parser refused (quoted cells, blank rows, ``1_0``) or raises the
-DataError that names the row, column and cell.  So the set of accepted
-files, their values and the error messages do not depend on which path
-ran.
+like ``float()``) and checks finiteness on whole arrays.  When that
+parse fails, the check fails, or the body holds what the C parser reads
+differently from ``csv`` and ``float()`` (quotes, NUL, the U+001C..U+001F
+separators, an over-long line), a per-cell pass with ``csv`` and
+``float()`` reads the file instead.  It accepts what the C parser
+refused (quoted cells, blank rows, ``1_0``) or raises the DataError that
+names the row, column and cell.  So the set of accepted files, their
+values and the error messages do not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -41,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-#: Canonical predictor order, also the re-export column order.
+#: Canonical predictor order, also the written column order.
 PREDICTORS = ("at", "ap", "ah", "afdp", "tit", "tat", "tep", "tey", "cdp")
 
 WEATHER_PREDICTORS = ("at", "ap", "ah")
@@ -51,8 +49,7 @@ TARGET = "nox"
 OPTIONAL_TARGET = "co"
 
 #: Uppercase header spelling -> canonical name.  TET/TAT and GTEP/TEP
-#: are alternate spellings of the same sensors.  Only the export needs
-#: YEAR; the per-year files take the year from their name.
+#: are alternate spellings of the same sensors.
 COLUMN_ALIASES = {
     "AT": "at",
     "AP": "ap",
@@ -67,7 +64,6 @@ COLUMN_ALIASES = {
     "CDP": "cdp",
     "NOX": "nox",
     "CO": "co",
-    "YEAR": "year",
 }
 
 REQUIRED = PREDICTORS + (TARGET,)
@@ -101,15 +97,6 @@ def check_rows(rows, n_records: int, name: str = "rows") -> np.ndarray:
             raise ConfigError(f"{name} must lie in [0, {n_records}), got "
                               f"[{rows.min()}, {rows.max()}]")
     return rows.astype(np.int64, copy=False)
-
-
-#: Canonical header used by to_csv, matching the documented export order.
-EXPORT_HEADER = ("AT", "AP", "AH", "AFDP", "TIT", "TAT", "TEP", "TEY", "CDP", "NOX")
-
-
-def _years_of(year: np.ndarray) -> tuple[int, ...]:
-    """The distinct year tags, ascending."""
-    return tuple(sorted(set(year.tolist())))
 
 
 @dataclass(frozen=True)
@@ -153,7 +140,7 @@ class Dataset:
         """New Dataset holding the rows selected by a mask or index array."""
         cols = {k: v[index].copy() for k, v in self.columns.items()}
         yr = self.year[index].copy()
-        return Dataset(cols, yr, _years_of(yr))
+        return Dataset(cols, yr, tuple(sorted(set(yr.tolist()))))
 
     def for_year(self, year: int) -> "Dataset":
         if year not in self.years:
@@ -187,8 +174,7 @@ def _candidate_files(data_dir: Path, year: int) -> list[Path]:
                   if p.is_file() and whole.search(p.stem))
 
 
-def _map_header(header: Sequence[str], path: Path,
-                required: Sequence[str]) -> dict[str, int]:
+def _map_header(header: Sequence[str], path: Path) -> dict[str, int]:
     """Map canonical names to column positions, checking for duplicates."""
     positions: dict[str, int] = {}
     for idx, raw in enumerate(header):
@@ -200,7 +186,7 @@ def _map_header(header: Sequence[str], path: Path,
             raise DataError(f"{path.name}: columns {header[positions[canon]]!r} and {raw!r} "
                             f"both map to '{canon}'")
         positions[canon] = idx
-    missing = [c for c in required if c not in positions]
+    missing = [c for c in REQUIRED if c not in positions]
     if missing:
         raise DataError(f"{path.name}: header is missing required column(s) "
                         f"{', '.join(m.upper() for m in missing)}")
@@ -242,7 +228,6 @@ def _read_cells(path: Path, names: Sequence[str],
         next(reader)
         out: dict[str, list[float]] = {n: [] for n in names}
         fields = [(n, positions[n], out[n]) for n in names]
-        years = out.get("year")
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -261,20 +246,15 @@ def _read_cells(path: Path, names: Sequence[str],
                     raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
                                     f"non-finite value {cell!r}")
                 values.append(value)
-            if years is not None and not (years[-1].is_integer()
-                                          and MINYEAR <= years[-1] <= MAXYEAR):
-                raise DataError(f"{path.name}: row {row_no}, column YEAR: expected a "
-                                f"whole year, got {row[positions['year']]!r}")
     return {n: np.asarray(v, dtype=np.float64) for n, v in out.items()}
 
 
-def _read_columns(path: Path, required: Sequence[str]) -> dict[str, np.ndarray]:
-    """The ``required`` columns of one CSV, and CO when present, as float64
-    arrays.  Each cell must be a finite number, and a YEAR cell a whole
-    year in [MINYEAR, MAXYEAR]; otherwise DataError names the row and
-    column.  numpy's C parser reads the body; when it declines, the
-    per-cell pass decides, so both paths accept the same files, return
-    the same values and raise the same messages."""
+def _read_columns(path: Path) -> dict[str, np.ndarray]:
+    """The REQUIRED columns of one CSV, and CO when present, as float64
+    arrays.  Each cell must be a finite number; otherwise DataError names
+    the row and column.  numpy's C parser reads the body; when it
+    declines, the per-cell pass decides, so both paths accept the same
+    files, return the same values and raise the same messages."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -282,16 +262,12 @@ def _read_columns(path: Path, required: Sequence[str]) -> dict[str, np.ndarray]:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path.name}: file is empty") from None
-            positions = _map_header(header, path, required)
-            names = list(required) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
+            positions = _map_header(header, path)
+            names = list(REQUIRED) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
             try:
                 table = _parse_body(fh.read(), [positions[n] for n in names])
             except UnicodeDecodeError:
                 table = None    # the per-cell pass re-reads and names the bad bytes
-        if table is not None and "year" in names:
-            year = table[names.index("year")]
-            if not np.all((year == np.floor(year)) & (year >= MINYEAR) & (year <= MAXYEAR)):
-                table = None
         if table is None:
             return _read_cells(path, names, positions)
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -323,7 +299,7 @@ def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
         if len(candidates) > 1:
             raise DataError(f"ambiguous files for year {year}: "
                             f"{', '.join(p.name for p in candidates)}")
-        cols = _read_columns(candidates[0], REQUIRED)
+        cols = _read_columns(candidates[0])
         if not len(cols[TARGET]):
             raise DataError(f"{candidates[0].name}: no data rows")
         per_year.append((year, cols))
@@ -350,47 +326,20 @@ def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         tmp.unlink(missing_ok=True)
 
 
-def _write_csv(ds: Dataset, path: Path, with_year: bool) -> None:
-    """The canonical CSV of ``ds``: predictors, NOX, [CO], [YEAR]."""
-    names = list(REQUIRED) + (["co"] if ds.has_co else [])
-    header = list(EXPORT_HEADER) + (["CO"] if ds.has_co else [])
-    # repr round-trips floats exactly
-    columns: list[Iterable] = [map(repr, ds.column(n).tolist()) for n in names]
-    if with_year:
-        header.append("YEAR")
-        columns.append(ds.year.tolist())
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-
-
-def to_csv(ds: Dataset, path: str | Path) -> None:
-    """Write the canonical single-file export: predictors, NOX, [CO], YEAR."""
-    _write_csv(ds, Path(path), with_year=True)
-
-
-def read_csv(path: str | Path) -> Dataset:
-    """Read back a canonical export produced by :func:`to_csv`.  A
-    header-only export, which is what an empty Dataset exports to, reads
-    as the empty Dataset: its years come from its YEAR cells.  load_dataset
-    refuses a year file without rows, as the caller asked for that year."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"file not found: {path}")
-    cols = _read_columns(path, REQUIRED + ("year",))
-    year = cols.pop("year").astype(np.int64)
-    return Dataset(cols, year, _years_of(year))
-
-
-def write_year_files(ds: Dataset, data_dir: str | Path,
-                     pattern: str = "gt_{year}.csv") -> list[Path]:
-    """Write one canonical per-year CSV per year; returns the paths."""
+def write_year_files(ds: Dataset, data_dir: str | Path) -> list[Path]:
+    """Write one canonical per-year CSV, ``gt_<year>.csv``, per year:
+    predictors, NOX, [CO]; returns the paths."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
+    names = list(REQUIRED) + ([OPTIONAL_TARGET] if ds.has_co else [])
     paths = []
     for year in ds.years:
-        path = data_dir / pattern.format(year=year)
-        _write_csv(ds.for_year(year), path, with_year=False)
+        part = ds.for_year(year)
+        path = data_dir / f"gt_{year}.csv"
+        with atomic_open(path, newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([n.upper() for n in names])
+            # repr round-trips floats exactly
+            writer.writerows(zip(*(map(repr, part.column(n).tolist()) for n in names)))
         paths.append(path)
     return paths

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import chain
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -547,12 +547,6 @@ class KSelectionCurve:
     points: tuple[tuple[int, float], ...]   # (k, validation RASE)
     chosen_k: int
 
-    def rase_for(self, k: int) -> float:
-        for kk, rase in self.points:
-            if kk == k:
-                return rase
-        raise KeyError(k)
-
 
 def _fit_and_sweep(ds: Dataset, assignment: SplitAssignment,
                    predictors: Sequence[str] | None, target: str, k_max: int,
@@ -612,12 +606,6 @@ class ResidualTable:
     def __post_init__(self):
         for arr in (self.rows, self.actual, self.predicted, self.residual):
             arr.setflags(write=False)
-
-    def iter_rows(self) -> Iterator[tuple[int, str, float, float, float]]:
-        for i in range(self.rows.shape[0]):
-            yield (int(self.rows[i]), self.partitions[i],
-                   float(self.actual[i]), float(self.predicted[i]),
-                   float(self.residual[i]))
 
 
 def residuals(model: KnnModel, ds: Dataset, assignment: SplitAssignment,

@@ -77,7 +77,9 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     """
     n = rows.shape[0]
     p = x.shape[1]
-    max_nodes = 2 * n + 1
+    # every leaf but a lone root holds min_leaf rows or more, so a tree
+    # has at most ceil(n / min_leaf) leaves and twice that less one nodes
+    max_nodes = 2 * -(-n // min_leaf) - 1
     feature = np.full(max_nodes, -1, np.int64)
     cut = np.zeros(max_nodes, np.float64)
     reduction = np.zeros(max_nodes, np.float64)
@@ -266,7 +268,6 @@ class ForestConfig:
     max_depth: int | None = None            # None = unlimited
     min_samples_per_leaf: int = 5
     predictors_per_split: int | None = None  # None = ceil(p / 3)
-    sample_size: int | None = None           # None = n, with replacement
     seed: int = 0
 
     def resolved_m(self, p: int) -> int:
@@ -286,13 +287,6 @@ class ForestConfig:
 
 
 @dataclass(frozen=True)
-class TreeSplit:
-    predictor: str
-    cut: float
-    sse_reduction: float
-
-
-@dataclass(frozen=True)
 class RegressionTree:
     """CART tree as parallel node arrays; feature -1 marks a leaf."""
 
@@ -308,20 +302,6 @@ class RegressionTree:
     @property
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
-
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
-    @property
-    def splits(self) -> list[TreeSplit]:
-        out = []
-        for i in range(self.n_nodes):
-            f = int(self.feature[i])
-            if f >= 0:
-                out.append(TreeSplit(self.predictors[f], float(self.cut[i]),
-                                     float(self.sse_reduction[i])))
-        return out
 
     def contributions(self) -> np.ndarray:
         """Per-predictor sum of SSE reductions over this tree's splits,
@@ -402,9 +382,6 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
         raise DegenerateDataError(f"target '{target}' has zero variance")
     x = np.ascontiguousarray(ds.matrix(names))
     n = ds.n_records
-    size = cfg.sample_size if cfg.sample_size is not None else n
-    if size < 1:
-        raise ConfigError("sample_size must be >= 1")
     m = cfg.resolved_m(len(names))
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
 
@@ -413,7 +390,7 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     def grow(trees: range) -> np.ndarray:
         out = np.empty((len(trees), len(names)))
         for i, t in enumerate(trees):
-            rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, size)
+            rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, n)
             arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf,
                                 depth_cap, state)
             out[i] = RegressionTree(names, *arrays).contributions()

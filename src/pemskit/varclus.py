@@ -50,10 +50,6 @@ class VarClusterReport:
     clusters: tuple[VarCluster, ...]
     rows: tuple[VariableClusterRow, ...]
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
     def memberships(self) -> list[frozenset[str]]:
         return [frozenset(c.members) for c in self.clusters]
 

@@ -34,7 +34,8 @@ def test_pca_two_perfectly_correlated_variables():
     # symmetric pair: PC1 loads both equally
     r = 1.0 / math.sqrt(2.0)
     assert model.loadings[:, 0] == pytest.approx([r, r], abs=1e-12)
-    assert model.explained_portion()[0] == pytest.approx(1.0, abs=1e-12)
+    assert model.eigenvalues[0] / model.eigenvalues.sum() == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_pca_trace_identity_and_orthonormal_loadings(turbine_ds):
@@ -184,7 +185,7 @@ def test_drift_report_reference_year_is_origin(turbine_ds):
     assert report.reference_year == turbine_ds.years[0]
     assert report.variables == PREDICTORS
     assert report.x_unit_scale == DEFAULT_TEP_SCALE
-    ref = report.for_year(report.reference_year)
+    (ref,) = [yd for yd in report.years if yd.year == report.reference_year]
     assert ref.displacement == 0.0
     # reference-year scores are centered, so its centroid is the origin
     assert ref.centroid == pytest.approx((0.0, 0.0), abs=1e-9)
@@ -202,7 +203,7 @@ def test_drift_report_identical_years_show_no_drift():
     report = drift_report(ds)
     for yd in report.years:
         assert yd.displacement == pytest.approx(0.0, abs=1e-9)
-        assert yd.fit == report.for_year(2011).fit  # identical rows, identical fit
+        assert yd.fit == report.years[0].fit  # identical rows, identical fit
 
 
 def test_drift_report_detects_planted_drift():
@@ -211,7 +212,7 @@ def test_drift_report_detects_planted_drift():
     disp = [yd.displacement for yd in report.years]
     assert disp[0] == 0.0
     assert disp[-1] > disp[1] > 0.0   # drift accumulates away from the reference
-    r2 = [r for _, r in report.r2_trajectory()]
+    r2 = [yd.fit.r_squared for yd in report.years]
     assert all(b < a for a, b in zip(r2, r2[1:]))  # fit quality decays year over year
     assert r2[0] > 0.99
 

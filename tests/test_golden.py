@@ -5,7 +5,7 @@ seven commands with --plots, plus the fixed-K and single-year branches
 of knn, once with flags and once with the same options in a --config
 file.  Any change to an output byte, to the set of files written, or to
 the order of the printed ``wrote`` lines fails here; so does a change to
-the bytes of the input files that write_year_files and to_csv produce.
+the bytes of the input files that write_year_files produces.
 Refactors and speedups must leave these hashes alone; a deliberate
 change of output bytes must say so in CHANGES.md.
 """
@@ -21,7 +21,7 @@ import pytest
 from conftest import cpu_dispatch
 
 from pemskit.cli import main
-from pemskit.ingest import to_csv, write_year_files
+from pemskit.ingest import write_year_files
 from pemskit.synthetic import make_dataset
 
 CASES = {
@@ -204,8 +204,6 @@ INPUT_GOLDEN = {
         "da59e3352c2802a06468375bb058e0a88168b67cab45ee390630104848e6aa7e",
     "gt_2015.csv":
         "926e26cff8fa656b7c2cffb9cf45c37e5747e8b7078f51cbc8c9c5e96defb0f4",
-    "export.csv":
-        "ebbcdf4e46d0d04639a7d3bcea338fea628fb75714c0fb8988bd4ace854d7b14",
 }
 
 
@@ -266,10 +264,8 @@ def test_golden_output_hashes_from_config_file(case, golden_dir, tmp_path):
     assert _hashes(out_dir) == GOLDEN[case]
 
 
-def test_golden_input_hashes(golden_dir, tmp_path):
-    to_csv(make_dataset(rows_per_year=120, seed=23, drift=0.25),
-           tmp_path / "export.csv")
-    assert {**_hashes(golden_dir), **_hashes(tmp_path)} == INPUT_GOLDEN
+def test_golden_input_hashes(golden_dir):
+    assert _hashes(golden_dir) == INPUT_GOLDEN
 
 
 #: Runs pemskit.cli.main on each argv of a JSON list; exits nonzero if any

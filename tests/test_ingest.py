@@ -1,6 +1,5 @@
 import csv
 import math
-from datetime import MAXYEAR, MINYEAR
 
 import numpy as np
 import pytest
@@ -15,8 +14,6 @@ from pemskit.ingest import (
     REQUIRED,
     Dataset,
     load_dataset,
-    read_csv,
-    to_csv,
     write_year_files,
 )
 from pemskit.knn import compare_pooled_vs_yearly, fit_knn, split
@@ -69,6 +66,19 @@ def test_duplicate_alias_rejected(tmp_path):
            rows=(ROW_A + ",546.0",))
     with pytest.raises(DataError, match="both map to 'tat'"):
         load_dataset(tmp_path, [2011])
+
+
+@pytest.mark.parametrize("extra", [",YEAR", ",YEAR,YEAR"], ids=["one", "two"])
+def test_a_year_column_is_not_read(tmp_path, extra):
+    # the year comes from the file name; YEAR cells may hold anything
+    cells = [",x", ",2011.7"] if extra == ",YEAR" else [",x,2011.7", ",2011.7,"]
+    _write(tmp_path / "gt_2013.csv", header=HEADER + extra,
+           rows=(ROW_A + cells[0], ROW_B + cells[1]))
+    ds = load_dataset(tmp_path, [2013])
+    assert ds.years == (2013,)
+    assert ds.year.tolist() == [2013, 2013]
+    assert "year" not in ds.columns
+    assert ds.column("nox").tolist() == [65.0, 70.0]
 
 
 def test_missing_column_named_in_error(tmp_path):
@@ -208,39 +218,6 @@ def test_record_holds_the_columns_in_order_and_the_year(include_co):
             assert type(rec[name]) is float and rec[name] == col[i]
 
 
-def test_to_csv_read_csv_round_trip(tmp_path, tiny_ds):
-    path = tmp_path / "export.csv"
-    to_csv(tiny_ds, path)
-    back = read_csv(path)
-    assert back == tiny_ds
-    # bit-exact floats survive the repr round trip
-    assert np.array_equal(back.column("nox"), tiny_ds.column("nox"))
-
-
-def test_an_empty_dataset_survives_the_export_round_trip(tmp_path, tiny_ds):
-    empty = tiny_ds.subset(np.arange(0))
-    to_csv(empty, tmp_path / "export.csv")
-    assert (tmp_path / "export.csv").read_text().count("\n") == 1
-    back = read_csv(tmp_path / "export.csv")
-    assert back == empty and back.n_records == 0 and back.years == ()
-
-
-def test_read_csv_requires_year_column(tmp_path):
-    _write(tmp_path / "flat.csv")
-    with pytest.raises(DataError, match="YEAR"):
-        read_csv(tmp_path / "flat.csv")
-    with pytest.raises(DataError, match="file not found"):
-        read_csv(tmp_path / "nope.csv")
-
-
-@pytest.mark.parametrize("cell", ["inf", "1e400", "2011.7", "x", ""])
-def test_read_csv_rejects_bad_year_cells(tmp_path, cell):
-    _write(tmp_path / "export.csv", header=HEADER + ",YEAR",
-           rows=(ROW_A + ",2011", ROW_B + "," + cell))
-    with pytest.raises(DataError, match="row 2, column YEAR"):
-        read_csv(tmp_path / "export.csv")
-
-
 @pytest.mark.parametrize("cell", [b"\xff", b"9" * 200_000],
                          ids=["undecodable", "oversized"])
 def test_undecodable_or_oversized_cell_rejected(tmp_path, cell):
@@ -275,18 +252,6 @@ def test_fuzzed_year_file_cells_load_or_raise_data_error(cells,
         pass
 
 
-@given(years=st.lists(_CELL, min_size=1, max_size=3))
-def test_fuzzed_export_year_cells_load_or_raise_data_error(years,
-                                                           tmp_path_factory):
-    path = tmp_path_factory.getbasetemp() / "fuzz_export.csv"
-    _write(path, header=HEADER + ",YEAR",
-           rows=[f"{ROW_A},{y}" for y in years])
-    try:
-        assert isinstance(read_csv(path), Dataset)
-    except DataError:
-        pass
-
-
 def test_write_year_files_round_trip(tmp_path, turbine_ds):
     paths = write_year_files(turbine_ds, tmp_path / "data")
     assert [p.name for p in paths] == [f"gt_{y}.csv" for y in turbine_ds.years]
@@ -296,7 +261,7 @@ def test_write_year_files_round_trip(tmp_path, turbine_ds):
 
 # ------------------------------------------------ the C parse vs float()
 
-def _reference_read_columns(path, required):
+def _reference_read_columns(path):
     """The per-cell reader the C parse replaced, kept as the reference:
     every accepted file, value and error message must match it."""
     try:
@@ -306,11 +271,10 @@ def _reference_read_columns(path, required):
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path.name}: file is empty") from None
-            positions = ingest._map_header(header, path, required)
-            names = list(required) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
+            positions = ingest._map_header(header, path)
+            names = list(REQUIRED) + ([OPTIONAL_TARGET] if OPTIONAL_TARGET in positions else [])
             out = {n: [] for n in names}
             fields = [(n, positions[n], out[n]) for n in names]
-            years = out.get("year")
             for row_no, row in enumerate(reader, start=1):
                 if not row or all(not c.strip() for c in row):
                     continue
@@ -329,10 +293,6 @@ def _reference_read_columns(path, required):
                         raise DataError(f"{path.name}: row {row_no}, column {name.upper()}: "
                                         f"non-finite value {cell!r}")
                     values.append(value)
-                if years is not None and not (years[-1].is_integer()
-                                              and MINYEAR <= years[-1] <= MAXYEAR):
-                    raise DataError(f"{path.name}: row {row_no}, column YEAR: expected a "
-                                    f"whole year, got {row[positions['year']]!r}")
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path.name}: unreadable CSV: {exc}") from None
     return out
@@ -349,8 +309,6 @@ def _outcome(read, *args):
 _NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                     st.integers(-10**6, 10**6).map(str),
                     st.floats(-1e4, 1e4).map(lambda v: f" {v:.3f} "))
-_YEAR = st.one_of(st.integers(MINYEAR, MAXYEAR).map(str),
-                  st.sampled_from(["2011.0", "2e3", "\t2011 "]))
 # Cells that the C parser refuses, or that it and csv + float() could
 # read differently
 ODD_CELLS = [
@@ -361,16 +319,15 @@ ODD_CELLS = [
 
 
 @st.composite
-def _csv_text(draw, year: bool):
-    """A CSV text: a header holding the required columns (maybe CO, YEAR
-    and an unknown NOTE) in any order, then numeric rows, numeric rows
-    with one odd cell, rows of another length, and blank rows, joined by
-    LF, CRLF or CR, maybe after a BOM."""
-    names = [*REQUIRED, *(["year"] if year else [])]
+def _csv_text(draw):
+    """A CSV text: a header holding the required columns (maybe CO and an
+    unknown NOTE) in any order, then numeric rows, numeric rows with one
+    odd cell, rows of another length, and blank rows, joined by LF, CRLF
+    or CR, maybe after a BOM."""
+    names = [*REQUIRED]
     names += [n for n in (OPTIONAL_TARGET, "note") if draw(st.booleans())]
     names = draw(st.permutations(names))
-    numeric = st.tuples(*[_YEAR if n == "year" else _NUMBER
-                          for n in names]).map(list)
+    numeric = st.tuples(*[_NUMBER for _ in names]).map(list)
     odd = st.tuples(numeric, st.integers(0, len(names) - 1),
                     st.sampled_from(ODD_CELLS))
     rows = draw(st.lists(st.one_of(
@@ -410,42 +367,17 @@ def _assert_same_columns(new, ref):
 
 
 @settings(max_examples=300)
-@given(text=_csv_text(year=False))
+@given(text=_csv_text())
 def test_c_parse_matches_the_per_cell_reader(text, tmp_path_factory):
     path = _write_text(tmp_path_factory, "gt_2011.csv", text)
-    _assert_same_columns(_outcome(ingest._read_columns, path, REQUIRED),
-                         _outcome(_reference_read_columns, path, REQUIRED))
+    _assert_same_columns(_outcome(ingest._read_columns, path),
+                         _outcome(_reference_read_columns, path))
 
 
-def _reference_read_csv(path):
-    cols = _reference_read_columns(path, REQUIRED + ("year",))
-    year = np.asarray(cols.pop("year")).astype(np.int64)
-    columns = {n: np.asarray(v, dtype=np.float64) for n, v in cols.items()}
-    return Dataset(columns, year, tuple(sorted(set(year.tolist()))))
-
-
-def _assert_read_csv_as_reference(path):
-    new, ref = _outcome(read_csv, path), _outcome(_reference_read_csv, path)
-    if isinstance(ref, str) or isinstance(new, str):
-        _assert_same(new, ref, "outcome")
-        return
-    assert new.years == ref.years
-    assert new.year.dtype == ref.year.dtype
-    assert new.year.tobytes() == ref.year.tobytes()
-    _assert_same_columns(new.columns, ref.columns)
-
-
-@settings(max_examples=300)
-@given(text=_csv_text(year=True))
-def test_read_csv_matches_the_per_cell_reader(text, tmp_path_factory):
-    _assert_read_csv_as_reference(
-        _write_text(tmp_path_factory, "export.csv", text))
-
-
-# Each odd cell in a column that is read, in YEAR, and in an unknown
-# column before the ones that are read (where a quoted comma would shift
-# loadtxt's columns); plus cells longer than csv's field limit that
-# float() reads as finite numbers.
+# Each odd cell in a column that is read, in YEAR (which is not read),
+# and in an unknown column before the ones that are read (where a quoted
+# comma would shift loadtxt's columns); plus cells longer than csv's
+# field limit that float() reads as finite numbers.
 @pytest.mark.parametrize("where", ["TIT", "YEAR", "NOTE"])
 @pytest.mark.parametrize("cell", [*ODD_CELLS, "0." + "0" * 140_000 + "1",
                                   "1" + " " * 140_000],
@@ -457,11 +389,10 @@ def test_each_odd_cell_reads_as_the_per_cell_reader_reads_it(tmp_path, cell,
     col = header.split(",").index(where)
     rows.append(",".join(cell if i == col else c
                          for i, c in enumerate(rows[0].split(","))))
-    path = tmp_path / "export.csv"
+    path = tmp_path / "gt_2011.csv"
     _write(path, header=header, rows=rows)
-    _assert_same_columns(_outcome(ingest._read_columns, path, REQUIRED),
-                         _outcome(_reference_read_columns, path, REQUIRED))
-    _assert_read_csv_as_reference(path)
+    _assert_same_columns(_outcome(ingest._read_columns, path),
+                         _outcome(_reference_read_columns, path))
 
 
 @pytest.mark.parametrize("rows", [
@@ -472,8 +403,8 @@ def test_quoted_cells_of_unknown_columns_leave_the_rows_alone(tmp_path, rows):
     # the C parse splits inside quotes, so it would shift or add rows here
     path = tmp_path / "gt_2011.csv"
     _write(path, header="NOTE,MEMO," + HEADER, rows=rows)
-    cols = ingest._read_columns(path, REQUIRED)
-    _assert_same_columns(cols, _reference_read_columns(path, REQUIRED))
+    cols = ingest._read_columns(path)
+    _assert_same_columns(cols, _reference_read_columns(path))
     assert cols["at"].tolist() == [17.0, 20.0]
 
 
@@ -481,9 +412,9 @@ def test_a_bad_byte_past_the_first_chunk_gets_the_same_message(tmp_path):
     path = tmp_path / "gt_2011.csv"
     path.write_bytes(f"{HEADER}\n".encode() + f"{ROW_A}\n".encode() * 300
                      + b"\xff\n")
-    message = _outcome(_reference_read_columns, path, REQUIRED)
+    message = _outcome(_reference_read_columns, path)
     assert message.startswith("DataError: gt_2011.csv: unreadable CSV")
-    assert _outcome(ingest._read_columns, path, REQUIRED) == message
+    assert _outcome(ingest._read_columns, path) == message
 
 
 @pytest.mark.parametrize("eol, bom", [("\n", ""), ("\r\n", "\ufeff"), ("\r", "")],
@@ -494,13 +425,13 @@ def test_a_plain_numeric_file_takes_the_c_parse(tmp_path, monkeypatch,
     path = tmp_path / "gt_2011.csv"
     path.write_bytes((bom + eol.join(path.read_text().splitlines()) + eol)
                      .encode())
-    want = _reference_read_columns(path, REQUIRED)
+    want = _reference_read_columns(path)
 
     def refuse(*args):
         raise AssertionError("the per-cell pass ran")
 
     monkeypatch.setattr(ingest, "_read_cells", refuse)
-    _assert_same_columns(ingest._read_columns(path, REQUIRED), want)
+    _assert_same_columns(ingest._read_columns(path), want)
 
 
 # Each entry point that takes a predictor (or variable) list, called on

@@ -837,12 +837,13 @@ def test_selection_curve_matches_fresh_fits(tiny_ds):
     curve = select_k(tiny_ds, assignment, k_max=6)
     assert len(curve.points) == 6
     assert [k for k, _ in curve.points] == list(range(1, 7))
+    rase_for = dict(curve.points)
     for k in range(1, 7):
         model = fit_knn(tiny_ds, assignment, k=k)
         fresh = evaluate(model, tiny_ds, assignment, "Validation").rase
-        assert curve.rase_for(k) == fresh  # prefix fold is bit-identical
+        assert rase_for[k] == fresh  # prefix fold is bit-identical
     best = min(rase for _, rase in curve.points)
-    assert curve.rase_for(curve.chosen_k) == best
+    assert rase_for[curve.chosen_k] == best
     assert curve.chosen_k == min(k for k, r in curve.points if r == best)
 
 
@@ -893,8 +894,7 @@ def test_residual_table_is_actual_minus_predicted(tiny_ds):
     assert np.array_equal(table.predicted, predicted)
     assert np.array_equal(table.residual, tiny_ds.column("nox") - predicted)
     assert table.partitions == tuple(assignment.labels())
-    first = next(table.iter_rows())
-    assert first[0] == 0 and first[1] in PARTITIONS
+    assert table.rows[0] == 0 and table.partitions[0] in PARTITIONS
 
 
 # ------------------------------------------------------------- comparison
@@ -908,7 +908,7 @@ def test_pooled_vs_yearly_structure(iid_ds):
     for ev in (cmp.pooled, *cmp.yearly):
         assert set(ev.metrics) == {"Training", "Validation", "Test", "Total"}
         assert 1 <= ev.chosen_k <= 5
-        assert ev.metrics["Validation"].rase == ev.curve.rase_for(ev.chosen_k)
+        assert ev.metrics["Validation"].rase == dict(ev.curve.points)[ev.chosen_k]
     # aggregate pools the yearly per-record errors partition by partition
     for part in (*PARTITIONS, "Total"):
         agg = cmp.by_year_aggregate[part]

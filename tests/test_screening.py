@@ -57,14 +57,12 @@ def test_single_tree_on_step_function():
     ds = _ds_from_columns(x=x, pad=np.zeros(200), y=np.where(x > 0.5, 10.0, 0.0))
     cfg = ForestConfig(n_trees=1, min_samples_per_leaf=1, predictors_per_split=2)
     tree = fit_regression_tree(ds, ("x", "pad"), "y", cfg)
-    assert tree.n_nodes == 3
-    assert tree.n_leaves == 2
-    (split,) = tree.splits
-    assert split.predictor == "x"
+    # one split, on x (predictor 0), at the root
+    assert tree.feature.tolist() == [0, -1, -1]
     # midpoint of the two grid points astride the step: exactly 0.5
-    assert split.cut == 0.5
+    assert tree.cut[0] == 0.5
     # a perfect split removes the whole sum of squares: 200 * 5^2
-    assert split.sse_reduction == pytest.approx(5000.0)
+    assert tree.sse_reduction[0] == pytest.approx(5000.0)
     assert sorted([float(tree.value[1]), float(tree.value[2])]) == [0.0, 10.0]
     assert list(tree.n_rows) == [200, 100, 100]
     contrib = tree.contributions()
@@ -88,15 +86,14 @@ def test_leaf_size_floor_and_children_partition(planted_ds):
 def test_depth_cap_gives_a_stump(planted_ds):
     cfg = ForestConfig(n_trees=1, max_depth=1)
     tree = fit_regression_tree(planted_ds, ("x1", "x2"), "y", cfg)
-    assert tree.n_nodes == 3 and tree.n_leaves == 2
+    assert tree.n_nodes == 3 and int((tree.feature < 0).sum()) == 2
 
 
 def test_constant_target_collapses_to_single_leaf():
     ds = _ds_from_columns(x=np.arange(50.0), x2=np.arange(50.0) % 7,
                           y=np.full(50, 4.0))
     tree = fit_regression_tree(ds, ("x",), "y", ForestConfig(n_trees=1))
-    assert tree.n_nodes == 1
-    assert tree.splits == []
+    assert tree.feature.tolist() == [-1]
     assert float(tree.value[0]) == 4.0
     with pytest.raises(DegenerateDataError, match="zero variance"):
         screen_predictors(ds, ("x", "x2"), "y")
@@ -158,13 +155,6 @@ def test_one_tree_screen_reproducible_from_parts(planted_ds):
         assert res.by_predictor(name).portion == float(contrib[i] / total)
 
 
-def test_bootstrap_sample_size_override(planted_ds):
-    cfg = ForestConfig(n_trees=1, sample_size=123)
-    rows, _ = _bootstrap_rows(np.uint64(derive_seed(0, 0)), planted_ds.n_records, 123)
-    tree = fit_regression_tree(planted_ds, ("x1", "x2"), "y", cfg, sample_rows=rows)
-    assert int(tree.n_rows[0]) == 123
-
-
 def test_config_validation(planted_ds):
     with pytest.raises(ConfigError):
         ForestConfig(n_trees=0).check()
@@ -184,9 +174,6 @@ def test_config_validation(planted_ds):
         screen_predictors(planted_ds, ("x1", "x2", "x1"), "y")
     with pytest.raises(ConfigError, match="empty predictor"):
         fit_regression_tree(planted_ds, (), "y", ForestConfig())
-    with pytest.raises(ConfigError, match="sample_size"):
-        screen_predictors(planted_ds, ("x1", "x2"), "y",
-                          ForestConfig(sample_size=0))
 
 
 @pytest.mark.parametrize("predictors, sample_rows, message", [
@@ -367,6 +354,19 @@ def _assert_grows_like_reference(x, y, rows, m, min_leaf, max_depth, state):
     assert contrib.dtype == expected.dtype
     assert contrib.tobytes() == expected.tobytes()
     return got
+
+
+@pytest.mark.parametrize("n, min_leaf", [(1, 1), (2, 1), (37, 1), (10, 5),
+                                         (3, 5)])
+def test_grower_fills_its_node_bound(n, min_leaf):
+    # distinct x = y splits wherever min_leaf allows, down to leaves of
+    # min_leaf rows: 2 * ceil(n / min_leaf) - 1 nodes, the arrays' bound.
+    # With n < min_leaf the tree is the root alone.
+    x = np.arange(n, dtype=np.float64)[:, None]
+    got = _assert_grows_like_reference(x, x[:, 0].copy(),
+                                       np.arange(n, dtype=np.int64), 1,
+                                       min_leaf, _UNLIMITED_DEPTH, 0)
+    assert got[0].shape == (2 * -(-n // min_leaf) - 1,)
 
 
 def _tree_inputs(quantized, seed=5, n=300, p=4):
