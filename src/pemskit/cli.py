@@ -42,8 +42,7 @@ from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (Dataset, OPTIONAL_TARGET, PREDICTORS, PROCESS_PREDICTORS,
                      TARGET, atomic_open, load_dataset, resolve_predictors)
 from .screening import ForestConfig, screen_predictors
-from .stats import (DEFAULT_HIGH_NOX_QUANTILE, check_spread,
-                    correlation_matrix, flag_high_nox, summarize)
+from .stats import check_spread, correlation_matrix, flag_high_nox, summarize
 from .varclus import DEFAULT_THRESHOLD, cluster_variables, dependence_tag
 
 ENV_DATA_DIR = "PEMSKIT_DATA_DIR"
@@ -320,7 +319,7 @@ def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
          for name, row in zip(cm.variables, cm.matrix.tolist())])
     if not config.plots:
         return
-    high = flag_high_nox(ds, DEFAULT_HIGH_NOX_QUANTILE)
+    high = flag_high_nox(ds)
     target = ds.column(config.target)
     for name in config.resolved_predictors():
         x = ds.column(name)

@@ -73,8 +73,6 @@ class YearDrift:
 class DriftReport:
     reference_year: int
     variables: tuple[str, ...]
-    x_name: str
-    y_name: str
     x_unit_scale: float
     years: tuple[YearDrift, ...]
     pca: PcaModel = field(compare=False, repr=False)   # reference-year frame
@@ -159,10 +157,9 @@ def yearly_fit(ds: Dataset, x: str = "tep", y: str = "cdp",
 
 def drift_report(ds: Dataset, reference_year: int | None = None,
                  variables: Sequence[str] | None = None,
-                 x: str = "tep", y: str = "cdp",
                  x_unit_scale: float = DEFAULT_TEP_SCALE) -> DriftReport:
     """Per-year (PC1, PC2) centroids in the reference year's frame plus
-    the yearly x/y fits.
+    the yearly cdp-on-tep fits.
 
     Displacement is the Euclidean distance of a year's centroid from the
     reference year's own centroid, so the reference year reports 0.
@@ -175,7 +172,7 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
         raise ConfigError("the (PC1, PC2) centroids need at least 2 variables, "
                           f"got {len(names)}")
     model = fit_pca(ds.for_year(ref), names)
-    fits = yearly_fit(ds, x, y, x_unit_scale)
+    fits = yearly_fit(ds, x_unit_scale=x_unit_scale)
 
     scores = project(model, ds, 2)
     centroids: dict[int, tuple[float, float]] = {}
@@ -189,5 +186,4 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
         c = centroids[year]
         disp = math.hypot(c[0] - ref_c[0], c[1] - ref_c[1])
         rows.append(YearDrift(year, c, disp, fits[year]))
-    return DriftReport(ref, names, x, y, x_unit_scale, tuple(rows), model,
-                       scores)
+    return DriftReport(ref, names, x_unit_scale, tuple(rows), model, scores)

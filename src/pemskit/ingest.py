@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,17 +162,6 @@ class Dataset:
         return all(np.array_equal(v, other.columns[k]) for k, v in self.columns.items())
 
 
-def _candidate_files(data_dir: Path, year: int) -> list[Path]:
-    names = [data_dir / f"gt_{year}.csv", data_dir / f"{year}.csv"]
-    found = [p for p in names if p.is_file()]
-    if found:
-        return found[:1]
-    # the fallback needs the year as a whole number: 13 must not match 2013
-    whole = re.compile(rf"(?<!\d){year}(?!\d)")
-    return sorted(p for p in data_dir.glob(f"*{year}*.csv")
-                  if p.is_file() and whole.search(p.stem))
-
-
 def _map_header(header: Sequence[str], path: Path) -> dict[str, int]:
     """Map canonical names to column positions, checking for duplicates."""
     positions: dict[str, int] = {}
@@ -278,10 +266,8 @@ def _read_columns(path: Path) -> dict[str, np.ndarray]:
 def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
     """Load the per-year CSVs for ``years`` into one year-tagged Dataset.
 
-    Looks for ``gt_<year>.csv`` or ``<year>.csv`` in ``data_dir`` (a
-    unique ``*<year>*.csv`` whose stem holds the year as a whole number,
-    not next to another digit, is accepted as a fallback).  The CO column
-    is kept only when every requested file has it.
+    Reads ``gt_<year>.csv`` in ``data_dir`` for each year.  The CO
+    column is kept only when every requested file has it.
     """
     year_list = sorted(set(int(y) for y in years))
     if not year_list:
@@ -292,16 +278,13 @@ def load_dataset(data_dir: str | Path, years: Iterable[int]) -> Dataset:
 
     per_year: list[tuple[int, dict[str, np.ndarray]]] = []
     for year in year_list:
-        candidates = _candidate_files(data_dir, year)
-        if not candidates:
+        path = data_dir / f"gt_{year}.csv"
+        if not path.is_file():
             raise DataError(f"no CSV for year {year} in {data_dir} "
-                            f"(tried gt_{year}.csv, {year}.csv, *{year}*.csv)")
-        if len(candidates) > 1:
-            raise DataError(f"ambiguous files for year {year}: "
-                            f"{', '.join(p.name for p in candidates)}")
-        cols = _read_columns(candidates[0])
+                            f"(expected {path.name})")
+        cols = _read_columns(path)
         if not len(cols[TARGET]):
-            raise DataError(f"{candidates[0].name}: no data rows")
+            raise DataError(f"{path.name}: no data rows")
         per_year.append((year, cols))
 
     keep_co = all(OPTIONAL_TARGET in cols for _, cols in per_year)

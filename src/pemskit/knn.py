@@ -55,8 +55,6 @@ class SplitAssignment:
     """Per-record partition codes (0/1/2 indexing PARTITIONS)."""
 
     codes: np.ndarray
-    fractions: tuple[float, float, float]
-    seed: int
 
     def __post_init__(self):
         self.codes.setflags(write=False)
@@ -118,7 +116,7 @@ def split(ds: Dataset, fractions: Sequence[float] = DEFAULT_FRACTIONS,
         for code, c in enumerate(counts):
             codes[order[start:start + c]] = code
             start += c
-    return SplitAssignment(codes, fr, seed)
+    return SplitAssignment(codes)
 
 
 # ---------------------------------------------------------------- model
@@ -639,11 +637,6 @@ class PooledVsYearly:
     yearly: tuple[ModelEvaluation, ...]
     by_year_aggregate: dict[str, EvalMetrics]
     assignment: SplitAssignment
-    predictors: tuple[str, ...]
-    target: str
-    weighting: str
-    k_max: int
-    seed: int
 
 
 def _evaluate_scope(label: str, ds: Dataset, assignment: SplitAssignment,
@@ -688,6 +681,7 @@ def compare_pooled_vs_yearly(ds: Dataset,
     All models share one stratified assignment.  The by-year aggregate
     pools per-record errors of the yearly models within each partition,
     in year order; its R² uses the pooled actual mean of those records.
+    A yearly model's ConfigError or DegenerateDataError names its year.
     """
     if len(ds.years) < 2:
         raise ConfigError("comparison needs at least 2 years")
@@ -700,21 +694,19 @@ def compare_pooled_vs_yearly(ds: Dataset,
     yearly, by_year = [], []
     for year in ds.years:
         year_rows = np.nonzero(ds.year == year)[0]
-        sub_assign = SplitAssignment(assignment.codes[year_rows].copy(),
-                                     assignment.fractions, seed)
+        sub_assign = SplitAssignment(assignment.codes[year_rows].copy())
         try:
             yearly.append(_evaluate_scope(str(year), ds.subset(year_rows),
                                           sub_assign, **scope))
-        except DegenerateDataError as exc:
-            raise DegenerateDataError(f"year {year}: {exc}") from exc
+        except (ConfigError, DegenerateDataError) as exc:
+            raise type(exc)(f"year {year}: {exc}") from exc
         by_year.append(year_rows)
     rows = np.concatenate(by_year)
     aggregate = _partition_metrics(
         assignment.codes[rows], ds.column(target)[rows],
         np.concatenate([ev.predicted for ev in yearly]))
 
-    return PooledVsYearly(pooled, tuple(yearly), aggregate, assignment,
-                          names, target, weighting, k_max, seed)
+    return PooledVsYearly(pooled, tuple(yearly), aggregate, assignment)
 
 
 # ----------------------------------------------------------- persistence

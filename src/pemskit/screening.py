@@ -47,6 +47,7 @@ from .rng import SplitMix64, derive_seed
 from .stats import check_spread
 
 _UNLIMITED_DEPTH = 2**31 - 1
+MIN_LEAF = 5                # fewest rows a leaf may hold
 
 
 def _bootstrap_rows(seed, n, size):
@@ -266,22 +267,11 @@ def _in_forked_blocks(work, n_items: int, width: int) -> np.ndarray:
 class ForestConfig:
     n_trees: int = 100
     max_depth: int | None = None            # None = unlimited
-    min_samples_per_leaf: int = 5
-    predictors_per_split: int | None = None  # None = ceil(p / 3)
     seed: int = 0
-
-    def resolved_m(self, p: int) -> int:
-        m = self.predictors_per_split if self.predictors_per_split is not None \
-            else math.ceil(p / 3)
-        if not 1 <= m <= p:
-            raise ConfigError(f"predictors_per_split must be in [1, {p}], got {m}")
-        return m
 
     def check(self) -> None:
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_samples_per_leaf < 1:
-            raise ConfigError("min_samples_per_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1 or None")
 
@@ -354,11 +344,10 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
         raise DegenerateDataError("empty sample")
     x = np.ascontiguousarray(ds.matrix(names))
     y = ds.column(target).astype(np.float64)
-    m = cfg.resolved_m(len(names))
+    m = math.ceil(len(names) / 3)
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
     state = cfg.seed if rng_state is None else rng_state
-    arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf, depth_cap,
-                        state)
+    arrays = _grow_tree(x, y, rows, m, MIN_LEAF, depth_cap, state)
     return RegressionTree(names, *arrays)
 
 
@@ -382,7 +371,7 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
         raise DegenerateDataError(f"target '{target}' has zero variance")
     x = np.ascontiguousarray(ds.matrix(names))
     n = ds.n_records
-    m = cfg.resolved_m(len(names))
+    m = math.ceil(len(names) / 3)
     depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
 
     y = y.astype(np.float64)
@@ -391,8 +380,7 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
         out = np.empty((len(trees), len(names)))
         for i, t in enumerate(trees):
             rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, n)
-            arrays = _grow_tree(x, y, rows, m, cfg.min_samples_per_leaf,
-                                depth_cap, state)
+            arrays = _grow_tree(x, y, rows, m, MIN_LEAF, depth_cap, state)
             out[i] = RegressionTree(names, *arrays).contributions()
         return out
 

@@ -7,9 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
-from .ingest import (Dataset, PREDICTORS, TARGET, OPTIONAL_TARGET,
-                     resolve_predictors)
+from .errors import DegenerateDataError
+from .ingest import Dataset, TARGET, resolve_predictors
 
 DEFAULT_BINS = 30
 DEFAULT_HIGH_NOX_QUANTILE = 0.80
@@ -40,13 +39,6 @@ class CorrelationMatrix:
     def value(self, a: str, b: str) -> float:
         i, j = self.variables.index(a), self.variables.index(b)
         return float(self.matrix[i, j])
-
-
-def default_summary_variables(ds: Dataset) -> list[str]:
-    names = list(PREDICTORS) + [TARGET]
-    if ds.has_co:
-        names.append(OPTIONAL_TARGET)
-    return names
 
 
 def check_spread(ds: Dataset, variables: Sequence[str]) -> None:
@@ -86,23 +78,19 @@ def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int],
                  for i in range(bins))
 
 
-def summarize(ds: Dataset, bins: int = DEFAULT_BINS,
-              variables: Sequence[str] | None = None) -> list[VariableSummary]:
-    """One summary per numeric variable; equal-width bins over [min, max].
+def summarize(ds: Dataset, variables: Sequence[str]) -> list[VariableSummary]:
+    """One summary per named variable; DEFAULT_BINS equal-width bins over
+    [min, max].
 
-    ``variables`` defaults to default_summary_variables; a given list is
-    checked as resolve_predictors checks one (ConfigError if it is empty
-    or names a variable twice).
+    ``variables`` is checked as resolve_predictors checks a list
+    (ConfigError if it is empty or names a variable twice).
 
     The last bin is closed so the histogram counts sum to the record
     count.  A constant column collapses to a single occupied bin.
     """
     if ds.n_records == 0:
         raise DegenerateDataError("cannot summarize an empty dataset")
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
-    names = default_summary_variables(ds) if variables is None \
-        else resolve_predictors(variables)
+    names = resolve_predictors(variables)
     out = []
     for name in names:
         col = ds.column(name)
@@ -118,7 +106,7 @@ def summarize(ds: Dataset, bins: int = DEFAULT_BINS,
             min=float(col.min()),
             max=float(col.max()),
             q1=q1, median=med, q3=q3,
-            histogram=_histogram(col, bins),
+            histogram=_histogram(col, DEFAULT_BINS),
         ))
     return out
 
@@ -177,15 +165,9 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(values[order], 0.0), vectors
 
 
-def flag_high_nox(ds: Dataset,
-                  quantile: float = DEFAULT_HIGH_NOX_QUANTILE) -> np.ndarray:
-    """Boolean mask of records with NOx strictly above the given quantile.
-
-    Accepts the closed range [0, 1]: 0 flags everything above the
-    minimum, 1 flags nothing.
-    """
-    if not 0.0 <= quantile <= 1.0:
-        raise ConfigError(f"quantile must be in [0, 1], got {quantile}")
+def flag_high_nox(ds: Dataset) -> np.ndarray:
+    """Boolean mask of records with NOx strictly above its
+    DEFAULT_HIGH_NOX_QUANTILE quantile."""
     nox = ds.column(TARGET)
-    threshold = float(np.quantile(nox, quantile))
+    threshold = float(np.quantile(nox, DEFAULT_HIGH_NOX_QUANTILE))
     return nox > threshold

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pemskit
 
 
@@ -17,3 +19,8 @@ def test_the_single_file_export_is_gone():
     for name in ("to_csv", "read_csv"):
         assert not hasattr(pemskit, name)
         assert not hasattr(pemskit.ingest, name)
+
+
+def test_forest_config_has_only_the_knobs_in_use():
+    fields = [f.name for f in dataclasses.fields(pemskit.ForestConfig)]
+    assert fields == ["n_trees", "max_depth", "seed"]

@@ -227,6 +227,19 @@ def test_k_max_at_training_size_under_leave_self_out(tmp_path, capsys):
     assert "k exceeds available neighbors" in capsys.readouterr().err
 
 
+def test_a_k_max_above_a_years_training_rows_exits_3_naming_the_year(
+        tmp_path, capsys):
+    # 40 rows a year leave 28 Training rows per yearly model, while the
+    # pooled model's 140 take k = 100
+    write_year_files(make_dataset(rows_per_year=40, seed=1), tmp_path / "data")
+    out = tmp_path / "out"
+    assert _run("knn", "--k-max", "100", "--data-dir", str(tmp_path / "data"),
+                "--out-dir", str(out)) == 3
+    assert capsys.readouterr().err == \
+        "error: year 2011: k must be in [1, 28], got 100\n"
+    assert not out.exists()
+
+
 def test_years_ranges_select_files(data_dir, tmp_path):
     out = tmp_path / "out"
     assert _run("drift", "--data-dir", str(data_dir), "--out-dir", str(out),

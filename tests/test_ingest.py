@@ -135,22 +135,12 @@ def test_missing_year_file_and_directory(tmp_path):
         load_dataset(tmp_path / "absent", [2011])
 
 
-def test_fallback_glob_and_ambiguity(tmp_path):
-    _write(tmp_path / "turbine_2011_hourly.csv")
-    assert load_dataset(tmp_path, [2011]).n_records == 2
-    _write(tmp_path / "other_2011.csv")
-    with pytest.raises(DataError, match="ambiguous files for year 2011"):
+@pytest.mark.parametrize("name", ["2011.csv", "plant_2011.csv"])
+def test_only_gt_year_csv_is_read(tmp_path, name):
+    _write(tmp_path / name)
+    with pytest.raises(DataError, match=r"^no CSV for year 2011 in .* "
+                                        r"\(expected gt_2011\.csv\)$"):
         load_dataset(tmp_path, [2011])
-
-
-def test_fallback_needs_the_year_as_a_whole_number(tmp_path):
-    _write(tmp_path / "plant_2013.csv")
-    assert load_dataset(tmp_path, [2013]).n_records == 2
-    for year in (13, 201, 1):
-        with pytest.raises(DataError, match=f"no CSV for year {year} "):
-            load_dataset(tmp_path, [year])
-    _write(tmp_path / "unit7_13_hourly.csv")
-    assert load_dataset(tmp_path, [13]).n_records == 2
 
 
 def test_no_years_requested_is_config_error(tmp_path):

@@ -861,8 +861,7 @@ def test_constant_target_chooses_k_one():
 
 
 def test_select_k_requires_validation_rows(tiny_ds):
-    all_training = SplitAssignment(np.zeros(tiny_ds.n_records, dtype=np.int64),
-                                   DEFAULT_FRACTIONS, 0)
+    all_training = SplitAssignment(np.zeros(tiny_ds.n_records, dtype=np.int64))
     with pytest.raises(DegenerateDataError, match="validation partition is empty"):
         select_k(tiny_ds, all_training)
 
@@ -939,8 +938,7 @@ def test_scope_predictions_equal_a_fresh_model_at_the_chosen_k(iid_ds,
     for ev, year in zip(cmp.yearly, iid_ds.years):
         mine = iid_ds.year == year
         scopes.append((ev, iid_ds.subset(mine),
-                       SplitAssignment(cmp.assignment.codes[mine].copy(),
-                                       DEFAULT_FRACTIONS, 1)))
+                       SplitAssignment(cmp.assignment.codes[mine].copy())))
     for ev, ds, assignment in scopes:
         fresh = fit_knn(ds, assignment, k=ev.chosen_k, weighting=weighting)
         assert ev.model.k == ev.chosen_k

@@ -55,8 +55,11 @@ def test_bootstrap_kernel_matches_python_stream():
 def test_single_tree_on_step_function():
     x = np.linspace(0.0, 1.0, 200)
     ds = _ds_from_columns(x=x, pad=np.zeros(200), y=np.where(x > 0.5, 10.0, 0.0))
-    cfg = ForestConfig(n_trees=1, min_samples_per_leaf=1, predictors_per_split=2)
-    tree = fit_regression_tree(ds, ("x", "pad"), "y", cfg)
+    names = ("x", "pad")
+    arrays = _grow_tree(np.ascontiguousarray(ds.matrix(names)),
+                        ds.column("y"), np.arange(200, dtype=np.int64),
+                        2, 1, _UNLIMITED_DEPTH, 0)
+    tree = RegressionTree(names, *arrays)
     # one split, on x (predictor 0), at the root
     assert tree.feature.tolist() == [0, -1, -1]
     # midpoint of the two grid points astride the step: exactly 0.5
@@ -70,8 +73,12 @@ def test_single_tree_on_step_function():
 
 
 def test_leaf_size_floor_and_children_partition(planted_ds):
-    cfg = ForestConfig(n_trees=1, min_samples_per_leaf=9)
-    tree = fit_regression_tree(planted_ds, ("x1", "x2", "noise"), "y", cfg)
+    names = ("x1", "x2", "noise")
+    arrays = _grow_tree(np.ascontiguousarray(planted_ds.matrix(names)),
+                        planted_ds.column("y"),
+                        np.arange(planted_ds.n_records, dtype=np.int64),
+                        1, 9, _UNLIMITED_DEPTH, 0)
+    tree = RegressionTree(names, *arrays)
     assert tree.n_nodes > 3
     for i in range(tree.n_nodes):
         if tree.feature[i] < 0:
@@ -81,6 +88,21 @@ def test_leaf_size_floor_and_children_partition(planted_ds):
             assert tree.n_rows[li] + tree.n_rows[ri] == tree.n_rows[i]
             assert tree.n_rows[li] >= 9 and tree.n_rows[ri] >= 9
             assert tree.sse_reduction[i] > 0.0
+
+
+def test_a_tree_draws_a_third_of_its_predictors_and_keeps_five_per_leaf(
+        planted_ds):
+    assert screening.MIN_LEAF == 5
+    rows = np.arange(planted_ds.n_records, dtype=np.int64)
+    for names, m in ((("x1", "x2"), 1), (("x1", "x2", "noise"), 1),
+                     (("x1", "x2", "noise", "const"), 2)):   # ceil(p / 3)
+        tree = fit_regression_tree(planted_ds, names, "y", ForestConfig())
+        want = _grow_tree(np.ascontiguousarray(planted_ds.matrix(names)),
+                          planted_ds.column("y"), rows, m, 5,
+                          _UNLIMITED_DEPTH, 0)
+        got = (tree.feature, tree.cut, tree.sse_reduction, tree.left,
+               tree.right, tree.n_rows, tree.value)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_depth_cap_gives_a_stump(planted_ds):
@@ -159,13 +181,7 @@ def test_config_validation(planted_ds):
     with pytest.raises(ConfigError):
         ForestConfig(n_trees=0).check()
     with pytest.raises(ConfigError):
-        ForestConfig(min_samples_per_leaf=0).check()
-    with pytest.raises(ConfigError):
         ForestConfig(max_depth=0).check()
-    with pytest.raises(ConfigError):
-        ForestConfig(predictors_per_split=10).resolved_m(3)
-    assert ForestConfig().resolved_m(9) == 3  # ceil(9 / 3)
-    assert ForestConfig().resolved_m(4) == 2  # ceil(4 / 3)
     with pytest.raises(ConfigError, match="at least 2"):
         screen_predictors(planted_ds, ("x1",), "y")
     with pytest.raises(ConfigError, match="target 'y' is also a predictor"):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pemskit.errors import ConfigError, DegenerateDataError
+from pemskit.errors import DegenerateDataError
 from pemskit.ingest import PREDICTORS, Dataset
 from pemskit.stats import (
+    DEFAULT_BINS,
     CorrelationMatrix,
     correlation_matrix,
     eigenpairs,
@@ -27,27 +28,25 @@ def _ds_with(nox, **overrides):
 
 def test_summary_hand_values():
     ds = _ds_with([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-    (s,) = summarize(ds, bins=4, variables=["nox"])
+    (s,) = summarize(ds, variables=["nox"])
     assert s.name == "nox"
     assert s.count == 8
     assert s.mean == 5.0
     assert s.std == pytest.approx(math.sqrt(32.0 / 7.0))
     assert (s.min, s.max) == (2.0, 9.0)
     assert (s.q1, s.median, s.q3) == (4.0, 4.5, 5.5)
-    # 4 equal-width bins over [2, 9] with edges 2, 3.75, 5.5, 7.25, 9
-    assert [c for _, _, c in s.histogram] == [1, 5, 1, 1]
+    # DEFAULT_BINS = 30 equal-width bins over [2, 9], each 7/30 wide:
+    # 4 falls in bin 8 (from 2 + 56/30), 5 in bin 12, 7 in bin 21
+    assert len(s.histogram) == DEFAULT_BINS == 30
+    assert {i: c for i, (_, _, c) in enumerate(s.histogram) if c} == {
+        0: 1, 8: 3, 12: 2, 21: 1, 29: 1}
     assert s.histogram[0][0] == 2.0 and s.histogram[-1][1] == 9.0
 
 
 def test_histogram_counts_always_sum_to_n(turbine_ds):
-    for s in summarize(turbine_ds, bins=17):
+    for s in summarize(turbine_ds, [*PREDICTORS, "nox"]):
+        assert len(s.histogram) == DEFAULT_BINS
         assert sum(c for _, _, c in s.histogram) == turbine_ds.n_records
-
-
-def test_summarize_defaults_cover_predictors_and_target(turbine_ds):
-    names = [s.name for s in summarize(turbine_ds)]
-    assert names == list(PREDICTORS) + ["nox"]
-    assert all(len(s.histogram) == 30 for s in summarize(turbine_ds))
 
 
 def test_constant_column_single_bin():
@@ -58,13 +57,10 @@ def test_constant_column_single_bin():
 
 
 def test_summarize_guards():
-    ds = _ds_with([1.0, 2.0])
-    with pytest.raises(ConfigError):
-        summarize(ds, bins=0)
     empty = Dataset({n: np.empty(0) for n in PREDICTORS + ("nox",)},
                     np.empty(0, dtype=np.int64), ())
     with pytest.raises(DegenerateDataError):
-        summarize(empty)
+        summarize(empty, ["nox"])
 
 
 def test_pearson_on_perfect_lines():
@@ -214,25 +210,10 @@ def test_eigenpairs_of_a_tie_in_magnitude():
 def test_flag_high_nox_strictly_above_quantile():
     ds = _ds_with([10.0, 20.0, 30.0, 40.0, 50.0])
     # 0.8 quantile of 1..5 grid is 42; only 50 exceeds it
-    assert list(flag_high_nox(ds, 0.8)) == [False, False, False, False, True]
-    assert list(flag_high_nox(ds, 0.5)) == [False, False, False, True, True]
-
-
-def test_flag_high_nox_closed_endpoints():
-    ds = _ds_with([10.0, 10.0, 20.0, 30.0])
-    # quantile 0: everything strictly above the minimum
-    assert list(flag_high_nox(ds, 0.0)) == [False, False, True, True]
-    # quantile 1: nothing is above the maximum
-    assert not flag_high_nox(ds, 1.0).any()
+    assert list(flag_high_nox(ds)) == [False, False, False, False, True]
 
 
 def test_flag_high_nox_default_rate(iid_ds):
     flagged = flag_high_nox(iid_ds)
     rate = flagged.mean()
     assert 0.15 < rate <= 0.20  # strict inequality keeps the rate at or below 20%
-
-
-def test_flag_high_nox_rejects_bad_quantile(tiny_ds):
-    for q in (-0.1, 1.5):
-        with pytest.raises(ConfigError):
-            flag_high_nox(tiny_ds, q)
