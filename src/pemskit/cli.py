@@ -361,9 +361,8 @@ def cmd_screen(ds: Dataset, config: RunConfig) -> Iterator[Output]:
 
 def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     scale = drift_mod.DEFAULT_TEP_SCALE if config.tep_unit == "bar" else 1.0
-    ref = config.reference_year if config.reference_year is not None \
-        else ds.years[0]
-    report = drift_mod.drift_report(ds, ref, config.resolved_predictors(),
+    report = drift_mod.drift_report(ds, config.reference_year,
+                                    config.resolved_predictors(),
                                     x_unit_scale=scale)
     scores = report.scores
     yield "drift_fits", _table(

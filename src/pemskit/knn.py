@@ -126,7 +126,7 @@ class KnnModel:
     predictors: tuple[str, ...]
     means: np.ndarray
     stds: np.ndarray
-    train_z: np.ndarray       # standardized training matrix, column-major
+    train_z: np.ndarray       # standardized training matrix
     train_y: np.ndarray
     train_rows: np.ndarray    # original dataset row of each training row
     k: int
@@ -172,7 +172,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
         if s == 0.0:
             raise DegenerateDataError(
                 f"predictor '{name}' has zero variance in the training partition")
-    z = np.asfortranarray((x - means) / stds)
+    z = (x - means) / stds
     y = ds.column(target)[train_rows].copy()
     return KnnModel(names, means, stds, z, y, train_rows.copy(), k,
                     weighting, leave_self_out)
@@ -236,11 +236,11 @@ def _augment(train_z):
     return aug, math.sqrt(norms.max())
 
 
-def _scan(train_z, q_z, own, k, train_aug=None):
+def _scan(train_z, q_z, own, k, train_aug):
     """Exact top-k neighbors of the standardised queries ``q_z`` by
     (squared distance, training index); ``own[i]`` is the training
     position query i may not use, or -1.  ``train_aug`` is
-    ``_augment(train_z)``, built here when not given.
+    ``_augment(train_z)``.
 
     The distance D of the contract accumulates per predictor in declared
     order: the first writes diff*diff (equal to 0.0 + diff*diff, as a
@@ -310,7 +310,7 @@ def _scan(train_z, q_z, own, k, train_aug=None):
     if k > n_t - 1 and (own >= 0).any():
         raise DegenerateDataError(
             "k exceeds available neighbors under leave-self-out")
-    aug, t_max = _augment(train_z) if train_aug is None else train_aug
+    aug, t_max = train_aug
     chunks = max(k, min(max(_CHUNKS, -(-n_t // _CHUNK_ROWS)), n_t))
     width = -(-n_t // chunks) * chunks
     block = max(1, min(_BLOCK_QUERIES, n_q))
@@ -776,7 +776,7 @@ def load_model(path: str | Path) -> KnnModel:
             tuple(names) if isinstance(names, list) else (),
             _numbers(doc, "means"),
             _numbers(doc, "stds"),
-            np.asfortranarray(_numbers(doc, "train_z")),
+            _numbers(doc, "train_z"),
             _numbers(doc, "train_y"),
             _numbers(doc, "train_rows", integer=True),
             doc["k"],
@@ -800,9 +800,9 @@ def _model_problem(model: KnnModel) -> str | None:
         return "predictors must be distinct"
     if model.means.shape != (p,) or model.stds.shape != (p,):
         return "means and stds need one entry per predictor"
-    n = model.n_training
-    if model.train_z.ndim != 2 or model.train_z.shape[1] != p \
-            or model.train_y.shape != (n,) or model.train_rows.shape != (n,):
+    n = model.train_y.size
+    if model.train_z.shape != (n, p) or model.train_y.shape != (n,) \
+            or model.train_rows.shape != (n,):
         return "shape mismatch"
     if type(model.k) is not int:
         return f"k must be an integer, got {model.k!r}"

@@ -266,14 +266,11 @@ def _in_forked_blocks(work, n_items: int, width: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
-    max_depth: int | None = None            # None = unlimited
     seed: int = 0
 
     def check(self) -> None:
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -342,12 +339,11 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
         else check_rows(sample_rows, n, "sample_rows")
     if rows.size == 0:
         raise DegenerateDataError("empty sample")
-    x = np.ascontiguousarray(ds.matrix(names))
+    x = ds.matrix(names)
     y = ds.column(target).astype(np.float64)
     m = math.ceil(len(names) / 3)
-    depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
     state = cfg.seed if rng_state is None else rng_state
-    arrays = _grow_tree(x, y, rows, m, MIN_LEAF, depth_cap, state)
+    arrays = _grow_tree(x, y, rows, m, MIN_LEAF, _UNLIMITED_DEPTH, state)
     return RegressionTree(names, *arrays)
 
 
@@ -369,10 +365,9 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     y = ds.column(target)
     if ds.n_records < 2 or float(np.ptp(y)) == 0.0:
         raise DegenerateDataError(f"target '{target}' has zero variance")
-    x = np.ascontiguousarray(ds.matrix(names))
+    x = ds.matrix(names)
     n = ds.n_records
     m = math.ceil(len(names) / 3)
-    depth_cap = cfg.max_depth if cfg.max_depth is not None else _UNLIMITED_DEPTH
 
     y = y.astype(np.float64)
 
@@ -380,7 +375,8 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
         out = np.empty((len(trees), len(names)))
         for i, t in enumerate(trees):
             rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, n)
-            arrays = _grow_tree(x, y, rows, m, MIN_LEAF, depth_cap, state)
+            arrays = _grow_tree(x, y, rows, m, MIN_LEAF, _UNLIMITED_DEPTH,
+                                state)
             out[i] = RegressionTree(names, *arrays).contributions()
         return out
 

@@ -9,10 +9,11 @@ Every coordinate is written with two decimals, then trimmed: a trailing
 that rule to a whole run of values at once: one ``%.2f`` format over the
 run, then three ``str.replace`` passes.  A series' x and y are float64
 arrays (any number sequence is converted once).  Each axis spans every
-value given for it, and a NaN raises a ValueError naming the axis.  One
-chart body serves scatter and line: it formats each series' points once,
-in chunks of ``_CHUNK`` points, so a 37k-point scatter never holds one
-string per point.
+value given for it.  A NaN raises a ValueError naming the axis, and a
+span whose padded range overflows float64 a DegenerateDataError naming
+the axis and its label.  One chart body serves scatter and line: it
+formats each series' points once, in chunks of ``_CHUNK`` points, so a
+37k-point scatter never holds one string per point.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from .errors import DegenerateDataError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
@@ -86,19 +89,21 @@ class _Frame:
     def __init__(self, x_span: tuple[float, float],
                  y_span: tuple[float, float],
                  title: str, x_label: str, y_label: str):
-        self.x_lo, self.x_hi = self._padded("x", *x_span)
-        self.y_lo, self.y_hi = self._padded("y", *y_span)
+        self.x_lo, self.x_hi = self._padded("x", x_label, *x_span)
+        self.y_lo, self.y_hi = self._padded("y", y_label, *y_span)
         self.title, self.x_label, self.y_label = title, x_label, y_label
 
     @staticmethod
-    def _padded(axis: str, lo: float, hi: float) -> tuple[float, float]:
+    def _padded(axis: str, label: str, lo: float,
+                hi: float) -> tuple[float, float]:
         if hi == lo:
             pad = abs(lo) * 0.05 or 1.0     # also when 5 % of lo underflows
         else:
             pad = (hi - lo) * 0.05
         if not math.isfinite((hi + pad) - (lo - pad)):
-            raise ValueError(f"the {axis} axis cannot span [{lo!r}, {hi!r}]: "
-                             "its padded range overflows float64")
+            raise DegenerateDataError(
+                f"the {axis} axis '{label}' cannot span [{lo!r}, {hi!r}]: "
+                "its padded range overflows float64")
         return lo - pad, hi + pad
 
     def px(self, x: float) -> float:

@@ -73,7 +73,7 @@ def knn_work(monkeypatch) -> dict[str, int]:
         work["fits"] += 1
         return fit_knn(*args, **kwargs)
 
-    def counted_scan(train_z, q_z, own, k, train_aug=None):
+    def counted_scan(train_z, q_z, own, k, train_aug):
         work["queries"] += q_z.shape[0]
         return scan(train_z, q_z, own, k, train_aug)
 

@@ -23,4 +23,4 @@ def test_the_single_file_export_is_gone():
 
 def test_forest_config_has_only_the_knobs_in_use():
     fields = [f.name for f in dataclasses.fields(pemskit.ForestConfig)]
-    assert fields == ["n_trees", "max_depth", "seed"]
+    assert fields == ["n_trees", "seed"]

@@ -581,6 +581,23 @@ def test_drift_exits_4_on_a_fit_column_whose_variance_overflows(
     assert not out.exists()
 
 
+def test_a_chart_axis_that_overflows_exits_4_naming_the_variable(
+        tmp_path, capsys):
+    # one row has no spread to overflow, but the histogram pads its
+    # single value by 5 %, past the largest float64
+    ds = make_dataset(years=(2011,), rows_per_year=1, seed=1)
+    ap = ds.column("ap").copy()
+    ap[0] = 1.75e308
+    write_year_files(Dataset({**ds.columns, "ap": ap}, ds.year.copy(),
+                             ds.years), tmp_path / "data")
+    assert _run("summary", "--plots", "--years", "2011", "--data-dir",
+                str(tmp_path / "data"), "--out-dir",
+                str(tmp_path / "out")) == 4
+    assert capsys.readouterr().err == (
+        "error: the x axis 'ap' cannot span [1.75e+308, 1.75e+308]: its "
+        "padded range overflows float64\n")
+
+
 # Every subcommand's argparse actions, written out by hand as (flags,
 # dest, metavar, help, default, const, nargs): a change to how the options
 # are declared must leave the command-line surface exactly as it is.

@@ -19,6 +19,7 @@ from pemskit.knn import (
     _BLOCK_QUERIES,
     _CHUNK_ROWS,
     _CHUNKS,
+    _augment,
     _fold_all,
     _partition_counts,
     _scan,
@@ -232,7 +233,7 @@ def _assert_scan_matches(train_z, train_rows, q_z, self_rows, ks):
     d2a, ixa = _reference_scan(train_z, train_rows, q_z, self_rows, max(ks))
     own = _self_positions(train_rows, self_rows)
     for k in ks:
-        d2b, ixb = _scan(train_z, q_z, own, k)
+        d2b, ixb = _scan(train_z, q_z, own, k, _augment(train_z))
         assert d2b.tobytes() == d2a[:, :k].tobytes(), k
         assert np.array_equal(ixb, ixa[:, :k]), k
 
@@ -241,7 +242,7 @@ def _assert_scan_matches_blocked(train_z, q_z, own, k):
     # _scan keeps its own overflow quiet; the reference does not
     with np.errstate(over="ignore"):
         d2a, ixa = _blocked_reference_scan(train_z, q_z, own, k)
-    d2b, ixb = _scan(train_z, q_z, own, k)
+    d2b, ixb = _scan(train_z, q_z, own, k, _augment(train_z))
     assert d2b.tobytes() == d2a.tobytes()
     assert np.array_equal(ixb, ixa)
 
@@ -300,7 +301,8 @@ def test_scan_k_is_all_but_self_under_leave_self_out():
     self_rows = train_rows[::2].copy()
     _assert_scan_matches(train_z, train_rows, q_z, self_rows, (n_t - 1,))
     with pytest.raises(DegenerateDataError, match="exceeds available"):
-        _scan(train_z, q_z, _self_positions(train_rows, self_rows), n_t)
+        _scan(train_z, q_z, _self_positions(train_rows, self_rows), n_t,
+              _augment(train_z))
 
 
 def test_scan_k_is_all_but_self_past_the_chunk_count():
@@ -387,7 +389,8 @@ def test_scan_keeps_nan_filter_cells_near_the_float_limit():
     # |q|², |t|² and -2t overflow but no distance does: the filter adds
     # no warning
     same = np.full((300, 3), 1e308)
-    d2, ix = _scan(same, same[:2], np.full(2, -1, dtype=np.int64), 3)
+    d2, ix = _scan(same, same[:2], np.full(2, -1, dtype=np.int64), 3,
+                   _augment(same))
     assert not d2.any() and (ix == [0, 1, 2]).all()
 
 
@@ -457,12 +460,12 @@ def test_scan_float32_cutoff_past_the_float32_range(scale):
 
 def test_scan_memory_is_bounded():
     rng = np.random.default_rng(3)
-    train_z = np.asfortranarray(rng.normal(size=(5000, 3)))
+    train_z = rng.normal(size=(5000, 3))
     q_z = rng.normal(size=(4000, 3))
     own = np.arange(4000, dtype=np.int64)
     tracemalloc.start()
     try:
-        _scan(train_z, q_z, own, 5)
+        _scan(train_z, q_z, own, 5, _augment(train_z))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -998,7 +1001,7 @@ def test_model_round_trip_preserves_predictions(tmp_path, tiny_ds):
 def test_saved_model_is_the_json_of_the_whole_document(tmp_path, iid_ds):
     # 1,050 training rows: the streamed arrays span two row blocks
     model = fit_knn(iid_ds, split(iid_ds, seed=5), k=3)
-    assert model.n_training > 1024 and model.train_z.flags.f_contiguous
+    assert model.n_training > 1024
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = {
@@ -1014,7 +1017,25 @@ def test_saved_model_is_the_json_of_the_whole_document(tmp_path, iid_ds):
         "train_z": model.train_z.tolist(),
     }
     assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
-    assert load_model(path).train_z.flags.f_contiguous
+    assert load_model(path).train_z.tobytes() == model.train_z.tobytes()
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_train_z_layout_moves_no_prediction_bit(iid_ds, k, weighting):
+    # the filter's norms read train_z in its own layout; the refine is
+    # exact, so a column-major copy must predict the same bits
+    model = fit_knn(iid_ds, split(iid_ds, seed=5), k=k, weighting=weighting)
+    other = replace(model, train_z=np.asfortranarray(model.train_z))
+    assert model.train_z.flags.c_contiguous
+    assert not other.train_z.flags.c_contiguous
+    # every row, training rows (left out of their own neighbours) included
+    assert predict_rows(other, iid_ds).tobytes() \
+        == predict_rows(model, iid_ds).tobytes()
+    records = [iid_ds.record(r)
+               for r in (*model.train_rows[:3].tolist(), 0, 1, 2)]
+    assert np.array([predict(other, r) for r in records]).tobytes() \
+        == np.array([predict(model, r) for r in records]).tobytes()
 
 
 def test_failed_save_leaves_no_partial_or_temp_file(tmp_path, tiny_ds,
@@ -1064,6 +1085,7 @@ def test_load_rejects_unknown_format_version(tmp_path, tiny_ds):
     ("train_rows", lambda v: v[:2], "shape mismatch"),
     ("train_z", lambda v: [[math.nan] * len(v[0])] + v[1:],
      "train_z must be finite"),
+    ("train_z", lambda v: 1.0, "shape mismatch"),
     ("train_y", lambda v: v[:-1] + [math.inf], "train_y must be finite"),
     ("k", lambda v: 1.7, "k must be an integer"),
     ("k", lambda v: True, "k must be an integer"),
@@ -1083,11 +1105,11 @@ def test_load_rejects_unknown_format_version(tmp_path, tiny_ds):
     ("train_rows", lambda v: v[:-1] + [True], "train_rows must hold integers"),
 ], ids=["negative-k", "k-above-training", "weighting", "leave-self-out",
         "no-predictors", "zero-stds", "short-means", "short-train-rows",
-        "nan-train-z", "inf-train-y", "fractional-k", "boolean-k",
-        "fractional-train-row", "negative-train-row", "duplicate-train-row",
-        "huge-train-row", "duplicate-predictor", "string-mean",
-        "string-predictors", "object-predictors", "boolean-mean",
-        "boolean-std", "boolean-train-z", "boolean-train-y",
+        "nan-train-z", "scalar-train-z", "inf-train-y", "fractional-k",
+        "boolean-k", "fractional-train-row", "negative-train-row",
+        "duplicate-train-row", "huge-train-row", "duplicate-predictor",
+        "string-mean", "string-predictors", "object-predictors",
+        "boolean-mean", "boolean-std", "boolean-train-z", "boolean-train-y",
         "boolean-train-row"])
 def test_load_rejects_inconsistent_models(tmp_path, tiny_ds, key, mutate,
                                           match):

@@ -106,8 +106,11 @@ def test_a_tree_draws_a_third_of_its_predictors_and_keeps_five_per_leaf(
 
 
 def test_depth_cap_gives_a_stump(planted_ds):
-    cfg = ForestConfig(n_trees=1, max_depth=1)
-    tree = fit_regression_tree(planted_ds, ("x1", "x2"), "y", cfg)
+    names = ("x1", "x2")
+    arrays = _grow_tree(planted_ds.matrix(names), planted_ds.column("y"),
+                        np.arange(planted_ds.n_records, dtype=np.int64),
+                        1, 5, 1, 0)
+    tree = RegressionTree(names, *arrays)
     assert tree.n_nodes == 3 and int((tree.feature < 0).sum()) == 2
 
 
@@ -180,8 +183,6 @@ def test_one_tree_screen_reproducible_from_parts(planted_ds):
 def test_config_validation(planted_ds):
     with pytest.raises(ConfigError):
         ForestConfig(n_trees=0).check()
-    with pytest.raises(ConfigError):
-        ForestConfig(max_depth=0).check()
     with pytest.raises(ConfigError, match="at least 2"):
         screen_predictors(planted_ds, ("x1",), "y")
     with pytest.raises(ConfigError, match="target 'y' is also a predictor"):

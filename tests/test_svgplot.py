@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pemskit import svgplot
+from pemskit.errors import DegenerateDataError
 from pemskit.ingest import Dataset, write_year_files
 from pemskit.svgplot import _fmt, _fmt_all, bars, line, scatter
 from pemskit.synthetic import make_dataset
@@ -120,9 +121,10 @@ def test_summary_plots_a_column_of_subnormals(tmp_path, cells):
     ("x", lambda wide, ok: bars(wide[:2], wide[:2], ok[:2], "t", "x")),
 ], ids=["scatter", "line", "bars"])
 def test_an_axis_whose_range_overflows_is_named(axis, draw):
-    with pytest.raises(ValueError,
-                       match=rf"the {axis} axis cannot span \[-1.5e\+308, "
-                             r"1.5e\+308\]: its padded range overflows"):
+    with pytest.raises(DegenerateDataError,
+                       match=rf"the {axis} axis '{axis}' cannot span "
+                             r"\[-1.5e\+308, 1.5e\+308\]: its padded range "
+                             r"overflows"):
         draw([1.5e308, -1.5e308, 1.0], [1.0, 2.0, 3.0])
 
 
