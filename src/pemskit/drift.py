@@ -73,7 +73,6 @@ class YearDrift:
 class DriftReport:
     reference_year: int
     years: tuple[YearDrift, ...]
-    pca: PcaModel = field(compare=False, repr=False)   # reference-year frame
     scores: np.ndarray = field(compare=False, repr=False)  # PC1, PC2 by row
 
     def __post_init__(self):
@@ -184,4 +183,4 @@ def drift_report(ds: Dataset, reference_year: int | None = None,
         c = centroids[year]
         disp = math.hypot(c[0] - ref_c[0], c[1] - ref_c[1])
         rows.append(YearDrift(year, c, disp, fits[year]))
-    return DriftReport(ref, tuple(rows), model, scores)
+    return DriftReport(ref, tuple(rows), scores)

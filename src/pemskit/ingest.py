@@ -83,22 +83,22 @@ def resolve_predictors(names: Sequence[str] | None = None,
     return names
 
 
-def check_rows(rows, n_records: int, name: str = "rows") -> np.ndarray:
+def check_rows(rows, n_records: int) -> np.ndarray:
     """``rows`` as int64 record indices; ConfigError unless they form a
     1-D integer array within [0, n_records) (an empty one passes)."""
     rows = np.asarray(rows)
     if rows.ndim != 1:
-        raise ConfigError(f"{name} must be 1-D, got shape {rows.shape}")
+        raise ConfigError(f"rows must be 1-D, got shape {rows.shape}")
     if rows.size:
         if not np.issubdtype(rows.dtype, np.integer):
-            raise ConfigError(f"{name} must be integers, got {rows.dtype}")
+            raise ConfigError(f"rows must be integers, got {rows.dtype}")
         if rows.min() < 0 or rows.max() >= n_records:
-            raise ConfigError(f"{name} must lie in [0, {n_records}), got "
+            raise ConfigError(f"rows must lie in [0, {n_records}), got "
                               f"[{rows.min()}, {rows.max()}]")
     return rows.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable columnar store of year-tagged observations.
 
@@ -152,14 +152,6 @@ class Dataset:
         rec = {name: float(col[i]) for name, col in self.columns.items()}
         return rec | {"year": int(self.year[i])}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        if self.years != other.years or set(self.columns) != set(other.columns):
-            return False
-        if not np.array_equal(self.year, other.year):
-            return False
-        return all(np.array_equal(v, other.columns[k]) for k, v in self.columns.items())
 
 
 def _map_header(header: Sequence[str], path: Path) -> dict[str, int]:

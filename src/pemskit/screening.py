@@ -2,7 +2,9 @@
 
 Rank predictors by how much squared-error reduction their splits buy
 across an ensemble of CART regression trees grown on bootstrap samples.
-The forest is used only for screening; it never predicts.
+The forest is used only for screening; it never predicts.  So a tree
+records only its splits: for each node id, the predictor it splits on
+(-1 for a leaf) and the SSE reduction the split buys.
 
 Determinism: all sampling flows from one SplitMix64 stream per tree,
 seeded as derive_seed(cfg.seed, tree_index).  The stream first yields
@@ -42,11 +44,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, TARGET, check_rows, resolve_predictors
+from .ingest import Dataset, TARGET, resolve_predictors
 from .rng import SplitMix64, derive_seed
 from .stats import check_spread
 
-_UNLIMITED_DEPTH = 2**31 - 1
 MIN_LEAF = 5                # fewest rows a leaf may hold
 
 
@@ -67,14 +68,17 @@ def _running_total(a):
     return np.add.accumulate(a)[-1] + 0.0
 
 
-def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
-    """Grow one CART regression tree on the given rows.
+def _grow_tree(x, y, rows, m, min_leaf, rng_state):
+    """Grow one CART regression tree on the given rows; return its splits.
 
     Splits maximize SSE reduction over midpoint cuts of m predictors
     drawn per node (partial Fisher-Yates from the tree's rng stream).
-    Returns parallel node arrays; feature == -1 marks a leaf.  Each node
-    evaluates its m drawn predictors as one (m, s) block, in the order
-    the module docstring pins, so the bytes are those of a per-row loop.
+    Returns (feature, reduction), indexed by node id: the predictor each
+    node splits on (-1 for a leaf) and the reduction its split buys (0.0
+    for a leaf).  The root is node 0, and a split gives its left and
+    right children the next two ids.  Each node evaluates its m drawn
+    predictors as one (m, s) block, in the order the module docstring
+    pins, so the bytes are those of a per-row loop.
     """
     n = rows.shape[0]
     p = x.shape[1]
@@ -82,35 +86,26 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     # has at most ceil(n / min_leaf) leaves and twice that less one nodes
     max_nodes = 2 * -(-n // min_leaf) - 1
     feature = np.full(max_nodes, -1, np.int64)
-    cut = np.zeros(max_nodes, np.float64)
     reduction = np.zeros(max_nodes, np.float64)
-    left = np.full(max_nodes, -1, np.int64)
-    right = np.full(max_nodes, -1, np.int64)
-    n_node = np.zeros(max_nodes, np.int64)
-    value = np.zeros(max_nodes, np.float64)
 
     block_rows = np.arange(m)[:, None]
     idx = rows.copy()
     stream = SplitMix64(rng_state)
     sizes = np.arange(1, n, dtype=np.int64)     # left-child sizes of cuts
 
-    # LIFO stack of (node, start, end, depth); left child pushed last so
-    # it is processed first.
-    stack = [(0, 0, n, 0)]
+    # LIFO stack of (node, start, end); left child pushed last so it is
+    # processed first.
+    stack = [(0, 0, n)]
     node_count = 1
 
     while stack:
-        node, lo, hi, depth = stack.pop()
+        node, lo, hi = stack.pop()
         s = hi - lo
+        if s < 2 * min_leaf:
+            continue
         seg = idx[lo:hi]
         ys = y[seg]
-
-        mean = _running_total(ys) / s
-        n_node[node] = s
-        value[node] = mean
-        if s < 2 * min_leaf or depth >= max_depth:
-            continue
-        c = ys - mean
+        c = ys - _running_total(ys) / s
         sse = _running_total(c * c)
         if sse <= 0.0:
             continue
@@ -165,19 +160,12 @@ def _grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
         idx[lo:hi] = np.concatenate((seg[goes_left], seg[~goes_left]))
 
         feature[node] = best_feat
-        cut[node] = best_cut
         reduction[node] = best_red
-        left_id = node_count
-        right_id = node_count + 1
+        stack.append((node_count + 1, lo + nl, hi))
+        stack.append((node_count, lo, lo + nl))
         node_count += 2
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((right_id, lo + nl, hi, depth + 1))
-        stack.append((left_id, lo, lo + nl, depth + 1))
 
-    return (feature[:node_count], cut[:node_count], reduction[:node_count],
-            left[:node_count], right[:node_count], n_node[:node_count],
-            value[:node_count])
+    return feature[:node_count], reduction[:node_count]
 
 
 def _worker_count(n_items: int) -> int:
@@ -275,16 +263,12 @@ class ForestConfig:
 
 @dataclass(frozen=True)
 class RegressionTree:
-    """CART tree as parallel node arrays; feature -1 marks a leaf."""
+    """CART tree as its splits: per node id, the predictor split on
+    (-1 for a leaf) and the SSE reduction the split buys."""
 
     predictors: tuple[str, ...]
     feature: np.ndarray
-    cut: np.ndarray
     sse_reduction: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    n_rows: np.ndarray
-    value: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -322,10 +306,9 @@ class ScreeningResult:
 
 
 def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
-                        cfg: ForestConfig,
-                        sample_rows: np.ndarray | None = None,
-                        rng_state: int | None = None) -> RegressionTree:
-    """Grow a single CART tree on the given sample rows (default: all rows).
+                        cfg: ForestConfig) -> RegressionTree:
+    """Grow a single CART tree on all rows, its split draws seeded with
+    ``cfg.seed``.
 
     Candidate cuts are midpoints between consecutive distinct values of
     the tried predictor within the node; each split records its SSE
@@ -335,16 +318,14 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
     cfg.check()
     names = resolve_predictors(predictors, target)
     n = ds.n_records
-    rows = np.arange(n, dtype=np.int64) if sample_rows is None \
-        else check_rows(sample_rows, n, "sample_rows")
-    if rows.size == 0:
-        raise DegenerateDataError("empty sample")
+    if n == 0:
+        raise DegenerateDataError("cannot grow a tree on an empty dataset")
     x = ds.matrix(names)
     y = ds.column(target).astype(np.float64)
     m = math.ceil(len(names) / 3)
-    state = cfg.seed if rng_state is None else rng_state
-    arrays = _grow_tree(x, y, rows, m, MIN_LEAF, _UNLIMITED_DEPTH, state)
-    return RegressionTree(names, *arrays)
+    rows = np.arange(n, dtype=np.int64)
+    splits = _grow_tree(x, y, rows, m, MIN_LEAF, cfg.seed)
+    return RegressionTree(names, *splits)
 
 
 def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
@@ -375,9 +356,8 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
         out = np.empty((len(trees), len(names)))
         for i, t in enumerate(trees):
             rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, n)
-            arrays = _grow_tree(x, y, rows, m, MIN_LEAF, _UNLIMITED_DEPTH,
-                                state)
-            out[i] = RegressionTree(names, *arrays).contributions()
+            splits = _grow_tree(x, y, rows, m, MIN_LEAF, state)
+            out[i] = RegressionTree(names, *splits).contributions()
         return out
 
     contrib = np.zeros(len(names))

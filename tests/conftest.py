@@ -17,6 +17,18 @@ def cpu_dispatch() -> list[str]:
             if have.get(name)]
 
 
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    """Whether a and b hold the same years, column names, year tags and
+    column bytes (dtypes included)."""
+    def same(u, v):
+        return u.dtype == v.dtype and u.shape == v.shape \
+            and u.tobytes() == v.tobytes()
+
+    return (a.years == b.years and list(a.columns) == list(b.columns)
+            and same(a.year, b.year)
+            and all(same(a.columns[k], b.columns[k]) for k in a.columns))
+
+
 # one line per acceptance criterion, printed after the run so the
 # verdicts are visible even with pytest's output capture on
 ACCEPTANCE_LINES: list[str] = []

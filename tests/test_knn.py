@@ -605,8 +605,10 @@ def test_a_record_far_from_every_training_row_is_refused(weighting):
     (np.array([0, 10**6]), r"rows must lie in \[0, 80\)"),
     (np.array([-1, 3]), r"rows must lie in \[0, 80\)"),
     (np.array([0.0, 1.7]), "rows must be integers"),
+    (np.array([True, False]), "rows must be integers, got bool"),
     (np.array([[0, 1]]), "rows must be 1-D"),
-], ids=["past-end", "negative", "fractional", "two-d"])
+    (np.array(7), r"rows must be 1-D, got shape \(\)"),
+], ids=["past-end", "negative", "fractional", "boolean", "two-d", "scalar"])
 def test_predict_rows_validates_rows(tiny_ds, rows, match):
     model = fit_knn(tiny_ds, split(tiny_ds, seed=0), k=2)
     with pytest.raises(ConfigError, match=match):

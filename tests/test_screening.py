@@ -13,8 +13,8 @@ from pemskit.ingest import PREDICTORS, Dataset
 from pemskit.rng import SplitMix64, derive_seed
 from pemskit.screening import (
     ForestConfig,
+    MIN_LEAF,
     RegressionTree,
-    _UNLIMITED_DEPTH,
     _bootstrap_rows,
     _grow_tree,
     fit_regression_tree,
@@ -56,38 +56,37 @@ def test_single_tree_on_step_function():
     x = np.linspace(0.0, 1.0, 200)
     ds = _ds_from_columns(x=x, pad=np.zeros(200), y=np.where(x > 0.5, 10.0, 0.0))
     names = ("x", "pad")
-    arrays = _grow_tree(np.ascontiguousarray(ds.matrix(names)),
-                        ds.column("y"), np.arange(200, dtype=np.int64),
-                        2, 1, _UNLIMITED_DEPTH, 0)
-    tree = RegressionTree(names, *arrays)
+    xs, y = ds.matrix(names), ds.column("y")
+    rows = np.arange(200, dtype=np.int64)
+    tree = RegressionTree(names, *_grow_tree(xs, y, rows, 2, 1, 0))
     # one split, on x (predictor 0), at the root
     assert tree.feature.tolist() == [0, -1, -1]
-    # midpoint of the two grid points astride the step: exactly 0.5
-    assert tree.cut[0] == 0.5
     # a perfect split removes the whole sum of squares: 200 * 5^2
     assert tree.sse_reduction[0] == pytest.approx(5000.0)
-    assert sorted([float(tree.value[1]), float(tree.value[2])]) == [0.0, 10.0]
-    assert list(tree.n_rows) == [200, 100, 100]
+    ref = _assert_grows_like_reference(xs, y, rows, 2, 1, 0)
+    # midpoint of the two grid points astride the step: exactly 0.5
+    assert ref["cut"][0] == 0.5
+    assert ref["value"][1:].tolist() == [0.0, 10.0]
+    assert ref["n_rows"].tolist() == [200, 100, 100]
     contrib = tree.contributions()
     assert contrib[0] == pytest.approx(5000.0) and contrib[1] == 0.0
 
 
 def test_leaf_size_floor_and_children_partition(planted_ds):
     names = ("x1", "x2", "noise")
-    arrays = _grow_tree(np.ascontiguousarray(planted_ds.matrix(names)),
-                        planted_ds.column("y"),
-                        np.arange(planted_ds.n_records, dtype=np.int64),
-                        1, 9, _UNLIMITED_DEPTH, 0)
-    tree = RegressionTree(names, *arrays)
-    assert tree.n_nodes > 3
-    for i in range(tree.n_nodes):
-        if tree.feature[i] < 0:
-            assert tree.n_rows[i] >= 9
+    ref = _assert_grows_like_reference(
+        planted_ds.matrix(names), planted_ds.column("y"),
+        np.arange(planted_ds.n_records, dtype=np.int64), 1, 9, 0)
+    feature, n_rows = ref["feature"], ref["n_rows"]
+    assert feature.shape[0] > 3
+    for i in range(feature.shape[0]):
+        if feature[i] < 0:
+            assert n_rows[i] >= 9
         else:
-            li, ri = int(tree.left[i]), int(tree.right[i])
-            assert tree.n_rows[li] + tree.n_rows[ri] == tree.n_rows[i]
-            assert tree.n_rows[li] >= 9 and tree.n_rows[ri] >= 9
-            assert tree.sse_reduction[i] > 0.0
+            li, ri = int(ref["left"][i]), int(ref["right"][i])
+            assert n_rows[li] + n_rows[ri] == n_rows[i]
+            assert n_rows[li] >= 9 and n_rows[ri] >= 9
+            assert ref["reduction"][i] > 0.0
 
 
 def test_a_tree_draws_a_third_of_its_predictors_and_keeps_five_per_leaf(
@@ -97,21 +96,10 @@ def test_a_tree_draws_a_third_of_its_predictors_and_keeps_five_per_leaf(
     for names, m in ((("x1", "x2"), 1), (("x1", "x2", "noise"), 1),
                      (("x1", "x2", "noise", "const"), 2)):   # ceil(p / 3)
         tree = fit_regression_tree(planted_ds, names, "y", ForestConfig())
-        want = _grow_tree(np.ascontiguousarray(planted_ds.matrix(names)),
-                          planted_ds.column("y"), rows, m, 5,
-                          _UNLIMITED_DEPTH, 0)
-        got = (tree.feature, tree.cut, tree.sse_reduction, tree.left,
-               tree.right, tree.n_rows, tree.value)
+        want = _grow_tree(planted_ds.matrix(names), planted_ds.column("y"),
+                          rows, m, 5, 0)
+        got = (tree.feature, tree.sse_reduction)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-
-def test_depth_cap_gives_a_stump(planted_ds):
-    names = ("x1", "x2")
-    arrays = _grow_tree(planted_ds.matrix(names), planted_ds.column("y"),
-                        np.arange(planted_ds.n_records, dtype=np.int64),
-                        1, 5, 1, 0)
-    tree = RegressionTree(names, *arrays)
-    assert tree.n_nodes == 3 and int((tree.feature < 0).sum()) == 2
 
 
 def test_constant_target_collapses_to_single_leaf():
@@ -119,7 +107,6 @@ def test_constant_target_collapses_to_single_leaf():
                           y=np.full(50, 4.0))
     tree = fit_regression_tree(ds, ("x",), "y", ForestConfig(n_trees=1))
     assert tree.feature.tolist() == [-1]
-    assert float(tree.value[0]) == 4.0
     with pytest.raises(DegenerateDataError, match="zero variance"):
         screen_predictors(ds, ("x", "x2"), "y")
 
@@ -171,9 +158,9 @@ def test_one_tree_screen_reproducible_from_parts(planted_ds):
     tree_seed = derive_seed(9, 0)
     rows, state = _bootstrap_rows(np.uint64(tree_seed), planted_ds.n_records,
                                   planted_ds.n_records)
-    tree = fit_regression_tree(planted_ds, names, "y", cfg,
-                               sample_rows=rows, rng_state=int(state))
-    contrib = tree.contributions()
+    splits = _grow_tree(planted_ds.matrix(names), planted_ds.column("y"),
+                        rows, 1, MIN_LEAF, state)       # m = ceil(3 / 3)
+    contrib = RegressionTree(names, *splits).contributions()
     total = contrib.sum()
     for i, name in enumerate(names):
         assert res.by_predictor(name).contribution == float(contrib[i])
@@ -193,40 +180,33 @@ def test_config_validation(planted_ds):
         fit_regression_tree(planted_ds, (), "y", ForestConfig())
 
 
-@pytest.mark.parametrize("predictors, sample_rows, message", [
-    (("x1", "y"), None, "target 'y' is also a predictor"),
-    (("x1", "x2", "x1"), None, "predictor 'x1' is listed twice"),
-    (("x1", "x2"), [0, 500], r"must lie in \[0, 500\), got \[0, 500\]"),
-    (("x1", "x2"), [3, -1], r"must lie in \[0, 500\), got \[-1, 3\]"),
-    (("x1", "x2"), [1.7, 2.2], "must be integers, got float64"),
-    (("x1", "x2"), [True, False], "must be integers, got bool"),
-    (("x1", "x2"), [[0, 1], [2, 3]], r"must be 1-D, got shape \(2, 2\)"),
-    (("x1", "x2"), 7, r"must be 1-D, got shape \(\)"),
-], ids=["target", "duplicate", "past_end", "negative", "fractional",
-        "boolean", "two_d", "scalar"])
+@pytest.mark.parametrize("predictors, message", [
+    (("x1", "y"), "target 'y' is also a predictor"),
+    (("x1", "x2", "x1"), "predictor 'x1' is listed twice"),
+], ids=["target", "duplicate"])
 def test_fit_regression_tree_rejects_bad_inputs(planted_ds, predictors,
-                                                sample_rows, message):
+                                                message):
     with pytest.raises(ConfigError, match=message):
-        fit_regression_tree(planted_ds, predictors, "y", ForestConfig(),
-                            sample_rows=sample_rows)
+        fit_regression_tree(planted_ds, predictors, "y", ForestConfig())
 
 
-def test_fit_regression_tree_sample_rows_edges(planted_ds):
-    with pytest.raises(DegenerateDataError, match="empty sample"):
-        fit_regression_tree(planted_ds, ("x1",), "y", ForestConfig(),
-                            sample_rows=[])
-    rows = np.array([0, 499, 499], dtype=np.uint32)
-    tree = fit_regression_tree(planted_ds, ("x1",), "y", ForestConfig(),
-                               sample_rows=rows)
-    assert int(tree.n_rows[0]) == 3
+def test_fit_regression_tree_rejects_an_empty_dataset(planted_ds):
+    empty = planted_ds.subset(np.zeros(planted_ds.n_records, dtype=bool))
+    with pytest.raises(DegenerateDataError, match="empty dataset"):
+        fit_regression_tree(empty, ("x1",), "y", ForestConfig())
 
 
 # ------------------------------------------------- grower vs. loop reference
 
 
-def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
+def _reference_grow_tree(x, y, rows, m, min_leaf, rng_state):
     """The grower as a plain per-row loop: depth-first, left child first,
-    m predictors drawn per node, first best midpoint cut on a strict >."""
+    m predictors drawn per node, first best midpoint cut on a strict >.
+
+    Returns every node array by name, indexed by node id; the grower
+    keeps only "feature" and "reduction".  The cuts and row counts that
+    it drops still decide the partitions, so a wrong one shows in the
+    later nodes."""
     n = rows.shape[0]
     p = x.shape[1]
     max_nodes = 2 * n + 1
@@ -235,7 +215,7 @@ def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     reduction = np.zeros(max_nodes, np.float64)
     left = np.full(max_nodes, -1, np.int64)
     right = np.full(max_nodes, -1, np.int64)
-    n_node = np.zeros(max_nodes, np.int64)
+    n_rows = np.zeros(max_nodes, np.int64)
     value = np.zeros(max_nodes, np.float64)
 
     idx = rows.copy()
@@ -246,8 +226,7 @@ def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
     stack_node = np.empty(max_nodes, np.int64)
     stack_lo = np.empty(max_nodes, np.int64)
     stack_hi = np.empty(max_nodes, np.int64)
-    stack_depth = np.empty(max_nodes, np.int64)
-    stack_node[0], stack_lo[0], stack_hi[0], stack_depth[0] = 0, 0, n, 0
+    stack_node[0], stack_lo[0], stack_hi[0] = 0, 0, n
     sp = 1
     node_count = 1
 
@@ -256,7 +235,6 @@ def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
         node = stack_node[sp]
         lo = stack_lo[sp]
         hi = stack_hi[sp]
-        depth = stack_depth[sp]
         s = hi - lo
 
         y_sum = 0.0
@@ -269,10 +247,10 @@ def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
             c = y[idx[i]] - mean
             sse += c * c
             c_sum += c
-        n_node[node] = s
+        n_rows[node] = s
         value[node] = mean
 
-        if s < 2 * min_leaf or depth >= max_depth or sse <= 0.0:
+        if s < 2 * min_leaf or sse <= 0.0:
             continue
 
         for j in range(p):
@@ -335,16 +313,15 @@ def _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, rng_state):
         node_count += 2
         left[node] = left_id
         right[node] = right_id
-        stack_node[sp], stack_lo[sp], stack_hi[sp], stack_depth[sp] = \
-            right_id, lo + nl, hi, depth + 1
+        stack_node[sp], stack_lo[sp], stack_hi[sp] = right_id, lo + nl, hi
         sp += 1
-        stack_node[sp], stack_lo[sp], stack_hi[sp], stack_depth[sp] = \
-            left_id, lo, lo + nl, depth + 1
+        stack_node[sp], stack_lo[sp], stack_hi[sp] = left_id, lo, lo + nl
         sp += 1
 
-    return (feature[:node_count], cut[:node_count], reduction[:node_count],
-            left[:node_count], right[:node_count], n_node[:node_count],
-            value[:node_count])
+    return {"feature": feature[:node_count], "cut": cut[:node_count],
+            "reduction": reduction[:node_count], "left": left[:node_count],
+            "right": right[:node_count], "n_rows": n_rows[:node_count],
+            "value": value[:node_count]}
 
 
 def _reference_contributions(tree):
@@ -357,20 +334,23 @@ def _reference_contributions(tree):
     return contrib
 
 
-def _assert_grows_like_reference(x, y, rows, m, min_leaf, max_depth, state):
-    want = _reference_grow_tree(x, y, rows, m, min_leaf, max_depth, state)
-    got = _grow_tree(x, y, rows, m, min_leaf, max_depth, state)
-    assert len(got) == 7
-    for name, a, b in zip(("feature", "cut", "reduction", "left", "right",
-                           "n_node", "value"), want, got):
+def _assert_grows_like_reference(x, y, rows, m, min_leaf, state):
+    """The grower's (feature, reduction) equal the reference loop's, byte
+    for byte and node for node; returns the reference's node arrays."""
+    want = _reference_grow_tree(x, y, rows, m, min_leaf, state)
+    got = _grow_tree(x, y, rows, m, min_leaf, state)
+    assert len(got) == 2
+    for name, b in zip(("feature", "reduction"), got):
+        a = want[name]
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     tree = RegressionTree(tuple(f"x{j}" for j in range(x.shape[1])), *got)
+    assert tree.n_nodes == want["n_rows"].shape[0]
     contrib = tree.contributions()
     expected = _reference_contributions(tree)
     assert contrib.dtype == expected.dtype
     assert contrib.tobytes() == expected.tobytes()
-    return got
+    return want
 
 
 @pytest.mark.parametrize("n, min_leaf", [(1, 1), (2, 1), (37, 1), (10, 5),
@@ -380,10 +360,10 @@ def test_grower_fills_its_node_bound(n, min_leaf):
     # min_leaf rows: 2 * ceil(n / min_leaf) - 1 nodes, the arrays' bound.
     # With n < min_leaf the tree is the root alone.
     x = np.arange(n, dtype=np.float64)[:, None]
-    got = _assert_grows_like_reference(x, x[:, 0].copy(),
+    ref = _assert_grows_like_reference(x, x[:, 0].copy(),
                                        np.arange(n, dtype=np.int64), 1,
-                                       min_leaf, _UNLIMITED_DEPTH, 0)
-    assert got[0].shape == (2 * -(-n // min_leaf) - 1,)
+                                       min_leaf, 0)
+    assert ref["feature"].shape == (2 * -(-n // min_leaf) - 1,)
 
 
 def _tree_inputs(quantized, seed=5, n=300, p=4):
@@ -399,15 +379,12 @@ def _tree_inputs(quantized, seed=5, n=300, p=4):
 
 @pytest.mark.parametrize("quantized", [False, True], ids=["real", "ties"])
 @pytest.mark.parametrize("min_leaf", [1, 5, 37])
-@pytest.mark.parametrize("max_depth", [1, 3, _UNLIMITED_DEPTH],
-                         ids=["depth1", "depth3", "unlimited"])
 @pytest.mark.parametrize("m", [1, 4], ids=["m1", "mp"])
-def test_grower_matches_reference_loop(quantized, min_leaf, max_depth, m):
+def test_grower_matches_reference_loop(quantized, min_leaf, m):
     x, y, rows, state = _tree_inputs(quantized)
     assert len(np.unique(rows)) < len(rows)    # bootstrap repeats rows
-    feature, *_ = _assert_grows_like_reference(x, y, rows, m, min_leaf,
-                                               max_depth, state)
-    assert feature[0] >= 0      # the root splits, so there is a tree to compare
+    ref = _assert_grows_like_reference(x, y, rows, m, min_leaf, state)
+    assert ref["feature"][0] >= 0   # the root splits: a tree to compare
 
 
 def test_grower_matches_reference_on_synthetic_turbine_data(turbine_ds):
@@ -415,16 +392,15 @@ def test_grower_matches_reference_on_synthetic_turbine_data(turbine_ds):
     y = turbine_ds.column("nox").astype(np.float64)
     rows, state = _bootstrap_rows(derive_seed(1, 0), turbine_ds.n_records,
                                   turbine_ds.n_records)
-    _assert_grows_like_reference(x, y, rows, 3, 5, _UNLIMITED_DEPTH, state)
+    _assert_grows_like_reference(x, y, rows, 3, 5, state)
 
 
 @pytest.mark.parametrize("target", [4.0, -0.0], ids=["four", "minus_zero"])
 def test_grower_matches_reference_on_constant_target(target):
     x, _, rows, state = _tree_inputs(False, n=50)
     y = np.full(50, target)
-    feature, *_ = _assert_grows_like_reference(
-        x, y, rows, 4, 1, _UNLIMITED_DEPTH, state)
-    assert feature.tolist() == [-1]
+    ref = _assert_grows_like_reference(x, y, rows, 4, 1, state)
+    assert ref["feature"].tolist() == [-1]
 
 
 def test_grower_matches_reference_on_two_rows():
@@ -432,25 +408,22 @@ def test_grower_matches_reference_on_two_rows():
     y = np.array([2.0, 5.0])
     for rows in (np.array([0, 1]), np.array([1, 0]), np.array([1, 1])):
         for min_leaf in (1, 2):
-            _assert_grows_like_reference(x, y, rows, 2, min_leaf,
-                                         _UNLIMITED_DEPTH, 99)
+            _assert_grows_like_reference(x, y, rows, 2, min_leaf, 99)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
        p=st.integers(1, 4), decimals=st.integers(0, 2),
-       min_leaf=st.integers(1, 6), max_depth=st.sampled_from([1, 2, 4, None]),
-       data=st.data())
+       min_leaf=st.integers(1, 6), data=st.data())
 def test_grower_matches_reference_on_random_data(seed, n, p, decimals,
-                                                 min_leaf, max_depth, data):
+                                                 min_leaf, data):
     rng = np.random.default_rng(seed)
     x = np.ascontiguousarray(np.round(rng.normal(size=(n, p)), decimals))
     y = np.round(rng.normal(size=n) + x.sum(axis=1), decimals)
     m = data.draw(st.integers(1, p), label="m")
     size = data.draw(st.integers(1, 2 * n), label="size")
     rows, state = _bootstrap_rows(derive_seed(seed, 0), n, size)
-    depth = _UNLIMITED_DEPTH if max_depth is None else max_depth
-    _assert_grows_like_reference(x, y, rows, m, min_leaf, depth, state)
+    _assert_grows_like_reference(x, y, rows, m, min_leaf, state)
 
 
 def _preorder(left, right):
@@ -476,12 +449,12 @@ def test_twin_predictors_split_on_the_earlier_drawn():
     x = np.ascontiguousarray(np.stack((col, col), axis=1))
     y = 2.0 * col + rng.normal(size=n)
     rows = np.arange(n, dtype=np.int64)
-    feature, _, _, left, right, n_node, _ = _assert_grows_like_reference(
-        x, y, rows, 2, 1, _UNLIMITED_DEPTH, 77)
+    ref = _assert_grows_like_reference(x, y, rows, 2, 1, 77)
+    feature = ref["feature"]
     stream = SplitMix64(77)
     split_on = set()
-    for node in _preorder(left, right):
-        if n_node[node] < 2:
+    for node in _preorder(ref["left"], ref["right"]):
+        if ref["n_rows"][node] < 2:
             continue
         feats = [0, 1]
         for t in range(2):
@@ -518,12 +491,13 @@ _NAMES = ("x1", "x2", "noise", "const")
 def _tree_by_tree(ds, cfg):
     """Contributions as hex, each tree grown here in turn and added in
     tree order from zeros: the bytes any worker count must give."""
+    x, y = ds.matrix(_NAMES), ds.column("y")
     contrib = np.zeros(len(_NAMES))
     for t in range(cfg.n_trees):
         rows, state = _bootstrap_rows(derive_seed(cfg.seed, t),
                                       ds.n_records, ds.n_records)
-        contrib += fit_regression_tree(ds, _NAMES, "y", cfg, sample_rows=rows,
-                                       rng_state=state).contributions()
+        splits = _grow_tree(x, y, rows, 2, MIN_LEAF, state)   # m = ceil(4 / 3)
+        contrib += RegressionTree(_NAMES, *splits).contributions()
     return [float(c).hex() for c in contrib]
 
 
