@@ -70,6 +70,13 @@ class SplitAssignment:
         return [PARTITIONS[c] for c in self.codes]
 
 
+def _check_assignment(ds: Dataset, assignment: SplitAssignment) -> None:
+    """ConfigError unless the assignment gives each record of ds a code."""
+    if assignment.codes.shape[0] != ds.n_records:
+        raise ConfigError(f"the split has {assignment.codes.shape[0]} "
+                          f"codes for {ds.n_records} records")
+
+
 def _partition_counts(n: int, fractions: Sequence[float]) -> list[int]:
     """Largest-remainder apportionment; remainder ties go to the
     earlier partition."""
@@ -153,6 +160,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
             k: int = 3, weighting: str = "inverse_distance",
             leave_self_out: bool = True) -> KnnModel:
     """Standardize on Training rows only and retain them for lookup."""
+    _check_assignment(ds, assignment)
     names = resolve_predictors(predictors, target)
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
@@ -205,21 +213,12 @@ _F32_CUTOFF = 2.0 ** 100
 
 
 def _self_positions(train_rows: np.ndarray, self_rows: np.ndarray) -> np.ndarray:
-    """Training position of each query's own dataset row, or -1.
-
-    Training rows are distinct; the lookup table spans only the dataset
-    rows that occur among the queries.
-    """
-    pos = np.full(self_rows.shape[0], -1, dtype=np.int64)
-    mine = self_rows >= 0
-    if not mine.any():
-        return pos
-    top = int(self_rows.max())
-    keep = (train_rows >= 0) & (train_rows <= top)
-    where = np.full(top + 1, -1, dtype=np.int64)
-    where[train_rows[keep]] = np.nonzero(keep)[0]
-    pos[mine] = where[self_rows[mine]]
-    return pos
+    """Training position of each query's own dataset row, or -1: a binary
+    search of the training rows, which are distinct, in sorted order."""
+    order = np.argsort(train_rows)
+    at = np.searchsorted(train_rows, self_rows, sorter=order)
+    pos = order[np.clip(at, 0, train_rows.shape[0] - 1)]
+    return np.where(train_rows[pos] == self_rows, pos, -1)
 
 
 def _augment(train_z):
@@ -248,9 +247,11 @@ def _scan(train_z, q_z, own, k, train_aug):
     for every training row is most of a scan, so a filter picks a few
     candidates per query first, and D is computed for those alone.
 
-    Filter.  For each block of _BLOCK_QUERIES queries, one float32
-    matrix product of the rows a = [q, 1, |q|²] and b = [-2t, |t|², 1]
-    gives G ≈ |q - t|² for every pair.  q, t, |q|² and |t|² are float64
+    Filter.  q, |q|², M and E below are formed once per call.  Each
+    block of _BLOCK_QUERIES queries then takes one float32 matrix
+    product of the rows a = [q, 1, |q|²] and b = [-2t, |t|², 1], which
+    gives G ≈ |q - t|² for every pair, and then the chunk minima, the
+    candidates and the refine below.  q, t, |q|² and |t|² are float64
     (the norms summed in float64) rounded to float32.  Let M = |q| +
     max|t|, u = 2**-24 and η = 2**-150.  Under IEEE gradual underflow a
     float32 rounding of x errs by at most u·|x| when the result is
@@ -316,48 +317,42 @@ def _scan(train_z, q_z, own, k, train_aug):
     block = max(1, min(_BLOCK_QUERIES, n_q))
     g_buf = np.empty((block, width), np.float32)
     g_buf[:, n_t:] = np.inf
-    q_aug = np.empty((block, p + 2), np.float32)
-    q_aug[:, p] = 1.0
     out_d2 = np.empty((n_q, k), np.float64)
     out_ix = np.empty((n_q, k), np.int64)
-    first_k = np.arange(k)
-    for lo in range(0, n_q, block):
-        hi = min(lo + block, n_q)
-        q = q_z[lo:hi]
-        g = g_buf[:hi - lo]
-        qa = q_aug[:hi - lo]
-        me = own[lo:hi]
-        left_out = np.nonzero(me >= 0)[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.einsum("ij,ij->i", q, q)
-            qa[:, :p] = q
-            qa[:, p + 1] = norms
-            np.matmul(qa, aug, out=g[:, :n_t])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", q_z, q_z)
+        q_aug = np.empty((n_q, p + 2), np.float32)
+        q_aug[:, :p] = q_z
+        q_aug[:, p] = 1.0
+        q_aug[:, p + 1] = norms
+        m = np.sqrt(norms) + t_max
+        two_e = 8 * (p + 4) * (_U * m * m + _ETA * (m + 1.0))
+        two_e[~(2.0 * m * m < _F32_CUTOFF)] = np.inf
+        for lo in range(0, n_q, block):
+            hi = min(lo + block, n_q)
+            g = g_buf[:hi - lo]
+            me = own[lo:hi]
+            left_out = np.nonzero(me >= 0)[0]
+            np.matmul(q_aug[lo:hi], aug, out=g[:, :n_t])
             g[left_out, me[left_out]] = np.inf
             by_chunk = g.reshape(hi - lo, -1, chunks)
             low = by_chunk.min(axis=1)
-            kth = np.partition(low, k - 1, axis=1)[:, k - 1]
-            m = np.sqrt(norms) + t_max
-            two_e = 8 * (p + 4) * (_U * m * m + _ETA * (m + 1.0))
-            two_e[~(2.0 * m * m < _F32_CUTOFF)] = np.inf
-            bound = kth + two_e
-            near = np.flatnonzero(~(low > bound[:, None]))
-            r, c = np.divmod(near, chunks)
-            cells = by_chunk[r, :, c]
-            hit, at = np.divmod(np.flatnonzero(~(cells > bound[r, None])),
-                                cells.shape[1])
-        row, col = r[hit], at * chunks + c[hit]
-        allowed = (col < n_t) & (col != me[row])
-        row, col = row[allowed], col[allowed]
-        with np.errstate(over="ignore"):
-            sq = q[row] - train_z[col]
+            bound = np.partition(low, k - 1, axis=1)[:, k - 1] + two_e[lo:hi]
+            r, c = np.nonzero(~(low > bound[:, None]))
+            hit, at = np.nonzero(~(by_chunk[r, :, c] > bound[r, None]))
+            row, col = r[hit], at * chunks + c[hit]
+            allowed = (col < n_t) & (col != me[row])
+            row, col = row[allowed], col[allowed]
+            sq = q_z[lo + row] - train_z[col]
             sq *= sq
             dist = np.add.accumulate(sq, axis=1)[:, -1]
-        order = np.lexsort((col, dist, row))
-        counts = np.bincount(row, minlength=hi - lo)
-        take = order[((np.cumsum(counts) - counts)[:, None] + first_k).ravel()]
-        out_d2[lo:hi] = dist[take].reshape(hi - lo, k)
-        out_ix[lo:hi] = col[take].reshape(hi - lo, k)
+            # row never decreases (nonzero walks row-major; the mask keeps
+            # that order), so each query starts in order where it does in row
+            order = np.lexsort((col, dist, row))
+            starts = np.searchsorted(row, np.arange(hi - lo))
+            take = order[(starts[:, None] + np.arange(k)).ravel()]
+            out_d2[lo:hi] = dist[take].reshape(hi - lo, k)
+            out_ix[lo:hi] = col[take].reshape(hi - lo, k)
     return out_d2, out_ix
 
 
@@ -518,6 +513,7 @@ def _partition_metrics(codes: np.ndarray, actual: np.ndarray,
 def evaluate(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
              partition: str, target: str = TARGET) -> EvalMetrics:
     """Metrics over one partition, or over all records for "Total"."""
+    _check_assignment(ds, assignment)
     if partition == TOTAL:
         rows = np.arange(ds.n_records, dtype=np.int64)
     elif partition in PARTITIONS:
@@ -534,6 +530,7 @@ def evaluate_all(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
                  target: str = TARGET) -> dict[str, EvalMetrics]:
     """Metrics for Training/Validation/Test/Total from one prediction
     pass; a record's prediction does not depend on the other queries."""
+    _check_assignment(ds, assignment)
     return _partition_metrics(assignment.codes, ds.column(target),
                               predict_rows(model, ds))
 
@@ -609,6 +606,7 @@ class ResidualTable:
 def residuals(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
               target: str = TARGET) -> ResidualTable:
     """actual − predicted for every record, all partitions."""
+    _check_assignment(ds, assignment)
     actual = ds.column(target).copy()
     predicted = predict_rows(model, ds)
     return ResidualTable(np.arange(ds.n_records, dtype=np.int64),

@@ -4,17 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pemskit.cli import (_COMMANDS, ENV_DATA_DIR, build_parser, emit_table,
                          main, resolve_config)
 from pemskit.errors import ConfigError
-from pemskit.ingest import Dataset, load_dataset, write_year_files
+from pemskit.ingest import (REQUIRED, Dataset, load_dataset,
+                            write_year_files)
 from pemskit.knn import load_model, split
 from pemskit.synthetic import make_dataset
 
@@ -596,6 +598,60 @@ def test_a_chart_axis_that_overflows_exits_4_naming_the_variable(
     assert capsys.readouterr().err == (
         "error: the x axis 'ap' cannot span [1.75e+308, 1.75e+308]: its "
         "padded range overflows float64\n")
+
+
+# How a fuzzed column departs from the synthetic one: no spread, a copy
+# of another column, two distinct values, or two cells at ±1e308.
+_COLUMN_KINDS = ("constant", "duplicated", "tied", "huge")
+
+
+@st.composite
+def _odd_year_files(draw):
+    """1-3 years of 1-29 rows, up to three odd columns, and a seed."""
+    sizes = draw(st.lists(st.integers(1, 29), min_size=1, max_size=3))
+    odd = draw(st.dictionaries(st.sampled_from(REQUIRED),
+                               st.sampled_from(_COLUMN_KINDS), max_size=3))
+    return sizes, odd, draw(st.integers(0, 2**32 - 1))
+
+
+def _odd_dataset(sizes, odd, seed) -> Dataset:
+    rng = np.random.default_rng(seed)
+    years = range(2011, 2011 + len(sizes))
+    ds = make_dataset(years, rows_per_year=max(sizes), seed=seed)
+    ds = ds.subset(np.concatenate([np.nonzero(ds.year == year)[0][:n]
+                                   for year, n in zip(years, sizes)]))
+    cols = {name: col.copy() for name, col in ds.columns.items()}
+    for name, kind in odd.items():
+        col = cols[name]
+        if kind == "constant":
+            col[:] = col[0]
+        elif kind == "duplicated":
+            col[:] = ds.column(REQUIRED[rng.integers(len(REQUIRED))])
+        elif kind == "tied":
+            col[:] = rng.choice(col[:2], ds.n_records)
+        else:
+            col[rng.integers(ds.n_records, size=2)] = (1e308, -1e308)
+    return Dataset(cols, ds.year.copy(), ds.years)
+
+
+_SMALL_RUNS = {"screen": ["--trees", "2"], "knn": ["--k-max", "3"],
+               "report": ["--trees", "2", "--k-max", "3"]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(files=_odd_year_files())
+def test_no_command_raises_on_small_odd_year_files(files):
+    # a traceback, or a warning (an error in this suite), fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp, "data")
+        ds = _odd_dataset(*files)
+        write_year_files(ds, data)
+        years = ",".join(map(str, ds.years))
+        for command in _COMMANDS:
+            code = main([command, "--plots", *_SMALL_RUNS.get(command, []),
+                         "--years", years, "--data-dir", str(data),
+                         "--out-dir", str(Path(tmp, command))])
+            assert code in (0, 2, 3, 4), command
 
 
 # Every subcommand's argparse actions, written out by hand as (flags,

@@ -472,6 +472,30 @@ def test_scan_memory_is_bounded():
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def _dict_self_positions(train_rows, self_rows):
+    where = {int(row): t for t, row in enumerate(train_rows)}
+    return [where.get(int(row), -1) for row in self_rows]
+
+
+_SHUFFLED = np.random.default_rng(8).permutation(np.arange(5, 600, 3))
+
+
+@pytest.mark.parametrize("train_rows, self_rows", [
+    # shuffled; absent, -1, below every training row, above every one
+    ([7, 3, 12, 5, 9], [3, 4, -1, 2, 0, 13, 100, 12, 7, 9, 5]),
+    (_SHUFFLED, np.arange(-2, 605)),
+    ([7, 3, 12, 5, 9], [5, 5, 9, 5, 5]),     # a repeated self row
+    ([7, 3, 12], []),                        # no queries
+    ([4], [4, 3, 5, -1, 4]),                 # a one-row model
+], ids=["shuffled", "shuffled-span", "repeated", "no-queries", "one-row"])
+def test_self_positions_matches_a_dict_lookup(train_rows, self_rows):
+    train_rows = np.asarray(train_rows, dtype=np.int64)
+    self_rows = np.asarray(self_rows, dtype=np.int64)
+    pos = _self_positions(train_rows, self_rows)
+    assert pos.dtype == np.int64 and pos.shape == self_rows.shape
+    assert pos.tolist() == _dict_self_positions(train_rows, self_rows)
+
+
 _fold_d2 = st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.25, 4.0)),
                     min_size=1, max_size=8).map(sorted)
 
@@ -884,6 +908,25 @@ def test_an_empty_partition_is_named(tiny_ds):
     with pytest.raises(DegenerateDataError,
                        match="^year 2011: partition 'Test' is empty$"):
         compare_pooled_vs_yearly(ds, fractions, k_max=3)
+
+
+@pytest.mark.parametrize("call, codes, records", [
+    (lambda small, big, model: fit_knn(small, split(big)), 200, 100),
+    (lambda small, big, model: select_k(small, split(big), k_max=3), 200, 100),
+    (lambda small, big, model: evaluate(model, big, split(small), "Test"),
+     100, 200),
+    (lambda small, big, model: evaluate_all(model, big, split(small)),
+     100, 200),
+    (lambda small, big, model: residuals(model, big, split(small)), 100, 200),
+], ids=["fit_knn", "select_k", "evaluate", "evaluate_all", "residuals"])
+def test_a_split_of_another_dataset_is_refused(call, codes, records):
+    small = make_dataset(rows_per_year=20, seed=2)
+    big = make_dataset(rows_per_year=40, seed=1)
+    model = fit_knn(small, split(small))
+    with pytest.raises(ConfigError,
+                       match=f"^the split has {codes} codes for {records} "
+                             "records$"):
+        call(small, big, model)
 
 
 # -------------------------------------------------------------- residuals
