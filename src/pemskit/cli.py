@@ -17,9 +17,12 @@ one (drift_scores, knn_residuals), which stays out.
 
 Each option is a RunConfig field: its default, parse function, metavar
 and help are the field's, and the flags and config-file keys come from
-the fields.  Configuration precedence: built-in defaults < --config
-key=value file < explicit flags.  Exit codes: 0 success, 2 input/IO
-error, 3 config error, 4 numeric degeneracy.
+the fields.  A subcommand takes the run-wide options and the ones it
+reads (_COMMANDS), and any other flag is a config error; a config file
+may set any option, as one file also serves ``report``.  Configuration
+precedence: built-in defaults < --config key=value file < explicit
+flags.  Exit codes: 0 success, 2 input/IO error, 3 config error, 4
+numeric degeneracy.
 """
 
 from __future__ import annotations
@@ -199,10 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Turbine telemetry analytics: summaries, "
                                  "clustering, screening, drift, KNN NOx model.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="FILE")
-        for key, opt in _OPTIONS.items():
+        for key in _RUN_WIDE + options:
+            opt = _OPTIONS[key]
             flag = key.replace("_", "-")
             if isinstance(opt.default, bool):
                 p.add_argument(f"--no-{flag}" if opt.default else f"--{flag}",
@@ -219,7 +223,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults < --config file < flags, each value parsed by its option."""
     values = {} if args.config is None else _read_config_file(args.config)
     for key in _OPTIONS:
-        given = getattr(args, key)
+        given = getattr(args, key, None)     # None: not this command's
         if isinstance(given, str):
             given = _parse(key, given, "--" + key.replace("_", "-"))
         if given is not None:
@@ -476,37 +480,33 @@ _INDEX_HTML = """<!DOCTYPE html>
 </html>
 """
 
-#: One report.json section per command, made of that command's outputs up
-#: to its first per-record table, which stays out of the report.
-_REPORT_SECTIONS = {
-    "summary": cmd_summary,
-    "correlations": cmd_correlate,
-    "clusters": cmd_cluster_vars,
-    "screening": cmd_screen,
-    "drift": cmd_drift,
-    "knn": cmd_knn,
-}
 _PER_RECORD = ("drift_scores", "knn_residuals")
 
 
 def cmd_report(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     config = replace(config, plots=False)
     report = {section: dict(takewhile(lambda out: out[0] not in _PER_RECORD,
-                                      command(ds, config)))
-              for section, command in _REPORT_SECTIONS.items()}
+                                      run(ds, config)))
+              for run, section, _ in _COMMANDS.values() if section}
     yield "report.json", json.dumps(report, indent=2) + "\n"
     yield "index.html", _INDEX_HTML
 
 
+#: Every command takes these; perfbench passes --seed and --plots to each.
+_RUN_WIDE = ("data_dir", "years", "target", "predictors", "exclude_weather",
+             "seed", "out", "plots", "out_dir")
+#: name: (function, report.json section, options it reads besides _RUN_WIDE)
 _COMMANDS = {
-    "summary": cmd_summary,
-    "correlate": cmd_correlate,
-    "cluster-vars": cmd_cluster_vars,
-    "screen": cmd_screen,
-    "drift": cmd_drift,
-    "knn": cmd_knn,
-    "report": cmd_report,
+    "summary": (cmd_summary, "summary", ()),
+    "correlate": (cmd_correlate, "correlations", ()),
+    "cluster-vars": (cmd_cluster_vars, "clusters", ("threshold",)),
+    "screen": (cmd_screen, "screening", ("trees",)),
+    "drift": (cmd_drift, "drift", ("reference_year", "tep_unit")),
+    "knn": (cmd_knn, "knn", ("split", "k", "k_max", "weighting",
+                             "leave_self_out")),
 }
+_COMMANDS["report"] = (cmd_report, None, tuple(
+    key for _, _, options in _COMMANDS.values() for key in options))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -516,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ds = load_dataset(config.data_dir, config.years)
         check_spread(ds, (*config.resolved_predictors(), config.target))
         written = []
-        for name, content in _COMMANDS[config.command](ds, config):
+        for name, content in _COMMANDS[config.command][0](ds, config):
             written.append(_write(config, name, content))
             del content     # free a large table before the command resumes
         for path in written:

@@ -70,6 +70,11 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+# Flags that keep a command's run short, for the commands that read them
+_SMALL_RUNS = {"screen": ["--trees", "2"], "knn": ["--k-max", "3"],
+               "report": ["--trees", "2", "--k-max", "3"]}
+
+
 def test_summary_writes_default_tables(data_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("summary", "--data-dir", str(data_dir), "--out-dir", str(out)) == 0
@@ -129,10 +134,10 @@ def test_csv_and_json_tables_agree_on_numpy_and_subclassed_floats(tmp_path):
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_every_table_cell_is_a_plain_python_value(data_dir, command):
     config = resolve_config(build_parser().parse_args(
-        [command, "--plots", "--data-dir", str(data_dir), "--trees", "2",
-         "--k-max", "3"]))
+        [command, "--plots", "--data-dir", str(data_dir),
+         *_SMALL_RUNS.get(command, [])]))
     plain = {type(None), bool, int, float, str}
-    for name, content in _COMMANDS[command](
+    for name, content in _COMMANDS[command][0](
             load_dataset(config.data_dir, config.years), config):
         if isinstance(content, dict):
             for row in content["rows"]:
@@ -321,9 +326,9 @@ def test_report_sections_and_idempotence(data_dir, tmp_path):
 
 
 def test_report_sections_are_the_commands_tables(data_dir, tmp_path, capsys):
-    common = ("--data-dir", str(data_dir), "--out", "json", "--seed", "3",
-              "--trees", "2", "--k-max", "3")
-    assert _run("report", *common, "--out-dir", str(tmp_path / "report")) == 0
+    common = ("--data-dir", str(data_dir), "--out", "json", "--seed", "3")
+    assert _run("report", *common, *_SMALL_RUNS["report"],
+                "--out-dir", str(tmp_path / "report")) == 0
     report = json.loads((tmp_path / "report" / "report.json").read_text())
     commands = {"summary": "summary", "correlations": "correlate",
                 "clusters": "cluster-vars", "screening": "screen",
@@ -333,7 +338,8 @@ def test_report_sections_are_the_commands_tables(data_dir, tmp_path, capsys):
     capsys.readouterr()
     for section, command in commands.items():
         out = tmp_path / command
-        assert _run(command, *common, "--out-dir", str(out)) == 0
+        assert _run(command, *common, *_SMALL_RUNS.get(command, []),
+                    "--out-dir", str(out)) == 0
         written = [Path(line.removeprefix("wrote ")) for line
                    in capsys.readouterr().out.splitlines()]
         tables = {p.stem: json.loads(p.read_text()) for p in written
@@ -410,14 +416,14 @@ def test_a_header_only_year_file_exits_2_naming_it(data_dir, tmp_path, capsys,
 def test_exit_code_3_for_config_problems(data_dir, tmp_path):
     out = str(tmp_path / "out")
     base = ("--data-dir", str(data_dir), "--out-dir", out)
-    assert _run("summary", *base, "--split", "0.5,0.4,0.3") == 3
+    assert _run("knn", *base, "--split", "0.5,0.4,0.3") == 3
     assert _run("summary", *base, "--years", "20x1") == 3
     assert _run("summary", *base, "--predictors", "at,bogus") == 3
     assert _run("summary", *base, "--predictors", "at",
                 "--exclude-weather") == 3
     assert _run("knn", *base, "--k", "0") == 3
     assert _run("summary", *base, "--not-a-flag") == 3        # argparse error
-    assert _run("summary", *base, "--tep-unit", "psi") == 3   # bad choice
+    assert _run("drift", *base, "--tep-unit", "psi") == 3     # bad choice
     # the target may not also be a predictor, given or by default
     assert _run("screen", *base, "--predictors", "at,ap,nox") == 3
     assert _run("knn", *base, "--predictors", "at,nox", "--years", "2011",
@@ -524,8 +530,8 @@ def _resolve(argv: list[str]):
 def test_flag_and_config_line_parse_alike(key, text, tmp_path_factory):
     cfg = tmp_path_factory.getbasetemp() / f"equivalence_{key}.cfg"
     cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
-    from_flag = _resolve(["summary", "--" + key.replace("_", "-"), text])
-    from_file = _resolve(["summary", "--config", str(cfg)])
+    from_flag = _resolve(["report", "--" + key.replace("_", "-"), text])
+    from_file = _resolve(["report", "--config", str(cfg)])
     assert from_flag == from_file
 
 
@@ -634,10 +640,6 @@ def _odd_dataset(sizes, odd, seed) -> Dataset:
     return Dataset(cols, ds.year.copy(), ds.years)
 
 
-_SMALL_RUNS = {"screen": ["--trees", "2"], "knn": ["--k-max", "3"],
-               "report": ["--trees", "2", "--k-max", "3"]}
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(files=_odd_year_files())
 def test_no_command_raises_on_small_odd_year_files(files):
@@ -654,9 +656,9 @@ def test_no_command_raises_on_small_odd_year_files(files):
             assert code in (0, 2, 3, 4), command
 
 
-# Every subcommand's argparse actions, written out by hand as (flags,
-# dest, metavar, help, default, const, nargs): a change to how the options
-# are declared must leave the command-line surface exactly as it is.
+# Every option's argparse action, written out by hand as (flags, dest,
+# metavar, help, default, const, nargs): a change to how the options are
+# declared must leave the command-line surface exactly as it is.
 OPTION_SURFACE = [
     (["-h", "--help"], "help", None, "show this help message and exit",
      argparse.SUPPRESS, None, 0),
@@ -683,6 +685,21 @@ OPTION_SURFACE = [
     (["--no-leave-self-out"], "leave_self_out", None, None, None, False, 0),
 ]
 
+ACTION_OF = {action[0][-1]: action for action in OPTION_SURFACE}
+RUN_WIDE_FLAGS = ["--help", "--config", "--data-dir", "--years", "--target",
+                  "--predictors", "--exclude-weather", "--seed", "--out",
+                  "--plots", "--out-dir"]
+# Each subcommand's own flags; report reads all of them.
+OWN_FLAGS = {
+    "summary": [],
+    "correlate": [],
+    "cluster-vars": ["--threshold"],
+    "screen": ["--trees"],
+    "drift": ["--reference-year", "--tep-unit"],
+    "knn": ["--split", "--k", "--k-max", "--weighting", "--no-leave-self-out"],
+}
+OWN_FLAGS["report"] = [flag for own in OWN_FLAGS.values() for flag in own]
+
 
 def test_every_subcommand_has_the_written_out_options():
     parser = build_parser()
@@ -693,7 +710,32 @@ def test_every_subcommand_has_the_written_out_options():
     for command, p in sub.choices.items():
         surface = [(a.option_strings, a.dest, a.metavar, a.help, a.default,
                     a.const, a.nargs) for a in p._actions]
-        assert surface == OPTION_SURFACE, command
+        assert surface == [ACTION_OF[flag] for flag
+                           in RUN_WIDE_FLAGS + OWN_FLAGS[command]], command
+    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 88
+
+
+# A valid value for each flag that only some subcommands read
+_OWN_FLAG_VALUES = {"--threshold": ["1.0"], "--trees": ["2"],
+                    "--reference-year": ["2011"], "--tep-unit": ["mbar"],
+                    "--split": ["0.7,0.15,0.15"], "--k": ["3"],
+                    "--k-max": ["3"], "--weighting": ["uniform"],
+                    "--no-leave-self-out": []}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, own in OWN_FLAGS.items()
+    for flag in _OWN_FLAG_VALUES if flag not in own])
+def test_a_flag_the_subcommand_does_not_read_exits_3(command, flag, tmp_path,
+                                                     capsys):
+    # the data directory is missing too: the flag is refused before any read
+    out = tmp_path / "out"
+    assert _run(command, flag, *_OWN_FLAG_VALUES[flag], "--data-dir",
+                str(tmp_path / "missing"), "--out-dir", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ")
+    assert flag in err.split()
+    assert not out.exists()
 
 
 def test_console_entry_point_help():
