@@ -18,11 +18,11 @@ one (drift_scores, knn_residuals), which stays out.
 Each option is a RunConfig field: its default, parse function, metavar
 and help are the field's, and the flags and config-file keys come from
 the fields.  A subcommand takes the run-wide options and the ones it
-reads (_COMMANDS), and any other flag is a config error; a config file
-may set any option, as one file also serves ``report``.  Configuration
-precedence: built-in defaults < --config key=value file < explicit
-flags.  Exit codes: 0 success, 2 input/IO error, 3 config error, 4
-numeric degeneracy.
+reads (_COMMANDS), spelled out in full, and any other flag is a config
+error; a config file may set any option, as one file also serves
+``report``.  Configuration precedence: built-in defaults < --config
+key=value file < explicit flags.  Exit codes: 0 success, 2 input/IO
+error, 3 config error, 4 numeric degeneracy.
 """
 
 from __future__ import annotations
@@ -198,12 +198,12 @@ def _read_config_file(path: str) -> dict[str, object]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pemskit",
+    parser = _Parser(prog="pemskit", allow_abbrev=False,
                      description="Turbine telemetry analytics: summaries, "
                                  "clustering, screening, drift, KNN NOx model.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, options) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)    # flags exact, as keys
         p.add_argument("--config", metavar="FILE")
         for key in _RUN_WIDE + options:
             opt = _OPTIONS[key]
@@ -492,7 +492,7 @@ def cmd_report(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     yield "index.html", _INDEX_HTML
 
 
-#: Every command takes these; perfbench passes --seed and --plots to each.
+#: Taken by every command, though not all read --seed, --plots or --out.
 _RUN_WIDE = ("data_dir", "years", "target", "predictors", "exclude_weather",
              "seed", "out", "plots", "out_dir")
 #: name: (function, report.json section, options it reads besides _RUN_WIDE)

@@ -308,8 +308,7 @@ def _scan(train_z, q_z, own, k, train_aug):
     """
     n_q, p = q_z.shape
     n_t = train_z.shape[0]
-    leave_out = (own >= 0).any()
-    if k > n_t - 1 and leave_out:
+    if k > n_t - 1 and (own >= 0).any():
         raise DegenerateDataError(
             "k exceeds available neighbors under leave-self-out")
     aug, t_max = train_aug
@@ -333,21 +332,16 @@ def _scan(train_z, q_z, own, k, train_aug):
             hi = min(lo + block, n_q)
             g = g_buf[:hi - lo]
             me = own[lo:hi]
+            left_out = np.nonzero(me >= 0)[0]
             np.matmul(q_aug[lo:hi], aug, out=g[:, :n_t])
-            if leave_out:
-                left_out = np.nonzero(me >= 0)[0]
-                g[left_out, me[left_out]] = np.inf
+            g[left_out, me[left_out]] = np.inf
             by_chunk = g.reshape(hi - lo, -1, chunks)
             low = by_chunk.min(axis=1)
             bound = np.partition(low, k - 1, axis=1)[:, k - 1] + two_e[lo:hi]
-            near = ~(low > bound[:, None])
-            r, c = np.unravel_index(np.flatnonzero(near), near.shape)
-            cand = ~(by_chunk[r, :, c] > bound[r, None])
-            hit, at = np.unravel_index(np.flatnonzero(cand), cand.shape)
+            r, c = np.nonzero(~(low > bound[:, None]))
+            hit, at = np.nonzero(~(by_chunk[r, :, c] > bound[r, None]))
             row, col = r[hit], at * chunks + c[hit]
-            allowed = col < n_t
-            if leave_out:
-                allowed &= col != me[row]
+            allowed = (col < n_t) & (col != me[row])
             row, col = row[allowed], col[allowed]
             sq = q_z[lo + row] - train_z[col]
             sq *= sq

@@ -738,6 +738,19 @@ def test_a_flag_the_subcommand_does_not_read_exits_3(command, flag, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("summary", "--t", "nox"), ("summary", "--s", "5"),
+    ("drift", "--tep", "mbar"), ("knn", "--k-m", "3"),
+    ("report", "--out-d", "elsewhere")])
+def test_a_shortened_flag_exits_3(argv, tmp_path, capsys):
+    # a flag, like a config key, must be spelled out in full
+    out = tmp_path / "out"
+    assert _run(*argv, "--data-dir", str(tmp_path / "missing"),
+                "--out-dir", str(out)) == 3
+    assert argv[1] in capsys.readouterr().err.split()
+    assert not out.exists()
+
+
 def test_console_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "pemskit.cli", "knn", "--help"],
                           capture_output=True, text=True)
