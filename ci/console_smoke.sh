@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Smoke test of the `pemskit` console script: every command runs on
+# small synthetic year files, and the outputs that must not depend on
+# the BLAS kernel, the CPU count or numpy's SIMD level are diffed
+# across them.
+#
+# Run from anywhere with `pemskit` on PATH: bash ci/console_smoke.sh.
+# Without an installed package, a two-line shim does, with src on
+# PYTHONPATH:  #!/bin/sh  /  exec python -m pemskit.cli "$@"
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+pemskit --help
+for cmd in summary correlate cluster-vars screen drift knn report; do
+  pemskit "$cmd" --help
+done
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+python -c "import sys; from pemskit import make_dataset, write_year_files; write_year_files(make_dataset(rows_per_year=60, seed=1), sys.argv[1])" "$work/data"
+# a flag the subcommand does not read is a config error (exit 3)
+# that stops the run before it writes anything
+code=0
+pemskit summary --trees 7 --data-dir "$work/data" --out-dir "$work/refused" || code=$?
+test "$code" -eq 3
+test ! -e "$work/refused"
+pemskit summary --plots --data-dir "$work/data" --out-dir "$work/summary"
+pemskit correlate --plots --data-dir "$work/data" --out-dir "$work/correlate"
+pemskit cluster-vars --data-dir "$work/data" --out-dir "$work/cluster-vars"
+pemskit drift --plots --data-dir "$work/data" --out-dir "$work/drift"
+pemskit knn --k-max 3 --plots --data-dir "$work/data" --out-dir "$work/knn"
+# the installed package loads the model that knn wrote and
+# predicts record 0 of 2011 with it
+python -c "import sys; from pemskit import load_dataset, load_model, predict; model = load_model(sys.argv[1]); ds = load_dataset(sys.argv[2], [2011]); print(predict(model, {name: float(ds.column(name)[0]) for name in model.predictors}))" "$work/knn/model.json" "$work/data"
+# the same bytes on one thread of another BLAS kernel, and on
+# another kernel (sgemm picks its own for each core type)
+OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Prescott pemskit knn --k-max 3 --plots --data-dir "$work/data" --out-dir "$work/knn-prescott"
+diff -r "$work/knn" "$work/knn-prescott"
+OPENBLAS_CORETYPE=Haswell pemskit knn --k-max 3 --plots --data-dir "$work/data" --out-dir "$work/knn-haswell"
+diff -r "$work/knn" "$work/knn-haswell"
+# the forest grows its trees across every CPU (4 on the CI runner,
+# so 5 trees make uneven blocks); one CPU must give the same
+# bytes.  A fork that warns of threads fails the first run.
+PYTHONWARNINGS=error::DeprecationWarning pemskit screen --trees 5 --plots --data-dir "$work/data" --out-dir "$work/screen"
+taskset -c 0 pemskit screen --trees 5 --plots --data-dir "$work/data" --out-dir "$work/screen-one-cpu"
+diff -r "$work/screen" "$work/screen-one-cpu"
+# each node sorts its drawn predictors as one block; numpy's
+# baseline loops, without its SIMD dispatch targets, must give
+# the same bytes
+dispatch="$(python -c "import sys; sys.path.insert(0, 'tests'); from conftest import cpu_dispatch; print(' '.join(cpu_dispatch()))")"
+echo "disabled SIMD dispatch targets: $dispatch"
+NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit screen --trees 5 --plots --data-dir "$work/data" --out-dir "$work/screen-no-simd"
+diff -r "$work/screen" "$work/screen-no-simd"
+# the same on data printed to five significant digits, as the UCI
+# export is: its tied values must sort the same on every SIMD level
+# and every CPU count
+python - "$work/ties" <<'PY'
+import sys
+
+import numpy as np
+
+from pemskit import Dataset, make_dataset, write_year_files
+
+ds = make_dataset(rows_per_year=60, seed=1)
+cols = {name: np.array([float(f"{v:.5g}") for v in col])
+        for name, col in ds.columns.items()}
+write_year_files(Dataset(cols, ds.year, ds.years), sys.argv[1])
+PY
+pemskit screen --trees 5 --plots --data-dir "$work/ties" --out-dir "$work/screen-ties"
+NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit screen --trees 5 --plots --data-dir "$work/ties" --out-dir "$work/screen-ties-no-simd"
+diff -r "$work/screen-ties" "$work/screen-ties-no-simd"
+taskset -c 0 pemskit screen --trees 5 --plots --data-dir "$work/ties" --out-dir "$work/screen-ties-one-cpu"
+diff -r "$work/screen-ties" "$work/screen-ties-one-cpu"
+pemskit report --trees 2 --k-max 3 --data-dir "$work/data" --out-dir "$work/report"
+# report grows its forest through the same workers
+taskset -c 0 pemskit report --trees 2 --k-max 3 --data-dir "$work/data" --out-dir "$work/report-one-cpu"
+diff -r "$work/report" "$work/report-one-cpu"

@@ -12,17 +12,17 @@ the bootstrap row draws, then the per-split predictor draws in
 depth-first, left-child-first node order.  Identical (data, config,
 seed) therefore reproduce bit-identical results.
 
-Tree growth is vectorised per node and fixes its floating-point order:
-a node's m drawn predictors form one (m, s) block, one row per
-predictor in draw order, and a row-wise ``np.argsort`` of the default
-kind sorts each row as the 1-D call would, so tied values keep the
-order, and with it the summation order, that a per-row loop sees; every
-node total and running sum is a sequential ``np.add.accumulate`` scan
-from 0.0, never a pairwise ``np.sum``; and a row-major ``argmax`` over
-the block picks the first largest reduction in draw order, then cut
-order, as a loop over the predictors that replaces the best only on a
-strict ``>`` does.  The bytes are those of the plain per-row loop that
-``tests/test_screening.py`` keeps as a reference.
+Tree growth reads no predictor value, only its order: each column is
+ranked once per forest, densely with ties equal, and a tree sorts on the
+unique int64 key (rank << 32) | bootstrap position, so by rank, then by
+bootstrap position, whatever the sort kind or SIMD level.  A node's m
+drawn predictors form one (m, s) block of keys, one row per predictor
+in draw order; every node total and running sum is a sequential
+``np.add.accumulate`` scan from 0.0, never a pairwise ``np.sum``; and a
+row-major ``argmax`` over the block picks the first largest reduction
+in draw order, then cut order, as a loop over the predictors that
+replaces the best only on a strict ``>`` does.  These are the bytes of
+the stable-sorting per-row loop ``tests/test_screening.py`` keeps.
 
 Workers: the trees are split into contiguous blocks, one per CPU the
 process may run on (``os.sched_getaffinity``), and each block after the
@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import Dataset, TARGET, resolve_predictors
 from .rng import SplitMix64, derive_seed
 from .stats import check_spread
@@ -71,28 +71,30 @@ def _running_total(a):
     return np.add.accumulate(a)[-1] + 0.0
 
 
-def _grow_tree(x, y, rows, m, min_leaf, rng_state):
+def _grow_tree(ranks, y, rows, m, min_leaf, rng_state):
     """Grow one CART regression tree on the given rows; return its splits.
 
-    Splits maximize SSE reduction over midpoint cuts of m predictors
-    drawn per node (partial Fisher-Yates from the tree's rng stream).
-    Returns (feature, reduction), indexed by node id: the predictor each
-    node splits on (-1 for a leaf) and the reduction its split buys (0.0
-    for a leaf).  The root is node 0, and a split gives its left and
-    right children the next two ids.  Each node evaluates its m drawn
-    predictors as one (m, s) block, in the order the module docstring
-    pins, so the bytes are those of a per-row loop.
+    Splits maximize SSE reduction over cuts between distinct values of m
+    predictors drawn per node (partial Fisher-Yates from the tree's rng
+    stream), whose dense ranks ``ranks`` holds.  Returns (feature,
+    reduction), indexed by node id: the predictor each node splits on (-1
+    for a leaf) and the reduction its split buys (0.0 for a leaf).  The
+    root is node 0, and a split gives its left and right children the
+    next two ids.  Each node evaluates its m drawn predictors as one
+    (m, s) block of sort keys, in the order the module docstring pins.
     """
     n = rows.shape[0]
-    p = x.shape[1]
+    p = ranks.shape[1]
     # every leaf but a lone root holds min_leaf rows or more, so a tree
     # has at most ceil(n / min_leaf) leaves and twice that less one nodes
     max_nodes = 2 * -(-n // min_leaf) - 1
     feature = np.full(max_nodes, -1, np.int64)
     reduction = np.zeros(max_nodes, np.float64)
 
-    block_rows = np.arange(m)[:, None]
-    idx = rows.copy()
+    # a node holds bootstrap positions, each keyed (rank << 32) | position
+    keys = (ranks[rows] << 32) | np.arange(n)[:, None]
+    y = y[rows]
+    idx = np.arange(n)
     stream = SplitMix64(rng_state)
     sizes = np.arange(1, n, dtype=np.int64)     # left-child sizes of cuts
 
@@ -108,7 +110,8 @@ def _grow_tree(x, y, rows, m, min_leaf, rng_state):
             continue
         seg = idx[lo:hi]
         ys = y[seg]
-        c = ys - _running_total(ys) / s
+        mean = _running_total(ys) / s
+        c = ys - mean
         sse = _running_total(c * c)
         if sse <= 0.0:
             continue
@@ -120,19 +123,19 @@ def _grow_tree(x, y, rows, m, min_leaf, rng_state):
             j = t + stream.below(p - t)
             feats[t], feats[j] = feats[j], feats[t]
 
-        # Row r of the block holds the r-th drawn predictor's values,
-        # sorted.  A cut after the i-th sorted row leaves i rows on the
-        # left; only first <= i <= last keeps both children at min_leaf
-        # rows or more.
-        vs = x[seg, np.array(feats[:m])[:, None]]
-        order = vs.argsort(axis=1)
-        vs = vs[block_rows, order]
+        # Row r of the block holds the r-th drawn predictor's keys,
+        # sorted; a key's low 32 bits are its row's position.  A cut after
+        # the i-th sorted row leaves i rows on the left; only
+        # first <= i <= last keeps both children at min_leaf rows or more.
+        ks = keys[seg, np.array(feats[:m])[:, None]]
+        ks.sort(axis=1)
         first, last = min_leaf, s - min_leaf
         n_left = sizes[first - 1:last]
         # red = s_left²/n_left + s_right²/n_right - c_sum²/s, left to
         # right, in place to spare (m, s) temporaries on large nodes; the
         # right-child sizes s - i are the left ones reversed
-        red = c[order[:, :last]]
+        red = y[ks[:, :last] & 0xFFFFFFFF]
+        red -= mean
         np.add.accumulate(red, axis=1, out=red)
         red = red[:, first - 1:]
         s_right = c_sum - red
@@ -145,20 +148,17 @@ def _grow_tree(x, y, rows, m, min_leaf, rng_state):
         # a cut needs distinct values astride it and a positive
         # reduction; masked cells (NaN among them) become -inf, so the
         # row-major argmax is the first best in draw, then cut, order
-        ok = (vs[:, first:last + 1] > vs[:, first - 1:last]) & (red > 0.0)
+        rk = ks[:, first - 1:last + 1] >> 32
+        ok = (rk[:, 1:] > rk[:, :-1]) & (red > 0.0)
         red[~ok] = -np.inf
         r, k = divmod(int(red.argmax()), red.shape[1])
         best_red = red[r, k]
         if not best_red > 0.0:
             continue
-        prev = vs[r, first - 1 + k]
-        cur = vs[r, first + k]
-        mid = 0.5 * (prev + cur)
-        best_cut = prev if mid >= cur else mid
         best_feat = feats[r]
 
-        # Stable partition: rows with value <= cut keep order on the left.
-        goes_left = x[seg, best_feat] <= best_cut
+        # Stable partition: keys up to the last left row's go left, in order.
+        goes_left = keys[seg, best_feat] <= ks[r, first - 1 + k]
         nl = int(np.count_nonzero(goes_left))
         idx[lo:hi] = np.concatenate((seg[goes_left], seg[~goes_left]))
 
@@ -169,6 +169,22 @@ def _grow_tree(x, y, rows, m, min_leaf, rng_state):
         node_count += 2
 
     return feature[:node_count], reduction[:node_count]
+
+
+def _ranked_inputs(ds: Dataset, names: Sequence[str], target: str):
+    """(ranks, y): each predictor's dense ranks, ties equal, as an (n, p)
+    int64 matrix, and the target as float64.  DegenerateDataError if the
+    target's variance overflows; DataError naming a non-finite predictor."""
+    check_spread(ds, (target,))
+    ranks = np.empty((ds.n_records, len(names)), np.int64)
+    for j, name in enumerate(names):
+        col = ds.column(name)
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise DataError(f"predictor '{name}': non-finite value "
+                            f"{float(col[bad[0]])!r} in record {bad[0]}")
+        ranks[:, j] = np.unique(col, return_inverse=True)[1]
+    return ranks, ds.column(target).astype(np.float64)
 
 
 def _worker_count(n_items: int) -> int:
@@ -286,21 +302,19 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
     """Grow a single CART tree on all rows, its split draws seeded with
     ``cfg.seed``.
 
-    Candidate cuts are midpoints between consecutive distinct values of
-    the tried predictor within the node; each split records its SSE
-    reduction, which is non-negative by construction (only strictly
-    positive reductions are accepted).
+    Candidate cuts lie between consecutive distinct values of the tried
+    predictor within the node; a split is taken only for a strictly
+    positive SSE reduction, which it records.
     """
     cfg.check()
     names = resolve_predictors(predictors, target)
     n = ds.n_records
     if n == 0:
         raise DegenerateDataError("cannot grow a tree on an empty dataset")
-    x = ds.matrix(names)
-    y = ds.column(target).astype(np.float64)
+    ranks, y = _ranked_inputs(ds, names, target)
     m = math.ceil(len(names) / 3)
     rows = np.arange(n, dtype=np.int64)
-    splits = _grow_tree(x, y, rows, m, MIN_LEAF, cfg.seed)
+    splits = _grow_tree(ranks, y, rows, m, MIN_LEAF, cfg.seed)
     return RegressionTree(names, *splits)
 
 
@@ -318,21 +332,17 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     if len(names) < 2:
         raise ConfigError("screening needs at least 2 predictors")
     cfg.check()
-    check_spread(ds, (target,))
-    y = ds.column(target)
+    ranks, y = _ranked_inputs(ds, names, target)
     if ds.n_records < 2 or float(np.ptp(y)) == 0.0:
         raise DegenerateDataError(f"target '{target}' has zero variance")
-    x = ds.matrix(names)
     n = ds.n_records
     m = math.ceil(len(names) / 3)
-
-    y = y.astype(np.float64)
 
     def grow(trees: range) -> np.ndarray:
         out = np.empty((len(trees), len(names)))
         for i, t in enumerate(trees):
             rows, state = _bootstrap_rows(derive_seed(cfg.seed, t), n, n)
-            splits = _grow_tree(x, y, rows, m, MIN_LEAF, state)
+            splits = _grow_tree(ranks, y, rows, m, MIN_LEAF, state)
             out[i] = RegressionTree(names, *splits).contributions()
         return out
 

@@ -8,7 +8,7 @@ from conftest import cpu_dispatch
 from hypothesis import given, settings, strategies as st
 
 from pemskit import screening
-from pemskit.errors import ConfigError, DegenerateDataError
+from pemskit.errors import ConfigError, DataError, DegenerateDataError
 from pemskit.ingest import PREDICTORS, Dataset
 from pemskit.rng import SplitMix64, derive_seed
 from pemskit.screening import (
@@ -17,6 +17,7 @@ from pemskit.screening import (
     RegressionTree,
     _bootstrap_rows,
     _grow_tree,
+    _ranked_inputs,
     fit_regression_tree,
     screen_predictors,
 )
@@ -58,7 +59,8 @@ def test_single_tree_on_step_function():
     names = ("x", "pad")
     xs, y = ds.matrix(names), ds.column("y")
     rows = np.arange(200, dtype=np.int64)
-    tree = RegressionTree(names, *_grow_tree(xs, y, rows, 2, 1, 0))
+    ranks = _ranked_inputs(ds, names, "y")[0]
+    tree = RegressionTree(names, *_grow_tree(ranks, y, rows, 2, 1, 0))
     # one split, on x (predictor 0), at the root
     assert tree.feature.tolist() == [0, -1, -1]
     # a perfect split removes the whole sum of squares: 200 * 5^2
@@ -96,8 +98,8 @@ def test_a_tree_draws_a_third_of_its_predictors_and_keeps_five_per_leaf(
     for names, m in ((("x1", "x2"), 1), (("x1", "x2", "noise"), 1),
                      (("x1", "x2", "noise", "const"), 2)):   # ceil(p / 3)
         tree = fit_regression_tree(planted_ds, names, "y", ForestConfig())
-        want = _grow_tree(planted_ds.matrix(names), planted_ds.column("y"),
-                          rows, m, 5, 0)
+        want = _grow_tree(*_ranked_inputs(planted_ds, names, "y"), rows, m,
+                          5, 0)
         got = (tree.feature, tree.sse_reduction)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -111,15 +113,36 @@ def test_constant_target_collapses_to_single_leaf():
         screen_predictors(ds, ("x", "x2"), "y")
 
 
-def test_screening_names_a_target_whose_variance_overflows(planted_ds):
+_ENTRY_POINTS = [screen_predictors, fit_regression_tree]
+
+
+def _with_column(ds, name, col):
+    return Dataset({**ds.columns, name: col}, ds.year, ds.years)
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_screening_names_a_target_whose_variance_overflows(planted_ds, entry):
     # finite cells, overflowing squared deviations; warnings are errors here
     y = planted_ds.column("y").copy()
     y[:2] = (1.5e308, -1.5e308)
-    wide = Dataset({**planted_ds.columns, "y": y}, planted_ds.year,
-                   planted_ds.years)
     with pytest.raises(DegenerateDataError,
                        match="variable 'y' spans .*: its variance overflows float64"):
-        screen_predictors(wide, ("x1", "x2"), "y", ForestConfig(n_trees=1))
+        entry(_with_column(planted_ds, "y", y), ("x1", "x2"), "y",
+              ForestConfig(n_trees=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("entry", _ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_a_non_finite_predictor_cell_is_refused_by_name(planted_ds, entry,
+                                                        value):
+    # ranks would order NaN after every number; a tree must not split on it
+    x2 = planted_ds.column("x2").copy()
+    x2[3::3] = value
+    with pytest.raises(DataError, match=rf"predictor 'x2': non-finite value "
+                                        rf"{value!r} in record 3"):
+        entry(_with_column(planted_ds, "x2", x2), ("x1", "x2"), "y",
+              ForestConfig(n_trees=1))
 
 
 def test_screening_ranks_planted_signal(planted_ds):
@@ -158,8 +181,8 @@ def test_one_tree_screen_reproducible_from_parts(planted_ds):
     tree_seed = derive_seed(9, 0)
     rows, state = _bootstrap_rows(np.uint64(tree_seed), planted_ds.n_records,
                                   planted_ds.n_records)
-    splits = _grow_tree(planted_ds.matrix(names), planted_ds.column("y"),
-                        rows, 1, MIN_LEAF, state)       # m = ceil(3 / 3)
+    splits = _grow_tree(*_ranked_inputs(planted_ds, names, "y"), rows, 1,
+                        MIN_LEAF, state)                # m = ceil(3 / 3)
     contrib = RegressionTree(names, *splits).contributions()
     total = contrib.sum()
     for i, name in enumerate(names):
@@ -201,7 +224,8 @@ def test_fit_regression_tree_rejects_an_empty_dataset(planted_ds):
 
 def _reference_grow_tree(x, y, rows, m, min_leaf, rng_state):
     """The grower as a plain per-row loop: depth-first, left child first,
-    m predictors drawn per node, first best midpoint cut on a strict >.
+    m predictors drawn per node, each sorted stably by value, first best
+    midpoint cut on a strict >.
 
     Returns every node array by name, indexed by node id; the grower
     keeps only "feature" and "reduction".  The cuts and row counts that
@@ -268,7 +292,7 @@ def _reference_grow_tree(x, y, rows, m, min_leaf, rng_state):
             w = np.empty(s, np.float64)
             for i in range(s):
                 v[i] = x[idx[lo + i], f]
-            order = np.argsort(v)
+            order = np.argsort(v, kind="stable")
             for i in range(s):
                 w[i] = y[idx[lo + order[i]]] - mean
             s_left = 0.0
@@ -334,11 +358,20 @@ def _reference_contributions(tree):
     return contrib
 
 
+def _ranks(x):
+    """The grower's rank matrix for the float predictor matrix x."""
+    names = [f"x{j}" for j in range(x.shape[1])]
+    ds = _ds_from_columns(y=np.zeros(x.shape[0]),
+                          **{name: x[:, j] for j, name in enumerate(names)})
+    return _ranked_inputs(ds, names, "y")[0]
+
+
 def _assert_grows_like_reference(x, y, rows, m, min_leaf, state):
-    """The grower's (feature, reduction) equal the reference loop's, byte
-    for byte and node for node; returns the reference's node arrays."""
+    """The grower, given x's ranks, gives the (feature, reduction) of the
+    reference loop on x, byte for byte and node for node; returns the
+    reference's node arrays."""
     want = _reference_grow_tree(x, y, rows, m, min_leaf, state)
-    got = _grow_tree(x, y, rows, m, min_leaf, state)
+    got = _grow_tree(_ranks(x), y, rows, m, min_leaf, state)
     assert len(got) == 2
     for name, b in zip(("feature", "reduction"), got):
         a = want[name]
@@ -468,8 +501,9 @@ def test_twin_predictors_split_on_the_earlier_drawn():
 
 
 def test_grower_matches_reference_without_simd_dispatch():
-    # each node argsorts its (m, s) block row by row; numpy's baseline
-    # sort must order ties as the 1-D sort of the reference loop does
+    # each node sorts its (m, s) block of unique int64 keys; numpy's
+    # baseline sort must give the reference loop's stable float order,
+    # ties included (the "ties" cases)
     disabled = " ".join(cpu_dispatch())
     if not disabled:
         pytest.skip("numpy dispatches to no CPU feature of this machine")
@@ -491,12 +525,13 @@ _NAMES = ("x1", "x2", "noise", "const")
 def _tree_by_tree(ds, cfg):
     """Contributions as hex, each tree grown here in turn and added in
     tree order from zeros: the bytes any worker count must give."""
-    x, y = ds.matrix(_NAMES), ds.column("y")
+    ranks, y = _ranked_inputs(ds, _NAMES, "y")
     contrib = np.zeros(len(_NAMES))
     for t in range(cfg.n_trees):
         rows, state = _bootstrap_rows(derive_seed(cfg.seed, t),
                                       ds.n_records, ds.n_records)
-        splits = _grow_tree(x, y, rows, 2, MIN_LEAF, state)   # m = ceil(4 / 3)
+        # m = ceil(4 / 3)
+        splits = _grow_tree(ranks, y, rows, 2, MIN_LEAF, state)
         contrib += RegressionTree(_NAMES, *splits).contributions()
     return [float(c).hex() for c in contrib]
 
@@ -538,10 +573,16 @@ def test_any_worker_count_gives_the_same_bytes(planted_ds, cpus, workers,
                                                n_trees):
     cfg = ForestConfig(n_trees=n_trees, seed=4)
     forks = cpus(workers)
-    assert _screen_hex(planted_ds, cfg) == _tree_by_tree(planted_ds, cfg)
-    # one block per worker, at most one per tree; the parent grows one
-    assert len(forks) == min(workers, n_trees) - 1
-    _assert_no_child_left()
+    # full precision, and tied values on every predictor but const
+    rounded = Dataset({k: np.round(v, 1)
+                       for k, v in planted_ds.columns.items()},
+                      planted_ds.year, planted_ds.years)
+    for ds in (planted_ds, rounded):
+        forks.clear()
+        assert _screen_hex(ds, cfg) == _tree_by_tree(ds, cfg)
+        # one block per worker, at most one per tree; the parent grows one
+        assert len(forks) == min(workers, n_trees) - 1
+        _assert_no_child_left()
 
 
 def test_without_fork_the_trees_grow_in_process(planted_ds, monkeypatch):
