@@ -23,6 +23,12 @@ code=0
 pemskit summary --trees 7 --data-dir "$work/data" --out-dir "$work/refused" || code=$?
 test "$code" -eq 3
 test ! -e "$work/refused"
+# so is a flag no command has: the process-only run is
+# --predictors afdp,tit,tat,tep,tey,cdp
+code=0
+pemskit summary --exclude-weather --data-dir "$work/data" --out-dir "$work/refused" || code=$?
+test "$code" -eq 3
+test ! -e "$work/refused"
 pemskit summary --plots --data-dir "$work/data" --out-dir "$work/summary"
 pemskit correlate --plots --data-dir "$work/data" --out-dir "$work/correlate"
 pemskit cluster-vars --data-dir "$work/data" --out-dir "$work/cluster-vars"
@@ -71,6 +77,7 @@ diff -r "$work/screen-ties" "$work/screen-ties-no-simd"
 taskset -c 0 pemskit screen --trees 5 --plots --data-dir "$work/ties" --out-dir "$work/screen-ties-one-cpu"
 diff -r "$work/screen-ties" "$work/screen-ties-one-cpu"
 pemskit report --trees 2 --k-max 3 --data-dir "$work/data" --out-dir "$work/report"
+test "$(ls "$work/report")" = report.json
 # report grows its forest through the same workers
 taskset -c 0 pemskit report --trees 2 --k-max 3 --data-dir "$work/data" --out-dir "$work/report-one-cpu"
 diff -r "$work/report" "$work/report-one-cpu"

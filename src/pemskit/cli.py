@@ -8,21 +8,24 @@ and round-trip exactly.
 
 Each command is ``cmd_<name>(ds, config)``: given the dataset, loaded
 once by main, it builds and yields its outputs as (name, content) pairs
-in write order, tables first, then plots.  Content is a table,
-SVG/JSON/HTML text, or the KNN model, and one writer, _write, puts every
-output on disk; the ``wrote`` lines are printed once all are written.
-``report`` runs the other six commands without plots: each section of
-report.json is exactly its command's tables, up to the first per-record
-one (drift_scores, knn_residuals), which stays out.
+in write order, tables first, then plots.  Content is a table, SVG or
+JSON text, or the KNN model, and one writer, _write, puts every output
+on disk; the ``wrote`` lines are printed once all are written.
+``report`` runs the other six commands without plots and writes only
+report.json: each of its sections is exactly its command's tables, up
+to the first per-record one (drift_scores, knn_residuals), which stays
+out.
 
 Each option is a RunConfig field: its default, parse function, metavar
 and help are the field's, and the flags and config-file keys come from
 the fields.  A subcommand takes the run-wide options and the ones it
 reads (_COMMANDS), spelled out in full, and any other flag is a config
 error; a config file may set any option, as one file also serves
-``report``.  Configuration precedence: built-in defaults < --config
-key=value file < explicit flags.  Exit codes: 0 success, 2 input/IO
-error, 3 config error, 4 numeric degeneracy.
+``report``.  --predictors picks the predictor set, all nine by default;
+the process-only run is ``--predictors afdp,tit,tat,tep,tey,cdp``.
+Configuration precedence: built-in defaults < --config key=value file <
+explicit flags.  Exit codes: 0 success, 2 input/IO error, 3 config
+error, 4 numeric degeneracy.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from . import knn as knn_mod
 from . import svgplot
 from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (DEFAULT_YEARS, Dataset, OPTIONAL_TARGET, PREDICTORS,
-                     PROCESS_PREDICTORS, TARGET, atomic_open, load_dataset,
-                     resolve_predictors)
+                     TARGET, atomic_open, load_dataset, resolve_predictors)
 from .screening import ForestConfig, screen_predictors
 from .stats import check_spread, correlation_matrix, flag_high_nox, summarize
 from .varclus import DEFAULT_THRESHOLD, cluster_variables, dependence_tag
@@ -142,9 +144,8 @@ class RunConfig:
         DEFAULT_YEARS, _parse_years,
         help="comma list and/or ranges, e.g. 2011-2013,2015")
     target: str = _option(TARGET, _parse_variable)
-    predictors: tuple[str, ...] | None = _option(None, _parse_predictors,
-                                                 "NAMES")
-    exclude_weather: bool = _option(False, _parse_bool)
+    predictors: tuple[str, ...] = _option(PREDICTORS, _parse_predictors,
+                                          "NAMES")
     split: tuple[float, float, float] = _option(knn_mod.DEFAULT_FRACTIONS,
                                                 _parse_fractions, "A,B,C")
     seed: int = _option(0, _parse_int)
@@ -160,11 +161,6 @@ class RunConfig:
     reference_year: int | None = _option(None, _parse_year)
     tep_unit: str = _choice("bar", ("mbar", "bar"))
     leave_self_out: bool = _option(True, _parse_bool)
-
-    def resolved_predictors(self) -> tuple[str, ...]:
-        if self.predictors is not None:
-            return self.predictors
-        return PROCESS_PREDICTORS if self.exclude_weather else PREDICTORS
 
 
 _OPTIONS = {f.name: f for f in fields(RunConfig) if f.metadata}
@@ -231,10 +227,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values["data_dir"] = (values.get("data_dir")
                           or os.environ.get(ENV_DATA_DIR) or "data")
     config = RunConfig(command=args.command, **values)
-    if config.predictors is not None and config.exclude_weather:
-        raise ConfigError("--predictors and --exclude-weather are mutually "
-                          "exclusive")
-    resolve_predictors(config.resolved_predictors(), config.target)
+    resolve_predictors(config.predictors, config.target)
     return config
 
 
@@ -279,8 +272,7 @@ def emit_table(out_dir: Path, name: str, table: Table, fmt: str) -> Path:
 def _write(config: RunConfig, name: str,
            content: Table | str | knn_mod.KnnModel) -> Path:
     """Write one command output under --out-dir: a table as <name>.csv or
-    <name>.json, a model with save_model, and text (SVG, JSON, HTML) as
-    it is."""
+    <name>.json, a model with save_model, and text (SVG, JSON) as it is."""
     path = Path(config.out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(content, knn_mod.KnnModel):
@@ -297,8 +289,7 @@ Output = tuple[str, "Table | str | knn_mod.KnnModel"]
 
 
 def cmd_summary(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    summaries = summarize(ds, variables=[*config.resolved_predictors(),
-                                         config.target])
+    summaries = summarize(ds, variables=[*config.predictors, config.target])
     yield "summary", _table(
         ["variable", "count", "mean", "std", "min", "q1", "median", "q3",
          "max"],
@@ -316,7 +307,7 @@ def cmd_summary(ds: Dataset, config: RunConfig) -> Iterator[Output]:
 
 
 def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    cm = correlation_matrix(ds, [*config.resolved_predictors(), config.target])
+    cm = correlation_matrix(ds, [*config.predictors, config.target])
     yield "correlations", _table(
         ["variable", *cm.variables],
         [[name, *row]
@@ -325,7 +316,7 @@ def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
         return
     high = flag_high_nox(ds)
     target = ds.column(config.target)
-    for name in config.resolved_predictors():
+    for name in config.predictors:
         x = ds.column(name)
         series = [("normal", x[~high], target[~high]),
                   ("high NOx", x[high], target[high])]
@@ -334,7 +325,7 @@ def cmd_correlate(ds: Dataset, config: RunConfig) -> Iterator[Output]:
 
 
 def cmd_cluster_vars(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    report = cluster_variables(ds, config.resolved_predictors(),
+    report = cluster_variables(ds, config.predictors,
                                threshold=config.threshold)
     yield "clusters", _table(
         ["cluster", "variable", "dependence", "r2_own", "r2_next", "ratio"],
@@ -348,7 +339,7 @@ def cmd_cluster_vars(ds: Dataset, config: RunConfig) -> Iterator[Output]:
 
 def cmd_screen(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     result = screen_predictors(
-        ds, config.resolved_predictors(), config.target,
+        ds, config.predictors, config.target,
         ForestConfig(n_trees=config.trees, seed=config.seed))
     yield "screening", _table(
         ["rank", "predictor", "contribution", "portion"],
@@ -366,8 +357,7 @@ def cmd_screen(ds: Dataset, config: RunConfig) -> Iterator[Output]:
 def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     scale = drift_mod.DEFAULT_TEP_SCALE if config.tep_unit == "bar" else 1.0
     report = drift_mod.drift_report(ds, config.reference_year,
-                                    config.resolved_predictors(),
-                                    x_unit_scale=scale)
+                                    config.predictors, x_unit_scale=scale)
     scores = report.scores
     yield "drift_fits", _table(
         ["year", "n", "intercept", "slope", "r_squared"],
@@ -402,7 +392,7 @@ def _metrics_row(scope: str, k, partition: str,
 
 
 def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
-    names = config.resolved_predictors()
+    names = config.predictors
     if config.k is None and len(ds.years) >= 2:
         cmp = knn_mod.compare_pooled_vs_yearly(
             ds, config.split, config.seed, config.k_max, names,
@@ -462,24 +452,6 @@ def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
         residuals, "Residual vs predicted", "predicted", "residual")
 
 
-_INDEX_HTML = """<!DOCTYPE html>
-<html>
-<head><meta charset="utf-8"><title>pemskit report</title></head>
-<body>
-<h1>pemskit report</h1>
-<p>Sections in <code>report.json</code>:</p>
-<ul>
-<li>summary — variable statistics and histograms</li>
-<li>correlations — pairwise Pearson matrix</li>
-<li>clusters — variable clustering memberships and fit ratios</li>
-<li>screening — bootstrap-forest predictor ranking</li>
-<li>drift — yearly PC centroids and cdp~tep fits</li>
-<li>knn — K selection, pooled vs. yearly metrics</li>
-</ul>
-</body>
-</html>
-"""
-
 _PER_RECORD = ("drift_scores", "knn_residuals")
 
 
@@ -489,12 +461,12 @@ def cmd_report(ds: Dataset, config: RunConfig) -> Iterator[Output]:
                                       run(ds, config)))
               for run, section, _ in _COMMANDS.values() if section}
     yield "report.json", json.dumps(report, indent=2) + "\n"
-    yield "index.html", _INDEX_HTML
 
 
-#: Taken by every command, though not all read --seed, --plots or --out.
-_RUN_WIDE = ("data_dir", "years", "target", "predictors", "exclude_weather",
-             "seed", "out", "plots", "out_dir")
+#: Taken by every command, though not all read --seed, --plots or --out
+#: (report reads neither of the last two).
+_RUN_WIDE = ("data_dir", "years", "target", "predictors", "seed", "out",
+             "plots", "out_dir")
 #: name: (function, report.json section, options it reads besides _RUN_WIDE)
 _COMMANDS = {
     "summary": (cmd_summary, "summary", ()),
@@ -514,7 +486,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = resolve_config(args)
         ds = load_dataset(config.data_dir, config.years)
-        check_spread(ds, (*config.resolved_predictors(), config.target))
+        check_spread(ds, (*config.predictors, config.target))
         written = []
         for name, content in _COMMANDS[config.command][0](ds, config):
             written.append(_write(config, name, content))

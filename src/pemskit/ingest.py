@@ -106,7 +106,8 @@ class Dataset:
     """Immutable columnar store of year-tagged observations.
 
     ``columns`` maps canonical variable names to read-only float arrays
-    of equal length; ``year`` carries the per-record year tag.  Records
+    of equal length, every cell finite (DataError names the first
+    non-finite one); ``year`` carries the per-record year tag.  Records
     keep their source-file order within each year, and years are laid
     out in ascending order.
     """
@@ -116,7 +117,11 @@ class Dataset:
     years: tuple[int, ...]
 
     def __post_init__(self):
-        for arr in self.columns.values():
+        for name, arr in self.columns.items():
+            if not np.isfinite(arr).all():
+                bad = np.flatnonzero(~np.isfinite(arr))[0]
+                raise DataError(f"variable '{name}': non-finite value "
+                                f"{float(arr[bad])!r} in record {bad}")
             arr.setflags(write=False)
         self.year.setflags(write=False)
 

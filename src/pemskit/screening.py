@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, TARGET, resolve_predictors
 from .rng import SplitMix64, derive_seed
 from .stats import check_spread
@@ -173,17 +173,13 @@ def _grow_tree(ranks, y, rows, m, min_leaf, rng_state):
 
 def _ranked_inputs(ds: Dataset, names: Sequence[str], target: str):
     """(ranks, y): each predictor's dense ranks, ties equal, as an (n, p)
-    int64 matrix, and the target as float64.  DegenerateDataError if the
-    target's variance overflows; DataError naming a non-finite predictor."""
+    int64 matrix, and the target as float64; DegenerateDataError if the
+    target's variance overflows.  A Dataset's cells are all finite, so
+    no rank stands for a NaN."""
     check_spread(ds, (target,))
     ranks = np.empty((ds.n_records, len(names)), np.int64)
     for j, name in enumerate(names):
-        col = ds.column(name)
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            raise DataError(f"predictor '{name}': non-finite value "
-                            f"{float(col[bad[0]])!r} in record {bad[0]}")
-        ranks[:, j] = np.unique(col, return_inverse=True)[1]
+        ranks[:, j] = np.unique(ds.column(name), return_inverse=True)[1]
     return ranks, ds.column(target).astype(np.float64)
 
 

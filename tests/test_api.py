@@ -4,6 +4,7 @@ import importlib
 from pathlib import Path
 
 import pemskit
+from pemskit import cli
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -29,6 +30,17 @@ def test_the_single_file_export_is_gone():
 def test_forest_config_has_only_the_knobs_in_use():
     fields = [f.name for f in dataclasses.fields(pemskit.ForestConfig)]
     assert fields == ["n_trees", "seed"]
+
+
+def test_run_config_has_only_the_options_in_use():
+    # each option is one flag and one config key; an alias of another
+    # option's value would be a second spelling of the same run
+    fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert fields == ["command", "data_dir", "years", "target", "predictors",
+                      "split", "seed", "k", "k_max", "weighting", "threshold",
+                      "trees", "out", "plots", "out_dir", "reference_year",
+                      "tep_unit", "leave_self_out"]
+    assert list(cli._OPTIONS) == fields[1:]
 
 
 def _traced_table():

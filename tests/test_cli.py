@@ -91,7 +91,7 @@ def test_summary_writes_default_tables(data_dir, tmp_path, capsys):
 def test_exclude_weather_trims_summary(data_dir, tmp_path):
     out = tmp_path / "out"
     assert _run("summary", "--data-dir", str(data_dir), "--out-dir", str(out),
-                "--exclude-weather") == 0
+                "--predictors", "afdp,tit,tat,tep,tey,cdp") == 0
     _, rows = _read_csv(out / "summary.csv")
     names = [r[0] for r in rows]
     assert len(names) == 7  # six process predictors + nox
@@ -321,7 +321,7 @@ def test_report_sections_and_idempotence(data_dir, tmp_path):
     assert list(doc) == ["summary", "correlations", "clusters", "screening",
                          "drift", "knn"]
     assert "drift_scores" not in doc["drift"]  # per-record scores stay out
-    assert (a / "index.html").read_text().startswith("<!DOCTYPE html>")
+    assert sorted(p.name for p in a.iterdir()) == ["report.json"]
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
@@ -419,8 +419,12 @@ def test_exit_code_3_for_config_problems(data_dir, tmp_path):
     assert _run("knn", *base, "--split", "0.5,0.4,0.3") == 3
     assert _run("summary", *base, "--years", "20x1") == 3
     assert _run("summary", *base, "--predictors", "at,bogus") == 3
-    assert _run("summary", *base, "--predictors", "at",
-                "--exclude-weather") == 3
+    # the process-only set is a --predictors value, not a flag or a key
+    assert _run("summary", *base, "--exclude-weather") == 3
+    weather_cfg = tmp_path / "weather.cfg"
+    weather_cfg.write_text("exclude_weather = true\n")
+    assert _run("summary", *base, "--config", str(weather_cfg)) == 3
+    assert not Path(out).exists()
     assert _run("knn", *base, "--k", "0") == 3
     assert _run("summary", *base, "--not-a-flag") == 3        # argparse error
     assert _run("drift", *base, "--tep-unit", "psi") == 3     # bad choice
@@ -668,7 +672,6 @@ OPTION_SURFACE = [
      "comma list and/or ranges, e.g. 2011-2013,2015", None, None, None),
     (["--target"], "target", None, None, None, None, None),
     (["--predictors"], "predictors", "NAMES", None, None, None, None),
-    (["--exclude-weather"], "exclude_weather", None, None, None, True, 0),
     (["--split"], "split", "A,B,C", None, None, None, None),
     (["--seed"], "seed", None, None, None, None, None),
     (["--k"], "k", None, None, None, None, None),
@@ -687,8 +690,7 @@ OPTION_SURFACE = [
 
 ACTION_OF = {action[0][-1]: action for action in OPTION_SURFACE}
 RUN_WIDE_FLAGS = ["--help", "--config", "--data-dir", "--years", "--target",
-                  "--predictors", "--exclude-weather", "--seed", "--out",
-                  "--plots", "--out-dir"]
+                  "--predictors", "--seed", "--out", "--plots", "--out-dir"]
 # Each subcommand's own flags; report reads all of them.
 OWN_FLAGS = {
     "summary": [],
@@ -712,7 +714,7 @@ def test_every_subcommand_has_the_written_out_options():
                     a.const, a.nargs) for a in p._actions]
         assert surface == [ACTION_OF[flag] for flag
                            in RUN_WIDE_FLAGS + OWN_FLAGS[command]], command
-    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 88
+    assert sum(len(p._actions) - 1 for p in sub.choices.values()) == 81
 
 
 # A valid value for each flag that only some subcommands read

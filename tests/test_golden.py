@@ -2,10 +2,11 @@
 
 A fixed small synthetic dataset (5 years x 120 rows) goes through all
 seven commands with --plots, plus the fixed-K and single-year branches
-of knn, once with flags and once with the same options in a --config
-file.  Any change to an output byte, to the set of files written, or to
-the order of the printed ``wrote`` lines fails here; so does a change to
-the bytes of the input files that write_year_files produces.
+of knn and a report on the six process predictors, once with flags and
+once with the same options in a --config file.  Any change to an output
+byte, to the set of files written, or to the order of the printed
+``wrote`` lines fails here; so does a change to the bytes of the input
+files that write_year_files produces.
 Refactors and speedups must leave these hashes alone; a deliberate
 change of output bytes must say so in CHANGES.md.
 """
@@ -34,6 +35,8 @@ CASES = {
     "knn-fixed-k": ("knn", "--plots", "--k", "5", "--seed", "2"),
     "knn-one-year": ("knn", "--plots", "--years", "2013", "--k-max", "3"),
     "report": ("report", "--plots", "--trees", "2", "--k-max", "3"),
+    "report-process": ("report", "--trees", "2", "--k-max", "3",
+                       "--predictors", "afdp,tit,tat,tep,tey,cdp"),
 }
 
 GOLDEN: dict[str, dict[str, str]] = {
@@ -122,10 +125,12 @@ GOLDEN: dict[str, dict[str, str]] = {
             "42f12efb19f8932578c80e785b793730dcd18748623b611a59f9589ae6c180f4",
     },
     "report": {
-        "index.html":
-            "51c8352c894e926b7d0b17b814ff56d9dcfd578cf3389eb767fde4e501c4b2f8",
         "report.json":
             "569a2b81100d04c8e54f04dccd06f7731bf3166cfee42b72b25cc3af2015cb2a",
+    },
+    "report-process": {
+        "report.json":
+            "4f43c4498cdc03ee82dc09d5dc61f7a34dced9bef47d50df6a3e028f777255fa",
     },
     "screen": {
         "screening.csv":
@@ -184,7 +189,8 @@ WRITE_ORDER: dict[str, list[str]] = {
         "knn_metrics.csv", "knn_selection.csv", "knn_residuals.csv",
         "model.json", "knn_k_curve.svg", "knn_actual_vs_predicted.svg",
         "knn_residuals.svg"],
-    "report": ["report.json", "index.html"],
+    "report": ["report.json"],
+    "report-process": ["report.json"],
     "screen": ["screening.csv", "screening_portions.svg"],
     "summary": [
         "summary.csv", "histograms.csv", "hist_at.svg", "hist_ap.svg",

@@ -186,6 +186,19 @@ def test_columns_are_read_only(tiny_ds):
         tiny_ds.column("at")[0] = 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("name", ["at", "nox"])
+def test_a_dataset_refuses_a_non_finite_cell_by_name(tiny_ds, name, value):
+    # checked once, when the Dataset is made: no analysis meets the cell,
+    # and it is a DataError, as the CSV reader calls it
+    col = tiny_ds.column(name).copy()
+    col[[3, 5]] = value
+    with pytest.raises(DataError, match=rf"^variable '{name}': non-finite "
+                                        rf"value {value!r} in record 3$"):
+        Dataset({**tiny_ds.columns, name: col}, tiny_ds.year, tiny_ds.years)
+
+
 def test_record_round_trips_values(tiny_ds):
     rec = tiny_ds.record(3)
     assert rec["year"] == 2011

@@ -139,7 +139,7 @@ def test_a_non_finite_predictor_cell_is_refused_by_name(planted_ds, entry,
     # ranks would order NaN after every number; a tree must not split on it
     x2 = planted_ds.column("x2").copy()
     x2[3::3] = value
-    with pytest.raises(DataError, match=rf"predictor 'x2': non-finite value "
+    with pytest.raises(DataError, match=rf"variable 'x2': non-finite value "
                                         rf"{value!r} in record 3"):
         entry(_with_column(planted_ds, "x2", x2), ("x1", "x2"), "y",
               ForestConfig(n_trees=1))
