@@ -29,6 +29,12 @@ code=0
 pemskit summary --exclude-weather --data-dir "$work/data" --out-dir "$work/refused" || code=$?
 test "$code" -eq 3
 test ! -e "$work/refused"
+# a split that deals Training no row of a 60-row year is degenerate
+# data (exit 4), found before anything is written
+code=0
+pemskit knn --split 0.001,0.5,0.499 --data-dir "$work/data" --out-dir "$work/refused" || code=$?
+test "$code" -eq 4
+test ! -e "$work/refused"
 pemskit summary --plots --data-dir "$work/data" --out-dir "$work/summary"
 pemskit correlate --plots --data-dir "$work/data" --out-dir "$work/correlate"
 pemskit cluster-vars --data-dir "$work/data" --out-dir "$work/cluster-vars"

@@ -245,8 +245,6 @@ def _csv_cell(v) -> str:
         return repr(v)
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     return str(v)
 
 
@@ -413,7 +411,7 @@ def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
             for k, rase in scope.curve.points:
                 selection_rows.append([scope.label, k, rase])
         for part, m in scope.metrics.items():
-            metrics_rows.append(_metrics_row(scope.label, scope.chosen_k,
+            metrics_rows.append(_metrics_row(scope.label, scope.model.k,
                                              part, m))
     for part, m in aggregate.items():
         metrics_rows.append(_metrics_row("by_year_aggregate", None, part, m))

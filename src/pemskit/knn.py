@@ -404,23 +404,20 @@ def _standardize(model: KnnModel, x: np.ndarray) -> np.ndarray:
         return (x - model.means) / model.stds
 
 
-def _sweep(model: KnnModel, q_z: np.ndarray, own: np.ndarray | None = None,
+def _sweep(model: KnnModel, q_z: np.ndarray, k: int, own: np.ndarray,
            rows: np.ndarray | None = None) -> np.ndarray:
-    """Predictions of the standardised queries ``q_z`` for every
-    k <= model.k: row k-1 folds each query's first k neighbors (see
-    _fold_all).  ``own`` is as in _scan; by default no neighbor is left
-    out.  A query whose every squared distance overflows has no nearest
-    neighbor to weigh: DataError names it by its dataset row in
-    ``rows``, or as the record when ``rows`` is None."""
-    if own is None:
-        own = np.full(q_z.shape[0], -1, dtype=np.int64)
-    d2, ix = _scan(model.train_z, q_z, own, model.k, model._train_aug)
+    """Predictions of the standardised queries ``q_z`` for every k' <= k:
+    row k'-1 folds each query's first k' neighbors (see _fold_all).
+    ``own`` is as in _scan.  A query whose every squared distance
+    overflows has no nearest neighbor to weigh: DataError names it by its
+    dataset row in ``rows``, or as the record when ``rows`` is None."""
+    d2, ix = _scan(model.train_z, q_z, own, k, model._train_aug)
     far = np.flatnonzero(np.isinf(d2[:, 0]))
     if far.shape[0]:
         what = "the record" if rows is None else f"row {rows[far[0]]}"
         raise DataError(f"{what} is too far from every training row: "
                         "its squared distances overflow")
-    return _fold_all(d2, ix, model.train_y, model.k, model.weighting)
+    return _fold_all(d2, ix, model.train_y, k, model.weighting)
 
 
 def _query_vector(model: KnnModel, record) -> np.ndarray:
@@ -452,7 +449,7 @@ def predict(model: KnnModel, record) -> float:
     distance to every training row overflows.
     """
     q_z = _standardize(model, _query_vector(model, record))
-    return float(_sweep(model, q_z[None, :])[-1, 0])
+    return float(_sweep(model, q_z[None, :], model.k, np.array([-1]))[-1, 0])
 
 
 def predict_rows(model: KnnModel, ds: Dataset,
@@ -465,6 +462,13 @@ def predict_rows(model: KnnModel, ds: Dataset,
     overflows."""
     rows = np.arange(ds.n_records, dtype=np.int64) if rows is None \
         else check_rows(rows, ds.n_records)
+    return _row_sweep(model, ds, rows, model.k)[-1]
+
+
+def _row_sweep(model: KnnModel, ds: Dataset, rows: np.ndarray,
+               k: int) -> np.ndarray:
+    """predict_rows of the checked ``rows`` for every k' <= k, row k'-1
+    (see _sweep)."""
     q_z = _standardize(model, ds.matrix(model.predictors)[rows])
     own = _self_positions(model.train_rows, rows) if model.leave_self_out \
         else np.full(rows.shape[0], -1, dtype=np.int64)
@@ -472,7 +476,7 @@ def predict_rows(model: KnnModel, ds: Dataset,
     # values: the same row number in another dataset is another record
     mine = np.nonzero(own >= 0)[0]
     own[mine[(q_z[mine] != model.train_z[own[mine]]).any(axis=1)]] = -1
-    return _sweep(model, q_z, own, rows)[-1]
+    return _sweep(model, q_z, k, own, rows)
 
 
 # -------------------------------------------------------------- metrics
@@ -543,38 +547,30 @@ class KSelectionCurve:
     chosen_k: int
 
 
-def _fit_and_sweep(ds: Dataset, assignment: SplitAssignment,
-                   predictors: Sequence[str] | None, target: str, k_max: int,
-                   weighting: str, leave_self_out: bool
-                   ) -> tuple[KnnModel, KSelectionCurve, np.ndarray, np.ndarray]:
-    """A model fitted at k_max, its K curve, its Validation rows, and
-    their predictions for every k (row k-1).
+def _k_curve(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
+             target: str) -> tuple[KSelectionCurve, np.ndarray, np.ndarray]:
+    """The K curve of a model fitted at k_max, its Validation rows, and
+    their predictions for every k <= k_max (row k-1).
 
     Neighbors are scanned once at k_max; the k-neighbor prediction folds
     the first k of that ordered list, bit-identical to a fresh
     k-neighbor model.  The chosen k is the argmin, ties low.
     """
-    if k_max < 1:
-        raise ConfigError(f"k_max must be >= 1, got {k_max}")
-    model = fit_knn(ds, assignment, predictors, target, k_max, weighting,
-                    leave_self_out)
     val_rows = assignment.rows("Validation")
     if val_rows.shape[0] == 0:
         raise DegenerateDataError("validation partition is empty")
-    # Validation rows are never Training rows, so none is left out
-    q_z = _standardize(model, ds.matrix(model.predictors)[val_rows])
-    preds = _sweep(model, q_z, rows=val_rows)
+    preds = _row_sweep(model, ds, val_rows, model.k)
     actual = ds.column(target)[val_rows]
     points = []
     chosen = 1
     best = math.inf
-    for k in range(1, k_max + 1):
+    for k in range(1, model.k + 1):
         rase = _metrics_from_errors(actual, preds[k - 1]).rase
         points.append((k, rase))
         if rase < best:
             best = rase
             chosen = k
-    return model, KSelectionCurve(tuple(points), chosen), val_rows, preds
+    return KSelectionCurve(tuple(points), chosen), val_rows, preds
 
 
 def select_k(ds: Dataset, assignment: SplitAssignment,
@@ -584,8 +580,10 @@ def select_k(ds: Dataset, assignment: SplitAssignment,
     """Validation RASE for k = 1..k_max; chosen k = argmin, ties low.
     Validation rows are never Training rows, so leave-self-out, which
     shapes only Training-row predictions, has no say here."""
-    return _fit_and_sweep(ds, assignment, predictors, target, k_max,
-                          weighting, True)[1]
+    if k_max < 1:
+        raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    model = fit_knn(ds, assignment, predictors, target, k_max, weighting)
+    return _k_curve(model, ds, assignment, target)[0]
 
 
 # ------------------------------------------------------------ residuals
@@ -619,10 +617,9 @@ def residuals(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
 @dataclass(frozen=True)
 class ModelEvaluation:
     label: str
-    chosen_k: int
     curve: KSelectionCurve | None      # None when k was fixed
     metrics: dict[str, EvalMetrics]    # Training/Validation/Test/Total
-    model: KnnModel                    # fitted at chosen_k
+    model: KnnModel                    # its k is the chosen or fixed k
     predicted: np.ndarray              # one prediction per record
 
     def __post_init__(self):
@@ -644,27 +641,29 @@ def _evaluate_scope(label: str, ds: Dataset, assignment: SplitAssignment,
     """One model scope from one fit and one prediction per record.
 
     With k None the model is fitted at k_max and its Validation sweep
-    gives the K curve; the same model then takes the chosen k without a
-    refit, and the Validation predictions are the sweep's row
-    chosen_k - 1.  Every other record is predicted once at the model's k.
+    gives the K curve; the Validation predictions are the sweep's row
+    for the chosen k.  The same model predicts every other record once
+    at that k, not at k_max: under leave-self-out a Training row has one
+    neighbor fewer than a Validation row.  The model is returned
+    labelled with the k it predicts at.
     """
+    if k is None and k_max < 1:
+        raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    model = fit_knn(ds, assignment, predictors, target,
+                    k_max if k is None else k, weighting, leave_self_out)
     predicted = np.empty(ds.n_records)
     rest = np.arange(ds.n_records, dtype=np.int64)
     curve = None
     if k is None:
-        model, curve, val_rows, preds = _fit_and_sweep(
-            ds, assignment, predictors, target, k_max, weighting,
-            leave_self_out)
-        model = replace(model, k=curve.chosen_k)
-        predicted[val_rows] = preds[curve.chosen_k - 1]
+        curve, val_rows, preds = _k_curve(model, ds, assignment, target)
+        k = curve.chosen_k
+        predicted[val_rows] = preds[k - 1]
         rest = np.delete(rest, val_rows)
-    else:
-        model = fit_knn(ds, assignment, predictors, target, k, weighting,
-                        leave_self_out)
-    predicted[rest] = predict_rows(model, ds, rest)
+    predicted[rest] = _row_sweep(model, ds, rest, k)[-1]
     metrics = _partition_metrics(assignment.codes, ds.column(target),
                                  predicted)
-    return ModelEvaluation(label, model.k, curve, metrics, model, predicted)
+    return ModelEvaluation(label, curve, metrics, replace(model, k=k),
+                           predicted)
 
 
 def compare_pooled_vs_yearly(ds: Dataset,

@@ -76,10 +76,11 @@ def tiny_ds() -> Dataset:
 
 @pytest.fixture()
 def knn_work(monkeypatch) -> dict[str, int]:
-    """Counts, while a test runs, the calls to knn.fit_knn and the query
-    rows that knn._scan is given."""
-    work = {"fits": 0, "queries": 0}
-    fit_knn, scan = knn.fit_knn, knn._scan
+    """Counts, while a test runs, the calls to knn.fit_knn, the query
+    rows that knn._scan is given, and the builds of a model's float32
+    training matrix (knn._augment)."""
+    work = {"fits": 0, "queries": 0, "builds": 0}
+    fit_knn, scan, augment = knn.fit_knn, knn._scan, knn._augment
 
     def counted_fit(*args, **kwargs):
         work["fits"] += 1
@@ -89,6 +90,11 @@ def knn_work(monkeypatch) -> dict[str, int]:
         work["queries"] += q_z.shape[0]
         return scan(train_z, q_z, own, k, train_aug)
 
+    def counted_augment(train_z):
+        work["builds"] += 1
+        return augment(train_z)
+
     monkeypatch.setattr(knn, "fit_knn", counted_fit)
+    monkeypatch.setattr(knn, "_augment", counted_augment)
     monkeypatch.setattr(knn, "_scan", counted_scan)
     return work

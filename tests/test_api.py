@@ -43,6 +43,13 @@ def test_run_config_has_only_the_options_in_use():
     assert list(cli._OPTIONS) == fields[1:]
 
 
+def test_a_model_evaluation_reads_its_k_from_its_model():
+    # the chosen (or fixed) k is the model's k; a second field for it
+    # would be a copy that could disagree
+    fields = [f.name for f in dataclasses.fields(pemskit.knn.ModelEvaluation)]
+    assert fields == ["label", "curve", "metrics", "model", "predicted"]
+
+
 def _traced_table():
     """The (module, attribute, span) rows of the benchmark child's TRACED
     table, read from its source: the child is not imported, so none of

@@ -203,7 +203,8 @@ def test_knn_fits_each_scope_once_and_predicts_each_record_once(
         data_dir, tmp_path, knn_work, argv, fits, queries):
     assert _run("knn", "--data-dir", str(data_dir), "--out-dir",
                 str(tmp_path), "--plots", *argv) == 0
-    assert knn_work == {"fits": fits, "queries": queries}
+    # one float32 training matrix per fitted model
+    assert knn_work == {"fits": fits, "queries": queries, "builds": fits}
 
 
 def test_k_max_at_training_size_under_leave_self_out(tmp_path, capsys):
@@ -557,6 +558,19 @@ def test_an_empty_partition_exits_4_naming_it(uneven_dir, tmp_path, capsys,
                 str(uneven_dir), "--out-dir", str(out)) == 4
     assert capsys.readouterr().err == \
         f"error: {scope}partition 'Test' is empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--k", "3"), ("--years", "2012"),
+], ids=["selection", "fixed-k", "one-year"])
+def test_an_empty_training_partition_exits_4(tmp_path, capsys, argv):
+    # 0.001 of 60 rows rounds to none: each year deals 0, 30 and 30 rows
+    write_year_files(make_dataset(rows_per_year=60, seed=1), tmp_path / "data")
+    out = tmp_path / "out"
+    assert _run("knn", *argv, "--split", "0.001,0.5,0.499", "--data-dir",
+                str(tmp_path / "data"), "--out-dir", str(out)) == 4
+    assert capsys.readouterr().err == "error: training partition is empty\n"
     assert not out.exists()
 
 

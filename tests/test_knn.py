@@ -951,11 +951,11 @@ def test_pooled_vs_yearly_structure(iid_ds):
     cmp = compare_pooled_vs_yearly(iid_ds, seed=0, k_max=5)
     assert cmp.pooled.label == "pooled"
     assert [m.label for m in cmp.yearly] == [str(y) for y in iid_ds.years]
-    assert 1 <= cmp.pooled.chosen_k <= 5
+    assert 1 <= cmp.pooled.model.k <= 5
     for ev in (cmp.pooled, *cmp.yearly):
         assert set(ev.metrics) == {"Training", "Validation", "Test", "Total"}
-        assert 1 <= ev.chosen_k <= 5
-        assert ev.metrics["Validation"].rase == dict(ev.curve.points)[ev.chosen_k]
+        assert 1 <= ev.model.k <= 5
+        assert ev.metrics["Validation"].rase == dict(ev.curve.points)[ev.model.k]
     # aggregate pools the yearly per-record errors partition by partition
     for part in (*PARTITIONS, "Total"):
         agg = cmp.by_year_aggregate[part]
@@ -972,8 +972,10 @@ def test_each_scope_fits_once_and_predicts_each_record_once(iid_ds,
                                                            knn_work):
     cmp = compare_pooled_vs_yearly(iid_ds, seed=1, k_max=4)
     # the pooled scope and one per year; each scans every record once
-    assert knn_work == {"fits": 1 + len(iid_ds.years),
-                        "queries": 2 * iid_ds.n_records}
+    # and builds its float32 training matrix once
+    scopes = 1 + len(iid_ds.years)
+    assert knn_work == {"fits": scopes, "queries": 2 * iid_ds.n_records,
+                        "builds": scopes}
     assert all(ev.curve is not None for ev in (cmp.pooled, *cmp.yearly))
 
 
@@ -988,8 +990,8 @@ def test_scope_predictions_equal_a_fresh_model_at_the_chosen_k(iid_ds,
         scopes.append((ev, iid_ds.subset(mine),
                        SplitAssignment(cmp.assignment.codes[mine].copy())))
     for ev, ds, assignment in scopes:
-        fresh = fit_knn(ds, assignment, k=ev.chosen_k, weighting=weighting)
-        assert ev.model.k == ev.chosen_k
+        fresh = fit_knn(ds, assignment, k=ev.model.k, weighting=weighting)
+        assert ev.model.k == ev.curve.chosen_k
         assert np.array_equal(ev.model.train_z, fresh.train_z)
         assert ev.predicted.tobytes() == predict_rows(fresh, ds).tobytes()
         assert ev.metrics == evaluate_all(fresh, ds, assignment)

@@ -1,6 +1,11 @@
+import math
+import re
+
 import numpy as np
+import pytest
 from conftest import same_dataset
 
+from pemskit.errors import ConfigError
 from pemskit.ingest import PREDICTORS
 from pemskit.synthetic import DEFAULT_YEARS, make_dataset
 
@@ -51,6 +56,20 @@ def test_years_are_independent_streams():
     # a year's values do not depend on which other years were generated
     assert np.array_equal(whole.for_year(2012).column("nox"),
                           alone.column("nox"))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(years=()), "years must be non-empty and unique"),
+    (dict(years=(2011, 2012, 2011)), "years must be non-empty and unique"),
+    (dict(rows_per_year=0), "rows_per_year must be >= 1, got 0"),
+    (dict(drift=-0.1), "drift must be >= 0, got -0.1"),
+    (dict(drift=math.nan), "drift must be >= 0, got nan"),
+    (dict(drift=math.inf), "drift must be >= 0, got inf"),
+], ids=["no-years", "repeated-year", "no-rows", "negative-drift",
+        "nan-drift", "infinite-drift"])
+def test_bad_arguments_are_refused(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        make_dataset(**{"rows_per_year": 5, **kwargs})
 
 
 def test_drift_moves_later_years():
