@@ -35,6 +35,24 @@ code=0
 pemskit knn --split 0.001,0.5,0.499 --data-dir "$work/data" --out-dir "$work/refused" || code=$?
 test "$code" -eq 4
 test ! -e "$work/refused"
+# a column whose squared deviations overflow float64 is degenerate
+# data too, refused at load even where the command does not read it
+mkdir "$work/overflow"
+python - "$work/data/gt_2011.csv" "$work/overflow/gt_2011.csv" <<'PY'
+import csv
+import sys
+
+with open(sys.argv[1], newline="") as fh:
+    rows = list(csv.reader(fh))
+at = rows[0].index("AT")
+rows[1][at], rows[2][at] = "1.5e308", "-1.5e308"
+with open(sys.argv[2], "w", newline="") as fh:
+    csv.writer(fh).writerows(rows)
+PY
+code=0
+pemskit summary --predictors ap --years 2011 --data-dir "$work/overflow" --out-dir "$work/refused" || code=$?
+test "$code" -eq 4
+test ! -e "$work/refused"
 pemskit summary --plots --data-dir "$work/data" --out-dir "$work/summary"
 pemskit correlate --plots --data-dir "$work/data" --out-dir "$work/correlate"
 pemskit cluster-vars --data-dir "$work/data" --out-dir "$work/cluster-vars"

@@ -48,7 +48,7 @@ from .errors import ConfigError, DataError, DegenerateDataError, PemskitError
 from .ingest import (DEFAULT_YEARS, Dataset, OPTIONAL_TARGET, PREDICTORS,
                      TARGET, atomic_open, load_dataset, resolve_predictors)
 from .screening import ForestConfig, screen_predictors
-from .stats import check_spread, correlation_matrix, flag_high_nox, summarize
+from .stats import correlation_matrix, flag_high_nox, summarize
 from .varclus import DEFAULT_THRESHOLD, cluster_variables, dependence_tag
 
 ENV_DATA_DIR = "PEMSKIT_DATA_DIR"
@@ -484,7 +484,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = resolve_config(args)
         ds = load_dataset(config.data_dir, config.years)
-        check_spread(ds, (*config.predictors, config.target))
         written = []
         for name, content in _COMMANDS[config.command][0](ds, config):
             written.append(_write(config, name, content))

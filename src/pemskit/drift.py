@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, resolve_predictors
-from .stats import (check_finite_spreads, check_spread, correlation_matrix,
-                    eigenpairs)
+from .stats import check_finite_spreads, correlation_matrix, eigenpairs
 
 # Exhaust pressure arrives in mbar; the discharge-pressure fit is
 # conventionally reported with it rescaled to bar.
@@ -145,7 +144,6 @@ def yearly_fit(ds: Dataset, x: str = "tep", y: str = "cdp",
         if sub.n_records < 2:
             raise DegenerateDataError(f"year {year} has fewer than 2 rows")
         try:
-            check_spread(sub, (x, y))
             fits[year] = linear_fit(sub.column(x) * x_unit_scale, sub.column(y))
         except DegenerateDataError as exc:
             raise DegenerateDataError(f"year {year}: {exc}") from exc

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateDataError
 
 #: Canonical predictor order, also the written column order.
 PREDICTORS = ("at", "ap", "ah", "afdp", "tit", "tat", "tep", "tey", "cdp")
@@ -106,10 +106,13 @@ class Dataset:
     """Immutable columnar store of year-tagged observations.
 
     ``columns`` maps canonical variable names to read-only float arrays
-    of equal length, every cell finite (DataError names the first
-    non-finite one); ``year`` carries the per-record year tag.  Records
-    keep their source-file order within each year, and years are laid
-    out in ascending order.
+    of ``year``'s shape, every cell finite (DataError names the first
+    non-finite one); ``year`` carries the per-record year tag and
+    ``years`` its sorted distinct values (DataError otherwise).  A
+    column whose sum of squared deviations from its mean overflows
+    float64 has no variance, histogram range or standardization, so
+    DegenerateDataError names it.  Records keep their source-file order
+    within each year, and years are laid out in ascending order.
     """
 
     columns: dict[str, np.ndarray]
@@ -117,11 +120,28 @@ class Dataset:
     years: tuple[int, ...]
 
     def __post_init__(self):
+        # asking for counts takes np.unique's sorting path: its hash-table
+        # path adds 0.6-1 MB to a command's peak RSS
+        distinct = tuple(np.unique(self.year, return_counts=True)[0].tolist())
+        if self.years != distinct:
+            raise DataError(f"years {list(self.years)} are not the distinct "
+                            f"year tags {list(distinct)}")
         for name, arr in self.columns.items():
+            if arr.shape != self.year.shape:
+                raise DataError(f"variable '{name}' has shape {arr.shape}, "
+                                f"the year tags {self.year.shape}")
             if not np.isfinite(arr).all():
                 bad = np.flatnonzero(~np.isfinite(arr))[0]
                 raise DataError(f"variable '{name}': non-finite value "
                                 f"{float(arr[bad])!r} in record {bad}")
+            if arr.size:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dev = arr - arr.mean()
+                    spread = np.dot(dev, dev)
+                if not np.isfinite(spread):
+                    raise DegenerateDataError(
+                        f"variable '{name}' spans [{float(arr.min())!r}, "
+                        f"{float(arr.max())!r}]: its variance overflows float64")
             arr.setflags(write=False)
         self.year.setflags(write=False)
 

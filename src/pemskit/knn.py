@@ -39,7 +39,7 @@ from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import (Dataset, TARGET, atomic_open, check_rows,
                      resolve_predictors)
 from .rng import SplitMix64, derive_seed
-from .stats import check_finite_spreads, check_spread
+from .stats import check_finite_spreads
 
 PARTITIONS = ("Training", "Validation", "Test")
 TOTAL = "Total"
@@ -164,7 +164,6 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     names = resolve_predictors(predictors, target)
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    check_spread(ds, (target,))
     train_rows = assignment.rows("Training")
     n_train = train_rows.shape[0]
     if n_train == 0:

@@ -49,7 +49,6 @@ import numpy as np
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, TARGET, resolve_predictors
 from .rng import SplitMix64, derive_seed
-from .stats import check_spread
 
 MIN_LEAF = 5                # fewest rows a leaf may hold
 
@@ -173,10 +172,9 @@ def _grow_tree(ranks, y, rows, m, min_leaf, rng_state):
 
 def _ranked_inputs(ds: Dataset, names: Sequence[str], target: str):
     """(ranks, y): each predictor's dense ranks, ties equal, as an (n, p)
-    int64 matrix, and the target as float64; DegenerateDataError if the
-    target's variance overflows.  A Dataset's cells are all finite, so
-    no rank stands for a NaN."""
-    check_spread(ds, (target,))
+    int64 matrix, and the target as float64.  A Dataset's cells are all
+    finite, so no rank stands for a NaN, and the target's sum of squared
+    deviations does not overflow."""
     ranks = np.empty((ds.n_records, len(names)), np.int64)
     for j, name in enumerate(names):
         ranks[:, j] = np.unique(ds.column(name), return_inverse=True)[1]

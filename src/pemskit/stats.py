@@ -41,23 +41,6 @@ class CorrelationMatrix:
         return float(self.matrix[i, j])
 
 
-def check_spread(ds: Dataset, variables: Sequence[str]) -> None:
-    """DegenerateDataError naming the first variable whose sum of squared
-    deviations from its mean overflows float64: no variance, histogram
-    range or standardization of it can be computed."""
-    if ds.n_records == 0:
-        return
-    for name in variables:
-        col = ds.column(name)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dev = col - col.mean()
-            spread = float(np.dot(dev, dev))
-        if not np.isfinite(spread):
-            raise DegenerateDataError(
-                f"variable '{name}' spans [{float(col.min())!r}, "
-                f"{float(col.max())!r}]: its variance overflows float64")
-
-
 def check_finite_spreads(names: Sequence[str], spreads: np.ndarray) -> None:
     """DegenerateDataError naming the first variable whose spread (a
     standard deviation or norm, computed under np.errstate) is not

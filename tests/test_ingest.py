@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pemskit import ingest
 from pemskit.drift import drift_report, fit_pca
-from pemskit.errors import ConfigError, DataError
+from pemskit.errors import ConfigError, DataError, DegenerateDataError
 from pemskit.ingest import (
     OPTIONAL_TARGET,
     PREDICTORS,
@@ -199,6 +200,45 @@ def test_a_dataset_refuses_a_non_finite_cell_by_name(tiny_ds, name, value):
         Dataset({**tiny_ds.columns, name: col}, tiny_ds.year, tiny_ds.years)
 
 
+@pytest.mark.parametrize("name", ["at", "nox", "co"])
+def test_a_dataset_refuses_a_column_whose_spread_overflows(name):
+    # finite cells whose squared deviations overflow float64, in a column
+    # an analysis reads or not: no variance of it can be computed
+    ds = make_dataset(years=(2011, 2012), rows_per_year=5, seed=2,
+                      include_co=True)
+    col = ds.column(name).copy()
+    col[[3, 6]] = (1.5e308, -1.5e308)
+    with pytest.raises(DegenerateDataError,
+                       match=rf"^variable '{name}' spans \[-1.5e\+308, "
+                             rf"1.5e\+308\]: its variance overflows float64$"):
+        Dataset({**ds.columns, name: col}, ds.year, ds.years)
+
+
+def test_a_dataset_refuses_a_ragged_column(tiny_ds):
+    with pytest.raises(DataError, match=r"^variable 'ah' has shape \(3,\), "
+                                        r"the year tags \(80,\)$"):
+        Dataset({**tiny_ds.columns, "ah": tiny_ds.column("ah")[:3]},
+                tiny_ds.year, tiny_ds.years)
+
+
+@pytest.mark.parametrize("years", [(2011,), (2011, 2012, 2013), (2012, 2011),
+                                   ()], ids=["short", "long", "unsorted", "none"])
+def test_a_dataset_refuses_years_that_are_not_its_year_tags(tiny_ds, years):
+    # split would give the records of an unlisted year no partition code
+    message = f"years {list(years)} are not the distinct year tags [2011, 2012]"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        Dataset(tiny_ds.columns, tiny_ds.year, years)
+
+
+def test_a_dataset_takes_an_empty_or_one_row_column_without_a_warning():
+    # an empty column has no mean, and one row has no spread to overflow
+    # even at 1.75e308; warnings are errors here
+    empty = Dataset({"at": np.empty(0)}, np.empty(0, dtype=np.int64), ())
+    assert (empty.n_records, empty.years) == (0, ())
+    one = Dataset({"at": np.array([1.75e308])}, np.array([2011]), (2011,))
+    assert one.record(0) == {"at": 1.75e308, "year": 2011}
+
+
 def test_record_round_trips_values(tiny_ds):
     rec = tiny_ds.record(3)
     assert rec["year"] == 2011
@@ -254,6 +294,10 @@ def test_fuzzed_year_file_cells_load_or_raise_data_error(cells,
         assert isinstance(load_dataset(root, [2011]), Dataset)
     except DataError:
         pass
+    except DegenerateDataError as exc:
+        # finite cells whose squared deviations overflow float64, such as
+        # a CO column of 0.0 and 1.9e154
+        assert str(exc).endswith(": its variance overflows float64"), exc
 
 
 def test_write_year_files_round_trip(tmp_path, turbine_ds):

@@ -613,8 +613,10 @@ def test_a_record_far_from_every_training_row_is_refused(weighting):
     for value in (1e200, 1e308, -1e308):
         with pytest.raises(DataError, match="the record is too far"):
             predict(model, dict(other.record(0), afdp=value))
+    # a Dataset takes a far cell of 1e154: its squared deviation stays
+    # below the largest float64, its standardised squared distances do not
     afdp = other.column("afdp").copy()
-    afdp[5] = 1e200
+    afdp[5] = 1e154
     far = Dataset({**other.columns, "afdp": afdp}, other.year, other.years)
     with pytest.raises(DataError, match="row 5 is too far"):
         predict_rows(model, far)
@@ -728,13 +730,15 @@ def test_fit_rejects_bad_configuration(tiny_ds):
 
 
 def test_fit_names_a_predictor_whose_variance_overflows():
-    # finite cells, overflowing squared deviations; warnings are errors here
+    # finite cells, overflowing squared deviations: the Dataset refuses
+    # them, so fit_knn never meets them; warnings are errors here
     x = np.zeros((30, 2))
     x[:, 0] = np.arange(30.0)
     x[:, 1] = np.where(np.arange(30) % 2 == 0, 1.5e308, -1.5e308)
-    wide = _ds_from_matrix(x, np.arange(30.0))
     with pytest.raises(DegenerateDataError,
-                       match="variable 'p1': its variance overflows float64"):
+                       match=r"^variable 'p1' spans \[-1.5e\+308, 1.5e\+308\]: "
+                             r"its variance overflows float64$"):
+        wide = _ds_from_matrix(x, np.arange(30.0))
         fit_knn(wide, split(wide), ("p0", "p1"), "y", k=2)
 
 
@@ -745,15 +749,15 @@ def test_fit_names_a_predictor_whose_variance_overflows():
                                         target="y"),
 ], ids=["fit_knn", "select_k", "compare_pooled_vs_yearly"])
 def test_a_target_whose_variance_overflows_is_named(call):
-    # finite cells, overflowing squared deviations; warnings are errors here
+    # finite cells, overflowing squared deviations: the Dataset refuses
+    # them, so no entry point meets them; warnings are errors here
     x = np.column_stack([np.arange(60.0), np.arange(60.0) % 7])
     y = np.arange(60.0)
     y[:2] = (1.5e308, -1.5e308)
-    wide = _ds_from_matrix(x, y, np.repeat([2011, 2012], 30))
     with pytest.raises(DegenerateDataError,
-                       match=r"variable 'y' spans \[-1.5e\+308, 1.5e\+308\]: "
-                             "its variance overflows float64"):
-        call(wide)
+                       match=r"^variable 'y' spans \[-1.5e\+308, 1.5e\+308\]: "
+                             "its variance overflows float64$"):
+        call(_ds_from_matrix(x, y, np.repeat([2011, 2012], 30)))
 
 
 def test_leave_self_out_changes_training_predictions(tiny_ds):

@@ -122,7 +122,8 @@ def _with_column(ds, name, col):
 
 @pytest.mark.parametrize("entry", _ENTRY_POINTS, ids=lambda f: f.__name__)
 def test_screening_names_a_target_whose_variance_overflows(planted_ds, entry):
-    # finite cells, overflowing squared deviations; warnings are errors here
+    # finite cells, overflowing squared deviations: the Dataset refuses
+    # them, so neither entry point meets them; warnings are errors here
     y = planted_ds.column("y").copy()
     y[:2] = (1.5e308, -1.5e308)
     with pytest.raises(DegenerateDataError,

@@ -109,24 +109,25 @@ def test_correlation_matrix_degenerate_inputs():
         correlation_matrix(one_row, ("at", "nox"))
 
 
-# Finite cells whose squared deviations overflow float64.  The suite turns
-# warnings into errors, so these also check that no RuntimeWarning is
-# emitted on the way to the error.
+# Finite cells whose squared deviations overflow float64: the Dataset
+# refuses them, so no analysis meets them.  The suite turns warnings into
+# errors, so these also check that no RuntimeWarning is emitted on the
+# way to the error.
 _OVERFLOWING = [1.5e308, -1.5e308, 1.0, 2.0]
+_OVERFLOW_MESSAGE = (r"^variable 'at' spans \[-1.5e\+308, 1.5e\+308\]: "
+                     r"its variance overflows float64$")
 
 
 def test_correlation_matrix_names_a_variable_whose_variance_overflows():
-    ds = _ds_with([1.0, 2.0, 4.0, 3.0], at=_OVERFLOWING)
-    with pytest.raises(DegenerateDataError,
-                       match="variable 'at': its variance overflows float64"):
-        correlation_matrix(ds, ("ap", "at", "nox"))
+    with pytest.raises(DegenerateDataError, match=_OVERFLOW_MESSAGE):
+        correlation_matrix(_ds_with([1.0, 2.0, 4.0, 3.0], at=_OVERFLOWING),
+                           ("ap", "at", "nox"))
 
 
 def test_summarize_names_a_variable_whose_variance_overflows():
-    ds = _ds_with([1.0, 2.0, 4.0, 3.0], at=_OVERFLOWING)
-    with pytest.raises(DegenerateDataError,
-                       match="variable 'at': its variance overflows float64"):
-        summarize(ds, variables=["ap", "at"])
+    with pytest.raises(DegenerateDataError, match=_OVERFLOW_MESSAGE):
+        summarize(_ds_with([1.0, 2.0, 4.0, 3.0], at=_OVERFLOWING),
+                  variables=["ap", "at"])
 
 
 # The inline forms that eigenpairs and gram replaced, kept as references:
