@@ -53,6 +53,29 @@ code=0
 pemskit summary --predictors ap --years 2011 --data-dir "$work/overflow" --out-dir "$work/refused" || code=$?
 test "$code" -eq 4
 test ! -e "$work/refused"
+# and so is one whose squared deviations sum to within 2**-20 of
+# float64's largest value, which another summation order could
+# overflow: AT is 0 but for two cells of +-a, with 2a^2 past that margin
+mkdir "$work/edge"
+python - "$work/data/gt_2011.csv" "$work/edge/gt_2011.csv" <<'PY'
+import csv
+import math
+import sys
+
+with open(sys.argv[1], newline="") as fh:
+    rows = list(csv.reader(fh))
+at = rows[0].index("AT")
+a = math.sqrt(sys.float_info.max * (1 - 2**-21) / 2)
+for row in rows[1:]:
+    row[at] = "0.0"
+rows[1][at], rows[2][at] = repr(a), repr(-a)
+with open(sys.argv[2], "w", newline="") as fh:
+    csv.writer(fh).writerows(rows)
+PY
+code=0
+pemskit summary --predictors ap --years 2011 --data-dir "$work/edge" --out-dir "$work/refused" || code=$?
+test "$code" -eq 4
+test ! -e "$work/refused"
 pemskit summary --plots --data-dir "$work/data" --out-dir "$work/summary"
 pemskit correlate --plots --data-dir "$work/data" --out-dir "$work/correlate"
 pemskit cluster-vars --data-dir "$work/data" --out-dir "$work/cluster-vars"

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
-from .ingest import Dataset, resolve_predictors
-from .stats import check_finite_spreads, correlation_matrix, eigenpairs
+from .errors import ConfigError, DataError, DegenerateDataError
+from .ingest import Dataset, check_finite, resolve_predictors
+from .stats import correlation_matrix, eigenpairs
 
 # Exhaust pressure arrives in mbar; the discharge-pressure fit is
 # conventionally reported with it rescaled to bar.
@@ -89,7 +89,7 @@ def fit_pca(ds: Dataset, variables: Sequence[str] | None = None) -> PcaModel:
     if x.shape[0] <= len(names):
         raise DegenerateDataError(
             f"PCA needs more rows than variables ({x.shape[0]} <= {len(names)})")
-    # raises on a zero or overflowing spread, so the stds below are finite
+    # raises on a zero spread; ds refused an overflowing one
     eigvals, eigvecs = eigenpairs(correlation_matrix(ds, names).matrix)
     means, stds = x.mean(axis=0), x.std(axis=0, ddof=1)
     for name, s in zip(names, stds):
@@ -111,10 +111,17 @@ def project(model: PcaModel, ds: Dataset, n_components: int = 2) -> np.ndarray:
 def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     """Simple OLS y = intercept + slope*x with r² = 1 − SSE/SST.
 
+    x and y are finite 1-D arrays of one length (DataError otherwise),
+    checked here for an overflowing variance: they pass no Dataset.
     SST = 0 (constant y) yields r² = 1: the flat line fits exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise DataError("x and y must be 1-D of one length, got shapes "
+                        f"{x.shape} and {y.shape}")
+    check_finite("x", x)
+    check_finite("y", y)
     n = x.shape[0]
     if n < 2:
         raise DegenerateDataError(f"linear fit needs >= 2 rows, got {n}")
@@ -122,7 +129,9 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
         xm, ym = float(x.mean()), float(y.mean())
         sxx = float(((x - xm) ** 2).sum())
         sst = float(((y - ym) ** 2).sum())
-    check_finite_spreads(("x", "y"), (sxx, sst))
+    for axis, spread in (("x", sxx), ("y", sst)):
+        if not math.isfinite(spread):
+            raise DegenerateDataError(f"variable '{axis}': its variance overflows float64")
     if sxx == 0.0:
         raise DegenerateDataError("x has zero variance")
     slope = float(((x - xm) * (y - ym)).sum()) / sxx

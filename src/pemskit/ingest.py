@@ -101,6 +101,17 @@ def check_rows(rows, n_records: int) -> np.ndarray:
     return rows.astype(np.int64, copy=False)
 
 
+def check_finite(name: str, arr: np.ndarray) -> None:
+    """DataError naming the first NaN or infinite cell of a column."""
+    if not np.isfinite(arr).all():
+        bad = np.flatnonzero(~np.isfinite(arr))[0]
+        raise DataError(f"variable '{name}': non-finite value "
+                        f"{float(arr[bad])!r} in record {bad}")
+
+
+_LIMIT = float(np.finfo(np.float64).max) * (1 - 2.0**-20)    # see Dataset
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable columnar store of year-tagged observations.
@@ -108,11 +119,14 @@ class Dataset:
     ``columns`` maps canonical variable names to read-only float arrays
     of ``year``'s shape, every cell finite (DataError names the first
     non-finite one); ``year`` carries the per-record year tag and
-    ``years`` its sorted distinct values (DataError otherwise).  A
-    column whose sum of squared deviations from its mean overflows
-    float64 has no variance, histogram range or standardization, so
-    DegenerateDataError names it.  Records keep their source-file order
-    within each year, and years are laid out in ascending order.
+    ``years`` its sorted distinct values (DataError otherwise).  Records
+    keep their source-file order within each year, and years are laid
+    out in ascending order.  DegenerateDataError names a column whose
+    mean or spread could overflow: the root of its sum of squared
+    deviations, plus sqrt(n) times how far another summation order can
+    move the mean, must square to at most _LIMIT.  Any order of n <= 2**31
+    terms errs by at most (n-1)u <= 2**-22 of their absolute sum (Higham,
+    §4.2), so no analysis meets an overflowing mean or spread in its rows.
     """
 
     columns: dict[str, np.ndarray]
@@ -130,18 +144,20 @@ class Dataset:
             if arr.shape != self.year.shape:
                 raise DataError(f"variable '{name}' has shape {arr.shape}, "
                                 f"the year tags {self.year.shape}")
-            if not np.isfinite(arr).all():
-                bad = np.flatnonzero(~np.isfinite(arr))[0]
-                raise DataError(f"variable '{name}': non-finite value "
-                                f"{float(arr[bad])!r} in record {bad}")
+            check_finite(name, arr)
             if arr.size:
+                n, lo, hi = arr.size, float(arr.min()), float(arr.max())
                 with np.errstate(over="ignore", invalid="ignore"):
-                    dev = arr - arr.mean()
-                    spread = np.dot(dev, dev)
-                if not np.isfinite(spread):
-                    raise DegenerateDataError(
-                        f"variable '{name}' spans [{float(arr.min())!r}, "
-                        f"{float(arr.max())!r}]: its variance overflows float64")
+                    total = float(arr.sum())
+                    dev = arr - total / n
+                    # another order's mean lies (n-1) 2**-51 max|x| away
+                    root = (math.sqrt(np.dot(dev, dev))
+                            + math.sqrt(n) * (n - 1) * 2.0**-51 * max(hi, -lo))
+                if not root * root <= _LIMIT:
+                    # no cancellation: a sum of one sign overflows for real
+                    cause = "variance" if math.isfinite(total) or lo * hi < 0 else "mean"
+                    raise DegenerateDataError(f"variable '{name}' spans [{lo!r}, "
+                                              f"{hi!r}]: its {cause} overflows float64")
             arr.setflags(write=False)
         self.year.setflags(write=False)
 
@@ -167,7 +183,7 @@ class Dataset:
         """New Dataset holding the rows selected by a mask or index array."""
         cols = {k: v[index].copy() for k, v in self.columns.items()}
         yr = self.year[index].copy()
-        return Dataset(cols, yr, tuple(sorted(set(yr.tolist()))))
+        return Dataset(cols, yr, tuple(y for y in self.years if (yr == y).any()))
 
     def for_year(self, year: int) -> "Dataset":
         if year not in self.years:

@@ -39,7 +39,6 @@ from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import (Dataset, TARGET, atomic_open, check_rows,
                      resolve_predictors)
 from .rng import SplitMix64, derive_seed
-from .stats import check_finite_spreads
 
 PARTITIONS = ("Training", "Validation", "Test")
 TOTAL = "Total"
@@ -171,10 +170,8 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     if not 1 <= k <= n_train:
         raise ConfigError(f"k must be in [1, {n_train}], got {k}")
     x = ds.matrix(names)[train_rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = x.mean(axis=0)
-        stds = x.std(axis=0, ddof=1) if n_train > 1 else np.ones(len(names))
-    check_finite_spreads(names, stds)
+    means = x.mean(axis=0)
+    stds = x.std(axis=0, ddof=1) if n_train > 1 else np.ones(len(names))
     for name, s in zip(names, stds):
         if s == 0.0:
             raise DegenerateDataError(

@@ -1,4 +1,5 @@
-"""Univariate summaries, Pearson correlations, and high-NOx flagging."""
+"""Univariate summaries, Pearson correlations, and high-NOx flagging, on
+columns whose means and spreads the Dataset has found cannot overflow."""
 
 from __future__ import annotations
 
@@ -41,16 +42,6 @@ class CorrelationMatrix:
         return float(self.matrix[i, j])
 
 
-def check_finite_spreads(names: Sequence[str], spreads: np.ndarray) -> None:
-    """DegenerateDataError naming the first variable whose spread (a
-    standard deviation or norm, computed under np.errstate) is not
-    finite: its variance overflows float64."""
-    for name, spread in zip(names, spreads):
-        if not np.isfinite(spread):
-            raise DegenerateDataError(
-                f"variable '{name}': its variance overflows float64")
-
-
 def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int], ...]:
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
@@ -77,9 +68,7 @@ def summarize(ds: Dataset, variables: Sequence[str]) -> list[VariableSummary]:
     out = []
     for name in names:
         col = ds.column(name)
-        with np.errstate(over="ignore", invalid="ignore"):
-            std = float(col.std(ddof=1)) if col.size > 1 else 0.0
-        check_finite_spreads((name,), (std,))
+        std = float(col.std(ddof=1)) if col.size > 1 else 0.0
         q1, med, q3 = (float(q) for q in np.quantile(col, [0.25, 0.5, 0.75]))
         out.append(VariableSummary(
             name=name,
@@ -116,10 +105,8 @@ def correlation_matrix(ds: Dataset,
     if ds.n_records < 2:
         raise DegenerateDataError("correlation needs at least 2 records")
     data = ds.matrix(names)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = data - data.mean(axis=0)
-        norms = np.sqrt((centered * centered).sum(axis=0))
-    check_finite_spreads(names, norms)
+    centered = data - data.mean(axis=0)
+    norms = np.sqrt((centered * centered).sum(axis=0))
     for i, n in enumerate(norms):
         if n == 0.0:
             raise DegenerateDataError(f"variable '{names[i]}' has zero variance")

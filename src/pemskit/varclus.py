@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .ingest import Dataset, PROCESS_PREDICTORS, resolve_predictors
-from .stats import check_finite_spreads, eigenpairs, gram
+from .stats import eigenpairs, gram
 
 DEFAULT_THRESHOLD = 1.0
 REASSIGN_PASS_CAP = 100
@@ -68,10 +68,8 @@ def _standardized(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     if ds.n_records < 2:
         raise DegenerateDataError("variable clustering needs at least 2 records")
     data = ds.matrix(names)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = data - data.mean(axis=0)
-        stds = centered.std(axis=0, ddof=1)
-    check_finite_spreads(names, stds)
+    centered = data - data.mean(axis=0)
+    stds = centered.std(axis=0, ddof=1)
     for i, s in enumerate(stds):
         if s == 0.0:
             raise DegenerateDataError(f"variable '{names[i]}' has zero variance")

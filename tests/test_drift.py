@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pemskit.drift import (
     project,
     yearly_fit,
 )
-from pemskit.errors import ConfigError, DegenerateDataError
+from pemskit.errors import ConfigError, DataError, DegenerateDataError
 from pemskit.ingest import Dataset
 from pemskit.stats import pearson
 from pemskit.synthetic import make_dataset
@@ -152,6 +153,24 @@ def test_linear_fit_names_an_axis_whose_variance_overflows():
     with pytest.raises(DegenerateDataError,
                        match="variable 'y': its variance overflows float64"):
         linear_fit(np.arange(4.0), wide)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (np.ones((5, 2)), np.arange(5.0),
+     "x and y must be 1-D of one length, got shapes (5, 2) and (5,)"),
+    (np.arange(5.0), np.arange(4.0),
+     "x and y must be 1-D of one length, got shapes (5,) and (4,)"),
+    # numpy would broadcast y over x and fit n = 5
+    (np.arange(5.0), np.ones(1),
+     "x and y must be 1-D of one length, got shapes (5,) and (1,)"),
+    (np.array([0.0, np.nan, 2.0]), np.arange(3.0),
+     "variable 'x': non-finite value nan in record 1"),
+    (np.arange(3.0), np.array([0.0, 1.0, -np.inf]),
+     "variable 'y': non-finite value -inf in record 2"),
+], ids=["2-D", "unequal", "broadcast", "nan", "inf"])
+def test_linear_fit_refuses_arrays_a_dataset_would_refuse(x, y, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        linear_fit(x, y)
 
 
 def test_yearly_fit_names_the_year_and_column_whose_variance_overflows():

@@ -214,6 +214,65 @@ def test_a_dataset_refuses_a_column_whose_spread_overflows(name):
         Dataset({**ds.columns, name: col}, ds.year, ds.years)
 
 
+def test_a_dataset_names_a_mean_that_overflows():
+    # the variance is 0, but the cells' sum, 1e309, has no float64
+    with pytest.raises(DegenerateDataError,
+                       match=r"^variable 'at' spans \[1e\+306, 1e\+306\]: "
+                             r"its mean overflows float64$"):
+        Dataset({"at": np.full(1000, 1e306)}, np.full(1000, 2011), (2011,))
+
+
+def _edge_dataset(edge: str, seed: int) -> tuple[dict, np.ndarray, tuple]:
+    """The columns, year tags and years of a 40-row synthetic dataset
+    with one edge column: centred, with its squared deviations summing
+    to within a few ulps ("ulps") or 2**-19 ("margin") of float64's
+    largest value, or cells at most 2 ulps apart around 1e165..1e169
+    ("offset"), whose mean can move by an ulp between summation orders."""
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(years=(2011, 2012), rows_per_year=20, seed=seed)
+    name = PREDICTORS[seed % len(PREDICTORS)]
+    col = ds.column(name) - ds.column(name).mean()
+    if edge == "offset":
+        v = 10.0 ** rng.uniform(165, 169)
+        col = v + rng.integers(-1, 2, col.size) * np.spacing(v)
+    else:
+        shy = (rng.integers(8) * 2.0**-52 if edge == "ulps"
+               else rng.uniform(0, 2.0**-19))
+        top = np.finfo(np.float64).max * (1 - shy)
+        col = col * np.sqrt(top / np.dot(col, col))
+    return {**ds.columns, name: col}, ds.year, ds.years
+
+
+@pytest.mark.parametrize("edge", ["ulps", "margin", "offset"])
+def test_no_analysis_meets_an_overflow_in_a_dataset_it_accepts(edge):
+    # the Dataset is the one check of a column's spread: where it takes
+    # an edge column, every analysis's means, spreads and standardized
+    # values are finite, whatever order it sums in; warnings are errors
+    accepted = 0
+    for seed in range(50):
+        try:
+            ds = Dataset(*_edge_dataset(edge, seed))
+        except DegenerateDataError as exc:
+            assert str(exc).endswith(" overflows float64"), exc
+            continue
+        accepted += 1
+        for s in summarize(ds, PREDICTORS):
+            assert np.isfinite([s.mean, s.std, s.q1, s.q3, *(
+                bound for low, high, _ in s.histogram for bound in (low, high))]).all()
+        assert np.isfinite(correlation_matrix(ds).matrix).all()
+        report = cluster_variables(ds)
+        assert np.isfinite([c.eigenvalue1 for c in report.clusters]).all()
+        assert np.isfinite([(r.r2_own, r.r2_next) for r in report.rows]).all()
+        model = fit_knn(ds, split(ds, seed=seed))
+        for arr in (model.means, model.stds, model.train_z):
+            assert np.isfinite(arr).all()
+        pca = fit_pca(ds)
+        for arr in (pca.means, pca.stds, pca.eigenvalues, pca.loadings):
+            assert np.isfinite(arr).all()
+    # within a few ulps of float64's end, every column is refused
+    assert (accepted == 0) if edge == "ulps" else accepted >= 10
+
+
 def test_a_dataset_refuses_a_ragged_column(tiny_ds):
     with pytest.raises(DataError, match=r"^variable 'ah' has shape \(3,\), "
                                         r"the year tags \(80,\)$"):
@@ -296,8 +355,10 @@ def test_fuzzed_year_file_cells_load_or_raise_data_error(cells,
         pass
     except DegenerateDataError as exc:
         # finite cells whose squared deviations overflow float64, such as
-        # a CO column of 0.0 and 1.9e154
-        assert str(exc).endswith(": its variance overflows float64"), exc
+        # a CO column of 0.0 and 1.9e154, or whose sum does, such as two
+        # cells of 1e308
+        assert str(exc).endswith((": its variance overflows float64",
+                                  ": its mean overflows float64")), exc
 
 
 def test_write_year_files_round_trip(tmp_path, turbine_ds):
