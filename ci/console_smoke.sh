@@ -76,6 +76,27 @@ code=0
 pemskit summary --predictors ap --years 2011 --data-dir "$work/edge" --out-dir "$work/refused" || code=$?
 test "$code" -eq 4
 test ! -e "$work/refused"
+# so is a year far outside the reference year's spread: 2011's AP
+# spreads about 3e-158, so a 2012 cell of 1e153 standardizes past
+# float64, found before anything is written
+python - "$work/far" <<'PY'
+import sys
+
+import numpy as np
+
+from pemskit import Dataset, make_dataset, write_year_files
+
+ds = make_dataset(years=(2011, 2012), rows_per_year=60, seed=1)
+ap = ds.column("ap").copy()
+ap[:60] = np.arange(60) * 1e-160
+ap[60] = 1e153
+write_year_files(Dataset({**ds.columns, "ap": ap}, ds.year, ds.years),
+                 sys.argv[1])
+PY
+code=0
+pemskit drift --years 2011-2012 --data-dir "$work/far" --out-dir "$work/refused" || code=$?
+test "$code" -eq 4
+test ! -e "$work/refused"
 pemskit summary --plots --data-dir "$work/data" --out-dir "$work/summary"
 pemskit correlate --plots --data-dir "$work/data" --out-dir "$work/correlate"
 pemskit cluster-vars --data-dir "$work/data" --out-dir "$work/cluster-vars"

@@ -6,7 +6,7 @@ from .errors import (ConfigError, DataError, DegenerateDataError,
 from .ingest import (Dataset, PREDICTORS, PROCESS_PREDICTORS, TARGET,
                      WEATHER_PREDICTORS, load_dataset, write_year_files)
 from .stats import (CorrelationMatrix, VariableSummary, correlation_matrix,
-                    flag_high_nox, pearson, summarize)
+                    flag_high_nox, summarize)
 from .varclus import VarCluster, VarClusterReport, cluster_variables
 from .screening import (ForestConfig, RegressionTree, ScreeningResult,
                         fit_regression_tree, screen_predictors)
@@ -25,7 +25,7 @@ __all__ = [
     "Dataset", "PREDICTORS", "PROCESS_PREDICTORS", "TARGET",
     "WEATHER_PREDICTORS", "load_dataset", "write_year_files",
     "CorrelationMatrix", "VariableSummary", "correlation_matrix",
-    "flag_high_nox", "pearson", "summarize",
+    "flag_high_nox", "summarize",
     "VarCluster", "VarClusterReport", "cluster_variables",
     "ForestConfig", "RegressionTree", "ScreeningResult",
     "fit_regression_tree", "screen_predictors",

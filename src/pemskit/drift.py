@@ -99,12 +99,26 @@ def fit_pca(ds: Dataset, variables: Sequence[str] | None = None) -> PcaModel:
 
 
 def project(model: PcaModel, ds: Dataset, n_components: int = 2) -> np.ndarray:
-    """Score matrix of ds in the model's frame (model means/stds)."""
+    """Score matrix of ds in the model's frame (model means/stds).
+
+    DegenerateDataError names the first cell, in row order, more than
+    2**960 standard deviations from the model's mean.  Below that no
+    score of at most 16 variables, no sum of 2**31 scores and no distance
+    between two of their means overflows float64.
+    """
     if not 1 <= n_components <= model.n_variables:
         raise ConfigError(
             f"n_components must be in [1, {model.n_variables}], got {n_components}")
     x = ds.matrix(model.variables)
-    z = (x - model.means) / model.stds
+    with np.errstate(over="ignore"):
+        z = (x - model.means) / model.stds
+    if not (-2.0**960 <= z.min() and z.max() <= 2.0**960):   # copies nothing
+        far = np.flatnonzero(~(np.abs(z) <= 2.0**960))
+        row, j = divmod(int(far[0]), model.n_variables)
+        raise DegenerateDataError(
+            f"variable '{model.variables[j]}' of row {row} is "
+            f"{float(x[row, j])!r}, more than 2**960 standard deviations "
+            "from the fitted mean: its scores would overflow float64")
     return z @ model.loadings[:, :n_components]
 
 
@@ -147,13 +161,14 @@ def yearly_fit(ds: Dataset, x: str = "tep", y: str = "cdp",
     """Per-year OLS of y on x, with x multiplied by x_unit_scale."""
     if x_unit_scale <= 0.0 or not math.isfinite(x_unit_scale):
         raise ConfigError(f"x_unit_scale must be positive, got {x_unit_scale}")
+    xs, ys = ds.column(x) * x_unit_scale, ds.column(y)
     fits: dict[int, LinearFit] = {}
     for year in ds.years:
-        sub = ds.for_year(year)
-        if sub.n_records < 2:
+        mine = ds.year == year
+        if np.count_nonzero(mine) < 2:
             raise DegenerateDataError(f"year {year} has fewer than 2 rows")
         try:
-            fits[year] = linear_fit(sub.column(x) * x_unit_scale, sub.column(y))
+            fits[year] = linear_fit(xs[mine], ys[mine])
         except DegenerateDataError as exc:
             raise DegenerateDataError(f"year {year}: {exc}") from exc
     return fits

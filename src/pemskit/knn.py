@@ -140,6 +140,38 @@ class KnnModel:
     leave_self_out: bool
 
     def __post_init__(self):
+        """ConfigError unless the model can predict; then its arrays are
+        made read-only.  Every way of making a model runs this: fit_knn,
+        dataclasses.replace and load_model."""
+        p = len(self.predictors)
+        if p == 0 or not all(isinstance(n, str) for n in self.predictors):
+            raise ConfigError("predictors must be a non-empty list of names")
+        if len(set(self.predictors)) != p:
+            raise ConfigError("predictors must be distinct")
+        if self.means.shape != (p,) or self.stds.shape != (p,):
+            raise ConfigError("means and stds need one entry per predictor")
+        n = self.train_y.size
+        if self.train_z.shape != (n, p) or self.train_y.shape != (n,) \
+                or self.train_rows.shape != (n,):
+            raise ConfigError("shape mismatch")
+        if type(self.k) is not int:
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
+        if not 1 <= self.k <= n:
+            raise ConfigError(f"k must be in [1, {n}], got {self.k}")
+        if self.weighting not in WEIGHTINGS:
+            raise ConfigError(f"weighting must be one of {WEIGHTINGS}, "
+                              f"got {self.weighting!r}")
+        if not isinstance(self.leave_self_out, bool):
+            raise ConfigError("leave_self_out must be true or false")
+        rows = np.sort(self.train_rows)
+        if rows[0] < 0 or (rows[1:] == rows[:-1]).any():
+            raise ConfigError("train_rows must be distinct non-negative "
+                              "row numbers")
+        if not (np.isfinite(self.stds).all() and (self.stds > 0.0).all()):
+            raise ConfigError("stds must be finite and positive")
+        for name in ("means", "train_z", "train_y"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite")
         for arr in (self.means, self.stds, self.train_z, self.train_y,
                     self.train_rows):
             arr.setflags(write=False)
@@ -161,14 +193,10 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     """Standardize on Training rows only and retain them for lookup."""
     _check_assignment(ds, assignment)
     names = resolve_predictors(predictors, target)
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     train_rows = assignment.rows("Training")
     n_train = train_rows.shape[0]
     if n_train == 0:
         raise DegenerateDataError("training partition is empty")
-    if not 1 <= k <= n_train:
-        raise ConfigError(f"k must be in [1, {n_train}], got {k}")
     x = ds.matrix(names)[train_rows]
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1) if n_train > 1 else np.ones(len(names))
@@ -178,6 +206,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
                 f"predictor '{name}' has zero variance in the training partition")
     z = (x - means) / stds
     y = ds.column(target)[train_rows].copy()
+    k = int(k) if isinstance(k, np.integer) else k   # the model takes ints only
     return KnnModel(names, means, stds, z, y, train_rows.copy(), k,
                     weighting, leave_self_out)
 
@@ -764,8 +793,8 @@ def load_model(path: str | Path) -> KnnModel:
         raise DataError(f"unsupported model format_version: {version!r}")
     try:
         names = doc["predictors"]
-        model = KnnModel(
-            # a string or an object is no list of names; () fails below
+        return KnnModel(
+            # a string or an object is no list of names; the model refuses ()
             tuple(names) if isinstance(names, list) else (),
             _numbers(doc, "means"),
             _numbers(doc, "stds"),
@@ -776,41 +805,5 @@ def load_model(path: str | Path) -> KnnModel:
             doc["weighting"],
             doc["leave_self_out"],
         )
-    except (KeyError, TypeError, ValueError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
-    problem = _model_problem(model)
-    if problem is not None:
-        raise DataError(f"malformed model file {path}: {problem}")
-    return model
-
-
-def _model_problem(model: KnnModel) -> str | None:
-    """The first reason a loaded model cannot predict, or None."""
-    p = len(model.predictors)
-    if p == 0 or not all(isinstance(n, str) for n in model.predictors):
-        return "predictors must be a non-empty list of names"
-    if len(set(model.predictors)) != p:
-        return "predictors must be distinct"
-    if model.means.shape != (p,) or model.stds.shape != (p,):
-        return "means and stds need one entry per predictor"
-    n = model.train_y.size
-    if model.train_z.shape != (n, p) or model.train_y.shape != (n,) \
-            or model.train_rows.shape != (n,):
-        return "shape mismatch"
-    if type(model.k) is not int:
-        return f"k must be an integer, got {model.k!r}"
-    if not 1 <= model.k <= n:
-        return f"k must be in [1, {n}], got {model.k}"
-    if model.weighting not in WEIGHTINGS:
-        return f"weighting must be one of {WEIGHTINGS}, got {model.weighting!r}"
-    if not isinstance(model.leave_self_out, bool):
-        return "leave_self_out must be true or false"
-    rows = np.sort(model.train_rows)
-    if rows[0] < 0 or (rows[1:] == rows[:-1]).any():
-        return "train_rows must be distinct non-negative row numbers"
-    if not (np.isfinite(model.stds).all() and (model.stds > 0.0).all()):
-        return "stds must be finite and positive"
-    for name in ("means", "train_z", "train_y"):
-        if not np.isfinite(getattr(model, name)).all():
-            return f"{name} must be finite"
-    return None

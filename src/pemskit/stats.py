@@ -83,17 +83,6 @@ def summarize(ds: Dataset, variables: Sequence[str]) -> list[VariableSummary]:
     return out
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson coefficient of two equal-length vectors."""
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(np.sqrt(np.dot(xc, xc)))
-    sy = float(np.sqrt(np.dot(yc, yc)))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateDataError("zero-variance input to Pearson correlation")
-    return float(np.dot(xc, yc) / (sx * sy))
-
-
 def correlation_matrix(ds: Dataset,
                        variables: Sequence[str] | None = None) -> CorrelationMatrix:
     """Pairwise Pearson coefficients over all records.

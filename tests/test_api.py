@@ -27,6 +27,14 @@ def test_the_single_file_export_is_gone():
         assert not hasattr(pemskit.ingest, name)
 
 
+def test_pearson_is_gone():
+    # correlation_matrix is the one correlation: nothing in the package
+    # called pearson, which checked neither shapes nor overflow
+    assert "pearson" not in pemskit.__all__
+    assert not hasattr(pemskit, "pearson")
+    assert not hasattr(pemskit.stats, "pearson")
+
+
 def test_forest_config_has_only_the_knobs_in_use():
     fields = [f.name for f in dataclasses.fields(pemskit.ForestConfig)]
     assert fields == ["n_trees", "seed"]

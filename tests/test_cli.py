@@ -622,6 +622,28 @@ def test_drift_exits_4_on_a_fit_column_whose_variance_overflows(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("drift",), ("drift", "--plots"),
+    ("report", "--trees", "2", "--k-max", "3"),
+], ids=" ".join)
+def test_a_year_far_outside_the_reference_spread_exits_4_naming_the_cell(
+        tmp_path, capsys, argv):
+    # 2011's ap spreads 3e-158, so 2012's 1e153 standardizes past float64
+    ds = make_dataset(years=(2011, 2012), rows_per_year=60, seed=1)
+    ap = ds.column("ap").copy()
+    ap[:60] = np.arange(60) * 1e-160
+    ap[60] = 1e153
+    write_year_files(Dataset({**ds.columns, "ap": ap}, ds.year.copy(),
+                             ds.years), tmp_path / "data")
+    out = tmp_path / "out"
+    assert _run(*argv, "--years", "2011-2012", "--data-dir",
+                str(tmp_path / "data"), "--out-dir", str(out)) == 4
+    assert capsys.readouterr().err == (
+        "error: variable 'ap' of row 60 is 1e+153, more than 2**960 standard "
+        "deviations from the fitted mean: its scores would overflow float64\n")
+    assert not out.exists()
+
+
 def test_a_chart_axis_that_overflows_exits_4_naming_the_variable(
         tmp_path, capsys):
     # one row has no spread to overflow, but the histogram pads its

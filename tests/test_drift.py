@@ -13,7 +13,6 @@ from pemskit.drift import (
 )
 from pemskit.errors import ConfigError, DataError, DegenerateDataError
 from pemskit.ingest import Dataset
-from pemskit.stats import pearson
 from pemskit.synthetic import make_dataset
 
 
@@ -88,6 +87,21 @@ def test_fit_pca_guards():
         project(model, ds, 3)
 
 
+@pytest.mark.parametrize("far", [1e153, 1e140], ids=["inf", "finite"])
+def test_project_names_a_cell_too_far_from_the_fitted_spread(far):
+    # the fitted std of 'a' is 3e-160: 1e153 standardizes past float64,
+    # 1e140 to 3e299, where sums of such scores could overflow
+    a = np.arange(20.0) * 1e-160
+    a[12] = far
+    ds = _ds_from_columns(a=a, b=np.arange(20.0) ** 2)
+    model = fit_pca(ds.subset(np.arange(10)), ("a", "b"))
+    with pytest.raises(DegenerateDataError, match=(
+            rf"^variable 'a' of row 12 is {re.escape(repr(far))}, more than "
+            r"2\*\*960 standard deviations from the fitted mean: its "
+            r"scores would overflow float64$")):
+        project(model, ds, 2)
+
+
 def test_fit_pca_names_a_variable_whose_variance_overflows():
     # finite cells, overflowing squared deviations: the Dataset refuses
     # them, so fit_pca never meets them; warnings are errors here
@@ -133,7 +147,8 @@ def test_linear_fit_residuals_and_r2_identity():
     resid = y - (fit.intercept + fit.slope * x)
     assert float(resid.sum()) == pytest.approx(0.0, abs=1e-9)
     # simple OLS: r² equals the squared Pearson correlation
-    assert fit.r_squared == pytest.approx(pearson(x, y) ** 2, abs=1e-9)
+    assert fit.r_squared == pytest.approx(np.corrcoef(x, y)[0, 1] ** 2,
+                                          abs=1e-9)
     assert 0.0 <= fit.r_squared <= 1.0
 
 
@@ -184,6 +199,14 @@ def test_yearly_fit_names_the_year_and_column_whose_variance_overflows():
         yearly_fit(_ds_from_columns(year=np.repeat([2011, 2012], 4), tep=tep,
                                     cdp=np.arange(8.0) ** 2),
                    x_unit_scale=0.001)
+
+
+def test_yearly_fit_names_a_year_with_one_row():
+    ds = _ds_from_columns(year=[2011, 2011, 2011, 2012], tep=np.arange(4.0),
+                          cdp=np.arange(4.0) ** 2)
+    with pytest.raises(DegenerateDataError,
+                       match="^year 2012 has fewer than 2 rows$"):
+        yearly_fit(ds)
 
 
 def test_yearly_fit_unit_scale_moves_slope(turbine_ds):

@@ -1,7 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -1171,6 +1172,58 @@ def test_load_rejects_inconsistent_models(tmp_path, tiny_ds, key, mutate,
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=match):
         load_model(path)
+
+
+def _nan_first_cell(z):
+    z = z.copy()
+    z[0, 0] = math.nan
+    return z
+
+
+# The model checks itself, so a model made by replace meets the loader's
+# checks, with the loader's text
+@pytest.mark.parametrize("change, message", [
+    (lambda m: dict(k=0), lambda n: f"k must be in [1, {n}], got 0"),
+    (lambda m: dict(k=m.n_training + 1),
+     lambda n: f"k must be in [1, {n}], got {n + 1}"),
+    (lambda m: dict(weighting="gaussian"),
+     lambda n: f"weighting must be one of {WEIGHTINGS}, got 'gaussian'"),
+    (lambda m: dict(leave_self_out=1),
+     lambda n: "leave_self_out must be true or false"),
+    (lambda m: dict(train_z=_nan_first_cell(m.train_z)),
+     lambda n: "train_z must be finite"),
+], ids=["k-0", "k-above-training", "weighting", "leave-self-out",
+        "nan-train-z"])
+def test_replace_refuses_a_model_that_cannot_predict(tiny_ds, change,
+                                                      message):
+    model = fit_knn(tiny_ds, split(tiny_ds, seed=5), k=3)
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(message(model.n_training))}$"):
+        replace(model, **change(model))
+
+
+def test_fit_takes_a_numpy_integer_k_that_saves_and_loads_back(tmp_path,
+                                                               tiny_ds):
+    assignment = split(tiny_ds, seed=5)
+    model = fit_knn(tiny_ds, assignment, k=np.int64(3))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    for field in fields(KnnModel):
+        ours, theirs = getattr(model, field.name), getattr(back, field.name)
+        assert type(ours) is type(theirs), field.name
+        if isinstance(ours, np.ndarray):
+            assert ours.dtype == theirs.dtype, field.name
+            assert np.array_equal(ours, theirs), field.name
+        else:
+            assert ours == theirs, field.name
+    # any other k that is not an int, and a leave_self_out that is not a
+    # bool, are the model's to refuse
+    with pytest.raises(ConfigError, match=r"^k must be an integer, got 3\.0$"):
+        fit_knn(tiny_ds, assignment, k=3.0)
+    with pytest.raises(ConfigError,
+                       match="^leave_self_out must be true or false$"):
+        fit_knn(tiny_ds, assignment, leave_self_out=1)
 
 
 # ------------------------------------------------------------- properties

@@ -12,7 +12,6 @@ from pemskit.stats import (
     eigenpairs,
     flag_high_nox,
     gram,
-    pearson,
     summarize,
 )
 
@@ -61,23 +60,6 @@ def test_summarize_guards():
                     np.empty(0, dtype=np.int64), ())
     with pytest.raises(DegenerateDataError):
         summarize(empty, ["nox"])
-
-
-def test_pearson_on_perfect_lines():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert pearson(x, 2.0 * x + 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert pearson(x, -3.0 * x) == pytest.approx(-1.0, abs=1e-14)
-
-
-def test_pearson_hand_value():
-    x = np.array([1.0, 2.0, 3.0])
-    y = np.array([1.0, 3.0, 2.0])
-    assert pearson(x, y) == pytest.approx(0.5)
-
-
-def test_pearson_zero_variance_is_degenerate():
-    with pytest.raises(DegenerateDataError):
-        pearson(np.ones(5), np.arange(5.0))
 
 
 def test_correlation_matrix_properties(turbine_ds):
