@@ -161,12 +161,16 @@ def yearly_fit(ds: Dataset, x: str = "tep", y: str = "cdp",
     """Per-year OLS of y on x, with x multiplied by x_unit_scale."""
     if x_unit_scale <= 0.0 or not math.isfinite(x_unit_scale):
         raise ConfigError(f"x_unit_scale must be positive, got {x_unit_scale}")
-    xs, ys = ds.column(x) * x_unit_scale, ds.column(y)
+    with np.errstate(over="ignore"):
+        xs, ys = ds.column(x) * x_unit_scale, ds.column(y)
     fits: dict[int, LinearFit] = {}
     for year in ds.years:
         mine = ds.year == year
         if np.count_nonzero(mine) < 2:
             raise DegenerateDataError(f"year {year} has fewer than 2 rows")
+        if not np.isfinite(xs[mine]).all():
+            raise DegenerateDataError(f"year {year}: variable '{x}' times x_unit_scale "
+                                      f"{x_unit_scale!r} overflows float64")
         try:
             fits[year] = linear_fit(xs[mine], ys[mine])
         except DegenerateDataError as exc:

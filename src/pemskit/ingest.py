@@ -150,8 +150,9 @@ class Dataset:
                 with np.errstate(over="ignore", invalid="ignore"):
                     total = float(arr.sum())
                     dev = arr - total / n
-                    # another order's mean lies (n-1) 2**-51 max|x| away
-                    root = (math.sqrt(np.dot(dev, dev))
+                    # another order's mean lies (n-1) 2**-51 max|x| away;
+                    # einsum, not np.dot: a long ddot is threaded and can stall
+                    root = (math.sqrt(np.einsum("i,i->", dev, dev))
                             + math.sqrt(n) * (n - 1) * 2.0**-51 * max(hi, -lo))
                 if not root * root <= _LIMIT:
                     # no cancellation: a sum of one sign overflows for real

@@ -154,6 +154,11 @@ class KnnModel:
         if self.train_z.shape != (n, p) or self.train_y.shape != (n,) \
                 or self.train_rows.shape != (n,):
             raise ConfigError("shape mismatch")
+        for name in ("means", "stds", "train_z", "train_y", "train_rows"):
+            want = np.dtype(np.int64 if name == "train_rows" else np.float64)
+            got = getattr(self, name).dtype
+            if got != want:
+                raise ConfigError(f"{name} must be {want}, got {got}")
         if type(self.k) is not int:
             raise ConfigError(f"k must be an integer, got {self.k!r}")
         if not 1 <= self.k <= n:
@@ -205,7 +210,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
             raise DegenerateDataError(
                 f"predictor '{name}' has zero variance in the training partition")
     z = (x - means) / stds
-    y = ds.column(target)[train_rows].copy()
+    y = ds.column(target)[train_rows].astype(np.float64)
     k = int(k) if isinstance(k, np.integer) else k   # the model takes ints only
     return KnnModel(names, means, stds, z, y, train_rows.copy(), k,
                     weighting, leave_self_out)

@@ -242,9 +242,13 @@ class ForestConfig:
     n_trees: int = 100
     seed: int = 0
 
-    def check(self) -> None:
-        if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
+    def __post_init__(self):
+        """ConfigError unless n_trees is an int >= 1 and seed an int
+        (a bool or a numpy integer is neither)."""
+        if type(self.n_trees) is not int or self.n_trees < 1:
+            raise ConfigError(f"n_trees must be an integer >= 1, got {self.n_trees!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,6 @@ def fit_regression_tree(ds: Dataset, predictors: Sequence[str], target: str,
     predictor within the node; a split is taken only for a strictly
     positive SSE reduction, which it records.
     """
-    cfg.check()
     names = resolve_predictors(predictors, target)
     n = ds.n_records
     if n == 0:
@@ -325,7 +328,6 @@ def screen_predictors(ds: Dataset, predictors: Sequence[str] | None = None,
     names = resolve_predictors(predictors, target)
     if len(names) < 2:
         raise ConfigError("screening needs at least 2 predictors")
-    cfg.check()
     ranks, y = _ranked_inputs(ds, names, target)
     if ds.n_records < 2 or float(np.ptp(y)) == 0.0:
         raise DegenerateDataError(f"target '{target}' has zero variance")

@@ -84,41 +84,41 @@ def _cluster_eigs(z: np.ndarray, members: list[int]) -> tuple[np.ndarray, np.nda
     return eigenpairs(gram(z[:, members], z.shape[0] - 1))
 
 
-def _squared_corr(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Pearson correlation of two centered vectors."""
-    denom = float(np.dot(a, a)) * float(np.dot(b, b))
-    if denom == 0.0:
-        return 0.0
-    num = float(np.dot(a, b))
-    return min((num * num) / denom, 1.0)
+def _r2(z: np.ndarray, zz: list[float], s: np.ndarray, cols) -> list[float]:
+    """Squared Pearson correlation of the centered vector s with each of
+    z's centered columns in cols, whose self products zz holds."""
+    ss = float(np.dot(s, s))
+    pairs = [(float(np.dot(z[:, j], s)), zz[j] * ss) for j in cols]
+    return [min((num * num) / denom, 1.0) if denom != 0.0 else 0.0
+            for num, denom in pairs]
 
 
-def _fit(z: np.ndarray, clusters: list[list[int]]) -> tuple[list, np.ndarray]:
+def _fit(z: np.ndarray, zz: list[float],
+         clusters: list[list[int]]) -> tuple[list, np.ndarray]:
     """Each cluster's ``_cluster_eigs``, and the squared correlation of
     every variable with every cluster's first-PC score, as a
     (variables, clusters) table."""
     eigs = [_cluster_eigs(z, members) for members in clusters]
-    scores = [z[:, members] @ vecs[:, 0]
-              for members, (_, vecs) in zip(clusters, eigs)]
-    r2 = np.array([[_squared_corr(z[:, j], s) for s in scores]
-                   for j in range(z.shape[1])])
+    r2 = np.array([_r2(z, zz, z[:, members] @ vecs[:, 0], range(z.shape[1]))
+                   for members, (_, vecs) in zip(clusters, eigs)]).T
     return eigs, r2
 
 
-def _reassign(z: np.ndarray, clusters: list[list[int]]) -> list[list[int]]:
+def _reassign(z: np.ndarray, zz: list[float], clusters: list[list[int]]):
     """Move each variable to the cluster whose first PC it best matches,
-    recomputing PCs each pass, until a pass moves nothing."""
+    refitting each pass, until a pass moves nothing; returns the
+    clusters and their ``_fit``."""
     for _ in range(REASSIGN_PASS_CAP):
-        _, r2 = _fit(z, clusters)
+        eigs, r2 = _fit(z, zz, clusters)
         owner = {j: ci for ci, members in enumerate(clusters) for j in members}
         moves = [(j, int(target)) for j, target in enumerate(r2.argmax(axis=1))
                  if target != owner[j]]
+        if not moves:
+            return clusters, eigs, r2
         for j, target in moves:
             clusters[owner[j]].remove(j)
             clusters[target].append(j)
         clusters = [c for c in clusters if c]
-        if not moves:
-            return clusters
     raise DegenerateDataError(
         f"variable reassignment did not converge within {REASSIGN_PASS_CAP} passes")
 
@@ -142,39 +142,39 @@ def cluster_variables(ds: Dataset,
         raise ConfigError(f"threshold must be positive, got {threshold}")
     z = _standardized(ds, names)
 
+    # one _fit per partition serves the split search, the split (its PC1
+    # side is r2's column), the reassignment and the report
+    zz = [float(np.dot(z[:, j], z[:, j])) for j in range(len(names))]
     clusters: list[list[int]] = [list(range(len(names)))]
+    eigs, r2 = _fit(z, zz, clusters)
     blocked: set[int] = set()          # clusters where a split made an empty side
     for _ in range(10 * len(names) + 10):
-        best_ci, best_l2, best_vecs = -1, threshold, None
-        for ci, members in enumerate(clusters):
-            if len(members) < 2 or ci in blocked:
-                continue
-            eigvals, eigvecs = _cluster_eigs(z, members)
-            if float(eigvals[1]) > best_l2:
-                best_ci, best_l2, best_vecs = ci, float(eigvals[1]), eigvecs
+        best_ci, best_l2 = -1, threshold
+        for ci, (members, (eigvals, _)) in enumerate(zip(clusters, eigs)):
+            if len(members) > 1 and ci not in blocked and float(eigvals[1]) > best_l2:
+                best_ci, best_l2 = ci, float(eigvals[1])
         if best_ci < 0:
             break
         members = clusters[best_ci]
-        pc1 = z[:, members] @ best_vecs[:, 0]
-        pc2 = z[:, members] @ best_vecs[:, 1]
-        side1, side2 = [], []
-        for j in members:
-            zj = z[:, j]
-            (side1 if _squared_corr(zj, pc1) >= _squared_corr(zj, pc2) else side2).append(j)
+        r2_pc2 = _r2(z, zz, z[:, members] @ eigs[best_ci][1][:, 1], members)
+        side1 = [j for j, pc2 in zip(members, r2_pc2) if r2[j, best_ci] >= pc2]
+        side2 = [j for j in members if j not in side1]
         if not side1 or not side2:
             blocked.add(best_ci)
             continue
         clusters[best_ci] = side1
         clusters.append(side2)
-        clusters = _reassign(z, clusters)
+        clusters, eigs, r2 = _reassign(z, zz, clusters)
         blocked.clear()
     else:
         raise DegenerateDataError("cluster splitting did not settle (split/merge cycle)")
 
     # Order clusters by size (largest first), then by canonical position
     # of their first member, and number them from 1.
-    clusters.sort(key=lambda c: (-len(c), min(c)))
-    eigs, r2 = _fit(z, clusters)
+    order = sorted(range(len(clusters)),
+                   key=lambda ci: (-len(clusters[ci]), min(clusters[ci])))
+    clusters, eigs = [clusters[ci] for ci in order], [eigs[ci] for ci in order]
+    r2 = r2[:, order]
     cluster_objs, rows = [], []
     for ci, (members, (eigvals, _)) in enumerate(zip(clusters, eigs)):
         # singletons explain themselves exactly

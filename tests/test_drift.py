@@ -201,6 +201,15 @@ def test_yearly_fit_names_the_year_and_column_whose_variance_overflows():
                    x_unit_scale=0.001)
 
 
+def test_yearly_fit_names_the_year_variable_and_scale_that_overflow():
+    # warnings are errors here: the scaling overflows without one
+    ds = make_dataset(years=(2011, 2012), rows_per_year=60, seed=1)
+    with pytest.raises(DegenerateDataError,
+                       match=r"^year 2011: variable 'tep' times x_unit_scale "
+                             r"1e\+307 overflows float64$"):
+        yearly_fit(ds, x_unit_scale=1e307)
+
+
 def test_yearly_fit_names_a_year_with_one_row():
     ds = _ds_from_columns(year=[2011, 2011, 2011, 2012], tep=np.arange(4.0),
                           cdp=np.arange(4.0) ** 2)

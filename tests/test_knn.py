@@ -562,12 +562,9 @@ def test_inverse_distance_hand_value():
 def test_uniform_hand_value():
     model = _toy_model(weighting="uniform")
     assert predict(model, {"x": 0.25}) == 5.0  # (0 + 10) / 2, exact
-    # integer targets fold as floats, in both weightings
-    for weighting in WEIGHTINGS:
-        ints = replace(_toy_model(weighting=weighting),
-                       train_y=np.array([0, 10]))
-        assert predict(ints, {"x": 0.25}) == predict(
-            _toy_model(weighting=weighting), {"x": 0.25})
+    # integer targets are refused, not folded as floats
+    with pytest.raises(ConfigError, match="^train_y must be float64, got int64$"):
+        replace(model, train_y=np.array([0, 10]))
 
 
 def test_zero_distance_rule_beats_weighting():
@@ -1200,6 +1197,29 @@ def test_replace_refuses_a_model_that_cannot_predict(tiny_ds, change,
     with pytest.raises(ConfigError,
                        match=f"^{re.escape(message(model.n_training))}$"):
         replace(model, **change(model))
+
+
+# fit_knn's dtypes only: a float32 train_z shifts predictions in the
+# last bits, and float train_rows save a file that load_model refuses
+@pytest.mark.parametrize("name, dtype", [
+    ("train_z", np.float32), ("train_rows", np.float64),
+    ("means", np.float32), ("stds", np.float32), ("train_y", np.int64),
+])
+def test_replace_refuses_a_model_of_other_dtypes(tiny_ds, name, dtype):
+    model = fit_knn(tiny_ds, split(tiny_ds, seed=5), k=3)
+    want = "int64" if name == "train_rows" else "float64"
+    with pytest.raises(ConfigError,
+                       match=f"^{name} must be {want}, got {np.dtype(dtype)}$"):
+        replace(model, **{name: getattr(model, name).astype(dtype)})
+
+
+def test_fit_makes_float_targets_from_an_integer_column(tiny_ds):
+    cols = dict(tiny_ds.columns, nox=np.round(tiny_ds.column("nox")).astype(np.int64))
+    ints = Dataset(cols, tiny_ds.year.copy(), tiny_ds.years)
+    assignment = split(ints, seed=5)
+    model = fit_knn(ints, assignment, k=3)
+    assert model.train_y.dtype == np.float64
+    assert model.train_y.tolist() == ints.column("nox")[model.train_rows].tolist()
 
 
 def test_fit_takes_a_numpy_integer_k_that_saves_and_loads_back(tmp_path,

@@ -192,8 +192,10 @@ def test_one_tree_screen_reproducible_from_parts(planted_ds):
 
 
 def test_config_validation(planted_ds):
-    with pytest.raises(ConfigError):
-        ForestConfig(n_trees=0).check()
+    for bad in (dict(n_trees=0), dict(n_trees=2.5), dict(n_trees=True),
+                dict(seed=1.5), dict(seed=False), dict(seed=np.int64(3))):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ForestConfig(**bad)
     with pytest.raises(ConfigError, match="at least 2"):
         screen_predictors(planted_ds, ("x1",), "y")
     with pytest.raises(ConfigError, match="target 'y' is also a predictor"):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from pemskit import varclus
 from pemskit.errors import ConfigError, DegenerateDataError
 from pemskit.ingest import PREDICTORS, Dataset
-from pemskit.varclus import cluster_variables, dependence_tag
+from pemskit.stats import eigenpairs, gram
+from pemskit.synthetic import make_dataset
+from pemskit.varclus import (REASSIGN_PASS_CAP, VarCluster, VarClusterReport,
+                             VariableClusterRow, cluster_variables,
+                             dependence_tag)
 
 
 def _ds_from_columns(**cols):
@@ -136,3 +141,149 @@ def test_dependence_tags():
     assert dependence_tag("at") == "weather"
     assert dependence_tag("ah") == "weather"
     assert dependence_tag("ap") == "weather"
+
+
+# -- reference: the loop that fits every partition again each time it
+# reads one (each split search, each reassignment pass, the report) and
+# takes every correlation's self products again for every pair
+
+def _squared_corr(a, b):
+    denom = float(np.dot(a, a)) * float(np.dot(b, b))
+    if denom == 0.0:
+        return 0.0
+    num = float(np.dot(a, b))
+    return min((num * num) / denom, 1.0)
+
+
+def _reference_eigs(z, members):
+    if len(members) == 1:
+        return np.array([1.0]), np.array([[1.0]])
+    return eigenpairs(gram(z[:, members], z.shape[0] - 1))
+
+
+def _reference_fit(z, clusters):
+    eigs = [_reference_eigs(z, members) for members in clusters]
+    scores = [z[:, members] @ vecs[:, 0]
+              for members, (_, vecs) in zip(clusters, eigs)]
+    r2 = np.array([[_squared_corr(z[:, j], s) for s in scores]
+                   for j in range(z.shape[1])])
+    return eigs, r2
+
+
+def _reference_reassign(z, clusters, seen):
+    for _ in range(REASSIGN_PASS_CAP):
+        _, r2 = _reference_fit(z, clusters)
+        owner = {j: ci for ci, members in enumerate(clusters) for j in members}
+        moves = [(j, int(target)) for j, target in enumerate(r2.argmax(axis=1))
+                 if target != owner[j]]
+        seen["moves"] += len(moves)
+        for j, target in moves:
+            clusters[owner[j]].remove(j)
+            clusters[target].append(j)
+        clusters = [c for c in clusters if c]
+        if not moves:
+            return clusters
+    raise DegenerateDataError("no convergence")
+
+
+def _reference_clusters(ds, names, threshold, seen):
+    z = varclus._standardized(ds, names)
+    clusters = [list(range(len(names)))]
+    blocked = set()
+    for _ in range(10 * len(names) + 10):
+        best_ci, best_l2, best_vecs = -1, threshold, None
+        for ci, members in enumerate(clusters):
+            if len(members) < 2 or ci in blocked:
+                continue
+            eigvals, eigvecs = _reference_eigs(z, members)
+            if float(eigvals[1]) > best_l2:
+                best_ci, best_l2, best_vecs = ci, float(eigvals[1]), eigvecs
+        if best_ci < 0:
+            break
+        members = clusters[best_ci]
+        pc1 = z[:, members] @ best_vecs[:, 0]
+        pc2 = z[:, members] @ best_vecs[:, 1]
+        side1, side2 = [], []
+        for j in members:
+            zj = z[:, j]
+            (side1 if _squared_corr(zj, pc1) >= _squared_corr(zj, pc2)
+             else side2).append(j)
+        if not side1 or not side2:
+            seen["blocked"] += 1
+            blocked.add(best_ci)
+            continue
+        clusters[best_ci] = side1
+        clusters.append(side2)
+        clusters = _reference_reassign(z, clusters, seen)
+        blocked.clear()
+    clusters.sort(key=lambda c: (-len(c), min(c)))
+    eigs, r2 = _reference_fit(z, clusters)
+    cluster_objs, rows = [], []
+    for ci, (members, (eigvals, _)) in enumerate(zip(clusters, eigs)):
+        r2_own = {j: float(r2[j, ci]) if len(members) > 1 else 1.0
+                  for j in members}
+        ordered = sorted(members, key=lambda j: (-r2_own[j], j))
+        cluster_objs.append(VarCluster(
+            ci + 1, tuple(names[j] for j in ordered), float(eigvals[0]),
+            float(eigvals[1]) if len(members) > 1 else None))
+        for j in ordered:
+            r2_next = max((float(v) for oi, v in enumerate(r2[j]) if oi != ci),
+                          default=0.0)
+            if r2_own[j] >= 1.0:
+                ratio = 0.0
+            elif r2_next >= 1.0:
+                ratio = float("inf")
+            else:
+                ratio = (1.0 - r2_own[j]) / (1.0 - r2_next)
+            rows.append(VariableClusterRow(names[j], ci + 1, r2_own[j], r2_next,
+                                           ratio))
+    return VarClusterReport(tuple(cluster_objs), tuple(rows))
+
+
+def _bits(report):
+    """Every field of a report, each float as its exact bit pattern."""
+    def cell(v):
+        return v.hex() if isinstance(v, float) else v
+    return ([(c.id, c.members, cell(c.eigenvalue1), cell(c.eigenvalue2))
+             for c in report.clusters],
+            [(r.variable, r.cluster_id, cell(r.r2_own), cell(r.r2_next),
+              cell(r.ratio)) for r in report.rows])
+
+
+def _cases():
+    """Synthetic 5 x 60 turbine data, 200 rows of noise, and three blocks
+    of three variables with cross-loadings, so that some splits are
+    blocked and some reassignment passes move variables."""
+    for seed in range(8):
+        yield make_dataset(rows_per_year=60, seed=seed, drift=0.3), None
+        rng = np.random.default_rng(seed)
+        loadings = np.repeat(np.eye(3), 3, axis=1) + rng.uniform(-0.7, 0.7, (3, 9))
+        for m in (rng.normal(size=(200, 8)),
+                  rng.normal(size=(200, 3)) @ loadings + 0.5 * rng.normal(size=(200, 9))):
+            names = tuple(f"v{i}" for i in range(m.shape[1]))
+            yield _ds_from_columns(**dict(zip(names, m.T))), names
+
+
+def test_one_fit_per_partition_matches_the_refitting_reference():
+    seen = {"blocked": 0, "moves": 0}
+    for ds, names in _cases():
+        resolved = tuple(names or PREDICTORS)
+        for threshold in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0,
+                          1.2, 1.5, 2.0):
+            ours = cluster_variables(ds, names, threshold)
+            assert _bits(ours) == _bits(
+                _reference_clusters(ds, resolved, threshold, seen))
+    # the sweep takes both paths the single fit has to keep right
+    assert seen["blocked"] > 0 and seen["moves"] > 0
+
+
+@pytest.mark.parametrize("threshold, calls", [(1.0, 3), (0.5, 5)])
+def test_each_partition_is_fitted_once(turbine_ds, monkeypatch, threshold,
+                                       calls):
+    # one eigenpairs call per non-singleton cluster of each partition
+    # (the refitting reference makes 7 and 12)
+    made = []
+    monkeypatch.setattr(varclus, "eigenpairs",
+                        lambda m: made.append(m.shape) or eigenpairs(m))
+    cluster_variables(turbine_ds, threshold=threshold)
+    assert len(made) == calls
