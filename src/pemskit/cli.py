@@ -10,7 +10,8 @@ Each command is ``cmd_<name>(ds, config)``: given the dataset, loaded
 once by main, it builds and yields its outputs as (name, content) pairs
 in write order, tables first, then plots.  Content is a table, SVG or
 JSON text, or the KNN model, and one writer, _write, puts every output
-on disk; the ``wrote`` lines are printed once all are written.
+on disk; the ``wrote`` lines are printed once all are written.  The rows
+of a per-record table are made in blocks as the CSV writer takes them.
 ``report`` runs the other six commands without plots and writes only
 report.json: each of its sections is exactly its command's tables, up
 to the first per-record one (drift_scores, knn_residuals), which stays
@@ -40,6 +41,8 @@ from datetime import MAXYEAR, MINYEAR
 from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import drift as drift_mod
 from . import knn as knn_mod
@@ -233,11 +236,27 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 # ------------------------------------------------------------- emission
 
-Table = dict    # {"columns": [...], "rows": [[...], ...]}
+Table = dict    # {"columns": [...], "rows": [[...], ...] or an iterator}
+
+#: Records per block of a per-record table's rows, and characters per
+#: write of long text.
+_BLOCK_ROWS = 4096
+_TEXT_SLICE = 65536
 
 
 def _table(columns: Sequence[str], rows: Iterable[Sequence]) -> Table:
     return {"columns": list(columns), "rows": [list(r) for r in rows]}
+
+
+def _per_record(columns: Sequence[str], *values: np.ndarray) -> Table:
+    """A table with one row per record, the i-th row holding each array's
+    i-th value.  Its rows are an iterator that leaves numpy _BLOCK_ROWS
+    records at a time, so a 37k-row table is never held as Python rows."""
+    def rows() -> Iterator[tuple]:
+        for start in range(0, len(values[0]), _BLOCK_ROWS):
+            yield from zip(*(v[start:start + _BLOCK_ROWS].tolist()
+                             for v in values))
+    return {"columns": list(columns), "rows": rows()}
 
 
 def _csv_cell(v) -> str:
@@ -250,7 +269,9 @@ def _csv_cell(v) -> str:
 
 def _write_text(path: Path, text: str) -> Path:
     with atomic_open(path) as fh:
-        fh.write(text)
+        # in slices, so a long text is never encoded whole
+        for start in range(0, len(text), _TEXT_SLICE):
+            fh.write(text[start:start + _TEXT_SLICE])
     return path
 
 
@@ -263,8 +284,9 @@ def emit_table(out_dir: Path, name: str, table: Table, fmt: str) -> Path:
             fh.writelines(",".join(map(_csv_cell, row)) + "\n"
                           for row in table["rows"])
         return path
+    rows = list(table["rows"])      # json.dumps takes no iterator
     return _write_text(out_dir / f"{name}.json",
-                       json.dumps(table, indent=2) + "\n")
+                       json.dumps({**table, "rows": rows}, indent=2) + "\n")
 
 
 def _write(config: RunConfig, name: str,
@@ -365,10 +387,9 @@ def cmd_drift(ds: Dataset, config: RunConfig) -> Iterator[Output]:
         ["year", "pc1", "pc2", "displacement"],
         [[yd.year, yd.centroid[0], yd.centroid[1], yd.displacement]
          for yd in report.years])
-    yield "drift_scores", _table(
+    yield "drift_scores", _per_record(
         ["row", "year", "pc1", "pc2"],
-        zip(range(ds.n_records), ds.year.tolist(), scores[:, 0].tolist(),
-            scores[:, 1].tolist()))
+        np.arange(ds.n_records), ds.year, scores[:, 0], scores[:, 1])
     if not config.plots:
         return
     series = []
@@ -424,11 +445,11 @@ def cmd_knn(ds: Dataset, config: RunConfig) -> Iterator[Output]:
     pooled = scopes[0]
     actual, predicted = ds.column(config.target), pooled.predicted
     residual = actual - predicted
-    labels = assignment.labels()
-    yield "knn_residuals", _table(
+    yield "knn_residuals", _per_record(
         ["row", "year", "partition", "actual", "predicted", "residual"],
-        zip(range(ds.n_records), ds.year.tolist(), labels, actual.tolist(),
-            predicted.tolist(), residual.tolist()))
+        np.arange(ds.n_records), ds.year,
+        np.array(knn_mod.PARTITIONS, dtype=object)[assignment.codes],
+        actual, predicted, residual)
     yield "model.json", pooled.model
     if not config.plots:
         return

@@ -109,16 +109,18 @@ def project(model: PcaModel, ds: Dataset, n_components: int = 2) -> np.ndarray:
     if not 1 <= n_components <= model.n_variables:
         raise ConfigError(
             f"n_components must be in [1, {model.n_variables}], got {n_components}")
-    x = ds.matrix(model.variables)
+    z = ds.matrix(model.variables)  # a copy: centered and scaled in place
     with np.errstate(over="ignore"):
-        z = (x - model.means) / model.stds
+        z -= model.means
+        z /= model.stds
     if not (-2.0**960 <= z.min() and z.max() <= 2.0**960):   # copies nothing
         far = np.flatnonzero(~(np.abs(z) <= 2.0**960))
         row, j = divmod(int(far[0]), model.n_variables)
+        name = model.variables[j]
         raise DegenerateDataError(
-            f"variable '{model.variables[j]}' of row {row} is "
-            f"{float(x[row, j])!r}, more than 2**960 standard deviations "
-            "from the fitted mean: its scores would overflow float64")
+            f"variable '{name}' of row {row} is {float(ds.column(name)[row])!r}, "
+            "more than 2**960 standard deviations from the fitted mean: its "
+            "scores would overflow float64")
     return z @ model.loadings[:, :n_components]
 
 

@@ -51,14 +51,29 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SplitAssignment:
-    """Per-record partition codes (0/1/2 indexing PARTITIONS)."""
+    """Per-record partition codes (0/1/2 indexing PARTITIONS); ConfigError
+    unless they are a 1-D integer array of those values."""
 
     codes: np.ndarray
 
     def __post_init__(self):
-        self.codes.setflags(write=False)
+        codes = self.codes
+        if not isinstance(codes, np.ndarray):
+            raise ConfigError("split codes must be a 1-D integer array, got "
+                              f"a {type(codes).__name__}")
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ConfigError("split codes must be a 1-D integer array, got "
+                              f"a {codes.ndim}-D {codes.dtype} array")
+        bad = codes[(codes < 0) | (codes >= len(PARTITIONS))]
+        if bad.size:
+            raise ConfigError(f"split code {bad[0]} is not one of 0, 1, 2 "
+                              f"(indexing {', '.join(PARTITIONS)})")
+        codes.setflags(write=False)
 
     def rows(self, partition: str) -> np.ndarray:
+        if partition not in PARTITIONS:
+            raise ConfigError(f"unknown partition {partition!r}: expected "
+                              f"one of {', '.join(PARTITIONS)}")
         return np.nonzero(self.codes == PARTITIONS.index(partition))[0]
 
     def counts(self) -> dict[str, int]:

@@ -93,13 +93,14 @@ def correlation_matrix(ds: Dataset,
     names = resolve_predictors(variables)
     if ds.n_records < 2:
         raise DegenerateDataError("correlation needs at least 2 records")
-    data = ds.matrix(names)
-    centered = data - data.mean(axis=0)
-    norms = np.sqrt((centered * centered).sum(axis=0))
+    z = ds.matrix(names)    # a copy: centered and scaled in place
+    z -= z.mean(axis=0)
+    norms = np.sqrt((z * z).sum(axis=0))
     for i, n in enumerate(norms):
         if n == 0.0:
             raise DegenerateDataError(f"variable '{names[i]}' has zero variance")
-    corr = gram(centered / norms)
+    z /= norms
+    corr = gram(z)
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return CorrelationMatrix(names, corr)

@@ -195,8 +195,8 @@ def _chart(series: Sequence[Series], title: str, x_label: str,
                          f'stroke="{color}" stroke-width="1.5"/>')
         parts.extend(circles)
     parts.extend(frame.legend([label for label, _, _ in series]))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")     # one join: the chart is never copied again
+    return "\n".join(parts)
 
 
 def scatter(series: Sequence[Series], title: str, x_label: str,
@@ -230,5 +230,5 @@ def bars(edges_lo: Sequence[float], edges_hi: Sequence[float],
         parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(top)}" '
                      f'width="{_fmt(w)}" height="{_fmt(max(base - top, 0.0))}" '
                      f'fill="{PALETTE[0]}" stroke="white" stroke-width="0.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -67,13 +67,14 @@ def dependence_tag(variable: str) -> str:
 def _standardized(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     if ds.n_records < 2:
         raise DegenerateDataError("variable clustering needs at least 2 records")
-    data = ds.matrix(names)
-    centered = data - data.mean(axis=0)
-    stds = centered.std(axis=0, ddof=1)
+    z = ds.matrix(names)    # a copy: centered and scaled in place
+    z -= z.mean(axis=0)
+    stds = z.std(axis=0, ddof=1)
     for i, s in enumerate(stds):
         if s == 0.0:
             raise DegenerateDataError(f"variable '{names[i]}' has zero variance")
-    return centered / stds
+    z /= stds
+    return z
 
 
 def _cluster_eigs(z: np.ndarray, members: list[int]) -> tuple[np.ndarray, np.ndarray]:

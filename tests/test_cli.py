@@ -365,6 +365,25 @@ def test_report_sections_are_the_commands_tables(data_dir, tmp_path, capsys):
         assert report[section] == tables, section
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["drift", "knn"])
+def test_rows_and_text_written_in_pieces_keep_their_bytes(
+        data_dir, tmp_path, monkeypatch, command, fmt):
+    # 600 records and charts under 64 KiB fit one block and one slice;
+    # blocks of 7 rows and slices of 100 characters cross many boundaries
+    argv = (command, "--plots", "--out", fmt, "--data-dir", str(data_dir),
+            *_SMALL_RUNS.get(command, []))
+    assert _run(*argv, "--out-dir", str(tmp_path / "whole")) == 0
+    monkeypatch.setattr("pemskit.cli._BLOCK_ROWS", 7)
+    monkeypatch.setattr("pemskit.cli._TEXT_SLICE", 100)
+    assert _run(*argv, "--out-dir", str(tmp_path / "pieces")) == 0
+    names = sorted(p.name for p in (tmp_path / "whole").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pieces").iterdir())
+    for name in names:
+        assert (tmp_path / "whole" / name).read_bytes() == \
+            (tmp_path / "pieces" / name).read_bytes(), name
+
+
 def test_config_file_provides_defaults_flags_override(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg_out = tmp_path / "from_config"

@@ -102,6 +102,42 @@ def test_project_names_a_cell_too_far_from_the_fitted_spread(far):
         project(model, ds, 2)
 
 
+def _copying_project(model, ds, n_components=2):
+    """project with a new matrix for each step, reading a far cell from
+    the raw copy."""
+    x = ds.matrix(model.variables)
+    with np.errstate(over="ignore"):
+        z = (x - model.means) / model.stds
+    if not (np.abs(z) <= 2.0**960).all():
+        row, j = divmod(int(np.flatnonzero(~(np.abs(z) <= 2.0**960))[0]),
+                        model.n_variables)
+        return f"variable '{model.variables[j]}' of row {row} is {float(x[row, j])!r}"
+    return z @ model.loadings[:, :n_components]
+
+
+def test_project_in_place_matches_the_copying_form():
+    rng = np.random.default_rng(6)
+    noise = _ds_from_columns(**{name: rng.normal(size=200) * 10.0 ** i
+                                for i, name in enumerate("abcd")})
+    for seed in range(4):
+        ds = make_dataset(rows_per_year=60, seed=seed, drift=0.3)
+        model = fit_pca(ds.for_year(2011))
+        for n_components in (1, 2, model.n_variables):
+            assert project(model, ds, n_components).tobytes() == \
+                _copying_project(model, ds, n_components).tobytes()
+    model = fit_pca(noise.subset(np.arange(50)), tuple("abcd"))
+    assert project(model, noise, 3).tobytes() == \
+        _copying_project(model, noise, 3).tobytes()
+    # a far cell: both name the same variable, row and raw value
+    a = np.arange(20.0) * 1e-160
+    a[7], a[12] = 1e140, -1e153
+    far = _ds_from_columns(a=a, b=np.arange(20.0) ** 2)
+    model = fit_pca(far.subset(np.arange(5)), ("a", "b"))
+    with pytest.raises(DegenerateDataError) as raised:
+        project(model, far, 2)
+    assert str(raised.value).startswith(_copying_project(model, far) + ", ")
+
+
 def test_fit_pca_names_a_variable_whose_variance_overflows():
     # finite cells, overflowing squared deviations: the Dataset refuses
     # them, so fit_pca never meets them; warnings are errors here

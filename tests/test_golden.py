@@ -213,6 +213,34 @@ INPUT_GOLDEN = {
 }
 
 
+#: The per-record commands with --out json, whose row tables reach the
+#: JSON writer as iterators: pinned as the CSV files are.
+JSON_CASES = {
+    "drift": ("drift", "--out", "json"),
+    "knn": ("knn", "--out", "json", "--k-max", "3", "--seed", "2"),
+}
+JSON_GOLDEN = {
+    "drift": {
+        "drift_centroids.json":
+            "6c28bef9f10b2485df102e9d80636cb9dfe283e36375070ab176f59e365e7279",
+        "drift_fits.json":
+            "49f92270bab7732c05179cb896bf91a547df5b666d3a592447c92e019f7be47e",
+        "drift_scores.json":
+            "3393aaba007795a2a5c7984456522ebde0768cd726e0bfa68b58e4242d9c887a",
+    },
+    "knn": {
+        "knn_metrics.json":
+            "ef71afd19b46600d53ec999556f09563977eb3861bcb4564c46505a94dba73f8",
+        "knn_residuals.json":
+            "4a5ea30ad1bcda18bf3764cda630e982cda2f16b352cee3b177c03c2e4bcd0b6",
+        "knn_selection.json":
+            "6676583721a5480df55f7a63f300239874c3bbb39e3ec54b656687233d2ef57d",
+        "model.json":
+            "53e5b47928f44d5878acdf908bdc973566ff2e5c0b6b843e58bff9140ec7c7e2",
+    },
+}
+
+
 def _hashes(root: Path) -> dict[str, str]:
     return {p.relative_to(root).as_posix():
             hashlib.sha256(p.read_bytes()).hexdigest()
@@ -268,6 +296,13 @@ def test_golden_output_hashes_from_config_file(case, golden_dir, tmp_path):
                    encoding="utf-8")
     assert main([command, "--config", str(cfg)]) == 0
     assert _hashes(out_dir) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_golden_json_output_hashes(case, golden_dir, tmp_path):
+    out_dir = tmp_path / "out"
+    assert output_hashes(golden_dir, out_dir, JSON_CASES[case]) == \
+        JSON_GOLDEN[case]
 
 
 def test_golden_input_hashes(golden_dir):

@@ -690,6 +690,27 @@ def test_split_validates_fractions_and_year_size(tiny_ds):
         split(two_rows)
 
 
+@pytest.mark.parametrize("codes, message", [
+    (np.array([0, 5, 1]), r"^split code 5 is not one of 0, 1, 2 "),
+    (np.array([0, -1, 1]), r"^split code -1 is not one of 0, 1, 2 "),
+    (np.array([[0, 1], [2, 0]]), r"1-D integer array, got a 2-D int64 array$"),
+    (np.array([0.0, 1.0]), r"1-D integer array, got a 1-D float64 array$"),
+    (np.array([True, False]), r"1-D integer array, got a 1-D bool array$"),
+    ([0, 1, 2], r"1-D integer array, got a list$"),
+], ids=["above-2", "negative", "2-D", "float", "bool", "list"])
+def test_split_assignment_refuses_codes_it_cannot_label(codes, message):
+    with pytest.raises(ConfigError, match=message):
+        SplitAssignment(codes)
+
+
+def test_split_assignment_names_an_unknown_partition():
+    assignment = SplitAssignment(np.array([0, 2, 1], dtype=np.uint8))
+    assert assignment.labels() == ["Training", "Test", "Validation"]
+    with pytest.raises(ConfigError, match=r"^unknown partition 'Train': "
+                       "expected one of Training, Validation, Test$"):
+        assignment.rows("Train")
+
+
 # ------------------------------------------------------------------- fit
 
 

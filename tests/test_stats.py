@@ -14,6 +14,7 @@ from pemskit.stats import (
     gram,
     summarize,
 )
+from pemskit.synthetic import make_dataset
 
 
 def _ds_with(nox, **overrides):
@@ -200,3 +201,27 @@ def test_flag_high_nox_default_rate(iid_ds):
     flagged = flag_high_nox(iid_ds)
     rate = flagged.mean()
     assert 0.15 < rate <= 0.20  # strict inequality keeps the rate at or below 20%
+
+
+def _copying_correlation(ds, names):
+    """correlation_matrix with a new matrix for each step: the centered
+    copy and the scaled one."""
+    data = ds.matrix(names)
+    centered = data - data.mean(axis=0)
+    norms = np.sqrt((centered * centered).sum(axis=0))
+    corr = gram(centered / norms)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def test_correlation_in_place_matches_the_copying_form():
+    rng = np.random.default_rng(12)
+    noise = Dataset({name: rng.normal(size=200) * 10.0 ** rng.integers(-3, 4)
+                     for name in PREDICTORS},
+                    np.full(200, 2011, dtype=np.int64), (2011,))
+    cases = [(make_dataset(rows_per_year=60, seed=seed, drift=0.3),
+              (*PREDICTORS, "nox")) for seed in range(4)]
+    for ds, names in [*cases, (noise, PREDICTORS)]:
+        ours = correlation_matrix(ds, names).matrix
+        assert ours.tobytes() == _copying_correlation(ds, names).tobytes()

@@ -264,6 +264,20 @@ def _cases():
             yield _ds_from_columns(**dict(zip(names, m.T))), names
 
 
+def _copying_standardized(ds, names):
+    """varclus._standardized with a new matrix for each step."""
+    data = ds.matrix(names)
+    centered = data - data.mean(axis=0)
+    return centered / centered.std(axis=0, ddof=1)
+
+
+def test_standardized_in_place_matches_the_copying_form():
+    for ds, names in _cases():
+        resolved = tuple(names or PREDICTORS)
+        assert varclus._standardized(ds, resolved).tobytes() == \
+            _copying_standardized(ds, resolved).tobytes()
+
+
 def test_one_fit_per_partition_matches_the_refitting_reference():
     seen = {"blocked": 0, "moves": 0}
     for ds, names in _cases():
