@@ -149,3 +149,18 @@ test "$(ls "$work/report")" = report.json
 # report grows its forest through the same workers
 taskset -c 0 pemskit report --trees 2 --k-max 3 --data-dir "$work/data" --out-dir "$work/report-one-cpu"
 diff -r "$work/report" "$work/report-one-cpu"
+# the same diffs at the north star's scale, 5 years x 7,400 rows: a
+# scan has 25.9k training rows there, and a tree nodes of every size
+python -c "import sys; from pemskit import make_dataset, write_year_files; write_year_files(make_dataset(rows_per_year=7400, seed=1, drift=0.3), sys.argv[1])" "$work/real"
+pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn"
+taskset -c 0 pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn-one-cpu"
+diff -r "$work/real-knn" "$work/real-knn-one-cpu"
+OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Prescott pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn-prescott"
+diff -r "$work/real-knn" "$work/real-knn-prescott"
+OPENBLAS_CORETYPE=Haswell pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn-haswell"
+diff -r "$work/real-knn" "$work/real-knn-haswell"
+pemskit screen --trees 4 --seed 1 --data-dir "$work/real" --out-dir "$work/real-screen"
+taskset -c 0 pemskit screen --trees 4 --seed 1 --data-dir "$work/real" --out-dir "$work/real-screen-one-cpu"
+diff -r "$work/real-screen" "$work/real-screen-one-cpu"
+NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit screen --trees 4 --seed 1 --data-dir "$work/real" --out-dir "$work/real-screen-no-simd"
+diff -r "$work/real-screen" "$work/real-screen-no-simd"

@@ -4,7 +4,7 @@ predictor screening, process-drift detection, and KNN NOx modeling."""
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      PemskitError)
 from .ingest import (Dataset, PREDICTORS, PROCESS_PREDICTORS, TARGET,
-                     WEATHER_PREDICTORS, load_dataset, write_year_files)
+                     load_dataset, write_year_files)
 from .stats import (CorrelationMatrix, VariableSummary, correlation_matrix,
                     flag_high_nox, summarize)
 from .varclus import VarCluster, VarClusterReport, cluster_variables
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "DegenerateDataError", "PemskitError",
     "Dataset", "PREDICTORS", "PROCESS_PREDICTORS", "TARGET",
-    "WEATHER_PREDICTORS", "load_dataset", "write_year_files",
+    "load_dataset", "write_year_files",
     "CorrelationMatrix", "VariableSummary", "correlation_matrix",
     "flag_high_nox", "summarize",
     "VarCluster", "VarClusterReport", "cluster_variables",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import Dataset, check_finite, resolve_predictors
-from .stats import correlation_matrix, eigenpairs
+from .stats import correlation_matrix, eigenpairs, standardize
 
 # Exhaust pressure arrives in mbar; the discharge-pressure fit is
 # conventionally reported with it rescaled to bar.
@@ -109,10 +109,7 @@ def project(model: PcaModel, ds: Dataset, n_components: int = 2) -> np.ndarray:
     if not 1 <= n_components <= model.n_variables:
         raise ConfigError(
             f"n_components must be in [1, {model.n_variables}], got {n_components}")
-    z = ds.matrix(model.variables)  # a copy: centered and scaled in place
-    with np.errstate(over="ignore"):
-        z -= model.means
-        z /= model.stds
+    z = standardize(ds.matrix(model.variables), model.means, model.stds)
     if not (-2.0**960 <= z.min() and z.max() <= 2.0**960):   # copies nothing
         far = np.flatnonzero(~(np.abs(z) <= 2.0**960))
         row, j = divmod(int(far[0]), model.n_variables)

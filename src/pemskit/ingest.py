@@ -41,7 +41,6 @@ from .errors import ConfigError, DataError, DegenerateDataError
 #: Canonical predictor order, also the written column order.
 PREDICTORS = ("at", "ap", "ah", "afdp", "tit", "tat", "tep", "tey", "cdp")
 
-WEATHER_PREDICTORS = ("at", "ap", "ah")
 PROCESS_PREDICTORS = ("afdp", "tit", "tat", "tep", "tey", "cdp")
 
 TARGET = "nox"
@@ -182,8 +181,8 @@ class Dataset:
 
     def subset(self, index) -> "Dataset":
         """New Dataset holding the rows selected by a mask or index array."""
-        cols = {k: v[index].copy() for k, v in self.columns.items()}
-        yr = self.year[index].copy()
+        cols = {k: v[index] for k, v in self.columns.items()}
+        yr = self.year[index]
         return Dataset(cols, yr, tuple(y for y in self.years if (yr == y).any()))
 
     def for_year(self, year: int) -> "Dataset":

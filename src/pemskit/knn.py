@@ -39,6 +39,7 @@ from .errors import ConfigError, DataError, DegenerateDataError
 from .ingest import (Dataset, TARGET, atomic_open, check_rows,
                      resolve_predictors)
 from .rng import SplitMix64, derive_seed
+from .stats import standardize
 
 PARTITIONS = ("Training", "Validation", "Test")
 TOTAL = "Total"
@@ -130,12 +131,11 @@ def split(ds: Dataset, fractions: Sequence[float] = DEFAULT_FRACTIONS,
             raise DegenerateDataError(
                 f"year {year} has {rows.shape[0]} rows, fewer than "
                 f"{len(PARTITIONS)} partitions")
-        order = rows.copy()
-        SplitMix64(derive_seed(seed, year)).shuffle(order)
+        SplitMix64(derive_seed(seed, year)).shuffle(rows)   # a fresh array
         counts = _partition_counts(rows.shape[0], fr)
         start = 0
         for code, c in enumerate(counts):
-            codes[order[start:start + c]] = code
+            codes[rows[start:start + c]] = code
             start += c
     return SplitAssignment(codes)
 
@@ -224,11 +224,11 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
         if s == 0.0:
             raise DegenerateDataError(
                 f"predictor '{name}' has zero variance in the training partition")
-    z = (x - means) / stds
+    z = standardize(x, means, stds)
     y = ds.column(target)[train_rows].astype(np.float64)
     k = int(k) if isinstance(k, np.integer) else k   # the model takes ints only
-    return KnnModel(names, means, stds, z, y, train_rows.copy(), k,
-                    weighting, leave_self_out)
+    return KnnModel(names, means, stds, z, y, train_rows, k, weighting,
+                    leave_self_out)
 
 
 # ------------------------------------------------------ neighbor search
@@ -442,13 +442,6 @@ def _fold_all(d2, ix, train_y, k_max: int, weighting: str) -> np.ndarray:
     return out.T
 
 
-def _standardize(model: KnnModel, x: np.ndarray) -> np.ndarray:
-    """Raw predictor values in the model's units; a value far outside
-    the training range may become ±inf."""
-    with np.errstate(over="ignore"):
-        return (x - model.means) / model.stds
-
-
 def _sweep(model: KnnModel, q_z: np.ndarray, k: int, own: np.ndarray,
            rows: np.ndarray | None = None) -> np.ndarray:
     """Predictions of the standardised queries ``q_z`` for every k' <= k:
@@ -493,7 +486,7 @@ def predict(model: KnnModel, record) -> float:
     neighbor is left out here.  DataError: a record whose squared
     distance to every training row overflows.
     """
-    q_z = _standardize(model, _query_vector(model, record))
+    q_z = standardize(_query_vector(model, record), model.means, model.stds)
     return float(_sweep(model, q_z[None, :], model.k, np.array([-1]))[-1, 0])
 
 
@@ -514,7 +507,8 @@ def _row_sweep(model: KnnModel, ds: Dataset, rows: np.ndarray,
                k: int) -> np.ndarray:
     """predict_rows of the checked ``rows`` for every k' <= k, row k'-1
     (see _sweep)."""
-    q_z = _standardize(model, ds.matrix(model.predictors)[rows])
+    q_z = standardize(ds.matrix(model.predictors)[rows], model.means,
+                      model.stds)
     own = _self_positions(model.train_rows, rows) if model.leave_self_out \
         else np.full(rows.shape[0], -1, dtype=np.int64)
     # a row is its own training row only if it also has that row's
@@ -650,7 +644,7 @@ def residuals(model: KnnModel, ds: Dataset, assignment: SplitAssignment,
               target: str = TARGET) -> ResidualTable:
     """actual − predicted for every record, all partitions."""
     _check_assignment(ds, assignment)
-    actual = ds.column(target).copy()
+    actual = ds.column(target)
     predicted = predict_rows(model, ds)
     return ResidualTable(np.arange(ds.n_records, dtype=np.int64),
                          tuple(assignment.labels()), actual, predicted,
@@ -736,7 +730,7 @@ def compare_pooled_vs_yearly(ds: Dataset,
     yearly, by_year = [], []
     for year in ds.years:
         year_rows = np.nonzero(ds.year == year)[0]
-        sub_assign = SplitAssignment(assignment.codes[year_rows].copy())
+        sub_assign = SplitAssignment(assignment.codes[year_rows])
         try:
             yearly.append(_evaluate_scope(str(year), ds.subset(year_rows),
                                           sub_assign, **scope))

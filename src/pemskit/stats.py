@@ -106,6 +106,15 @@ def correlation_matrix(ds: Dataset,
     return CorrelationMatrix(names, corr)
 
 
+def standardize(x: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """x -= means; x /= stds, in place on an x the caller owns, rounding as
+    (x - means) / stds does; returns x, where a far value may be ±inf."""
+    with np.errstate(over="ignore"):
+        x -= means
+        x /= stds
+    return x
+
+
 def gram(z: np.ndarray, divisor: float = 1.0) -> np.ndarray:
     """Gram product of z's columns over divisor, made exactly symmetric
     by averaging it with its transpose."""

@@ -8,12 +8,13 @@ Every coordinate is written with two decimals, then trimmed: a trailing
 (so 1.50 -> "1.5", 2.00 -> "2", -0.004 -> "0").  ``_fmt_all`` applies
 that rule to a whole run of values at once: one ``%.2f`` format over the
 run, then three ``str.replace`` passes.  A series' x and y are float64
-arrays (any number sequence is converted once).  Each axis spans every
-value given for it.  A NaN raises a ValueError naming the axis, and a
-span whose padded range overflows float64 a DegenerateDataError naming
-the axis and its label.  One chart body serves scatter and line: it
-formats each series' points once, in chunks of ``_CHUNK`` points, so a
-37k-point scatter never holds one string per point.
+arrays (any number sequence is converted once) of one length, or a
+ValueError names the series.  Each axis spans every value given for it.
+A NaN raises a ValueError naming the axis, and a span whose padded range
+overflows float64 a DegenerateDataError naming the axis and its label.
+One chart body serves scatter and line: it formats each series' points
+once, in chunks of ``_CHUNK`` points, so a 37k-point scatter never holds
+one string per point.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class _Frame:
         return parts
 
 
-#: (label, x, y): float64 arrays, or number sequences converted once; an
-#: axis spans every value given for it and rejects NaN.
+#: (label, x, y): float64 arrays of one length, or number sequences
+#: converted once; an axis spans every value given for it and rejects NaN.
 Series = tuple[str, np.ndarray | Sequence[float], np.ndarray | Sequence[float]]
 
 
@@ -178,13 +179,15 @@ def _chart(series: Sequence[Series], title: str, x_label: str,
     ys = [np.asarray(sy, dtype=np.float64) for _, _, sy in series]
     frame = _Frame(_span("x", xs), _span("y", ys), title, x_label, y_label)
     parts = frame.header()
-    for i, (sx, sy) in enumerate(zip(xs, ys)):
+    for i, ((label, _, _), sx, sy) in enumerate(zip(series, xs, ys)):
+        if len(sx) != len(sy):
+            raise ValueError(f"series '{label}' has {len(sx)} x values and "
+                             f"{len(sy)} y values")
         color = PALETTE[i % len(PALETTE)]
         circle = f'<circle cx="%s" cy="%s" {marker.format(color)}/>'
-        n = min(len(sx), len(sy))
-        xy = np.column_stack((frame.px(sx[:n]), frame.py(sy[:n]))).ravel()
+        xy = np.column_stack((frame.px(sx), frame.py(sy))).ravel()
         path, circles = [], []
-        for start in range(0, 2 * n, 2 * _CHUNK):
+        for start in range(0, xy.size, 2 * _CHUNK):
             text = tuple(_fmt_all(xy[start:start + 2 * _CHUNK].tolist()))
             points = len(text) // 2
             if polyline:

@@ -77,14 +77,6 @@ def _standardized(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     return z
 
 
-def _cluster_eigs(z: np.ndarray, members: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """stats.eigenpairs of the members' correlation matrix; singleton
-    clusters get the trivial answer."""
-    if len(members) == 1:
-        return np.array([1.0]), np.array([[1.0]])
-    return eigenpairs(gram(z[:, members], z.shape[0] - 1))
-
-
 def _r2(z: np.ndarray, zz: list[float], s: np.ndarray, cols) -> list[float]:
     """Squared Pearson correlation of the centered vector s with each of
     z's centered columns in cols, whose self products zz holds."""
@@ -96,13 +88,17 @@ def _r2(z: np.ndarray, zz: list[float], s: np.ndarray, cols) -> list[float]:
 
 def _fit(z: np.ndarray, zz: list[float],
          clusters: list[list[int]]) -> tuple[list, np.ndarray]:
-    """Each cluster's ``_cluster_eigs``, and the squared correlation of
-    every variable with every cluster's first-PC score, as a
-    (variables, clusters) table."""
-    eigs = [_cluster_eigs(z, members) for members in clusters]
-    r2 = np.array([_r2(z, zz, z[:, members] @ vecs[:, 0], range(z.shape[1]))
-                   for members, (_, vecs) in zip(clusters, eigs)]).T
-    return eigs, r2
+    """Each cluster's eigenpairs (a singleton's trivially) from its columns,
+    taken once, and the squared correlation of every variable with every
+    cluster's first-PC score, as a (variables, clusters) table."""
+    eigs, r2 = [], []
+    for members in clusters:
+        cols = z[:, members]
+        pair = (np.array([1.0]), np.array([[1.0]])) if len(members) == 1 \
+            else eigenpairs(gram(cols, z.shape[0] - 1))
+        eigs.append(pair)
+        r2.append(_r2(z, zz, cols @ pair[1][:, 0], range(z.shape[1])))
+    return eigs, np.array(r2).T
 
 
 def _reassign(z: np.ndarray, zz: list[float], clusters: list[list[int]]):

@@ -35,6 +35,14 @@ def test_pearson_is_gone():
     assert not hasattr(pemskit.stats, "pearson")
 
 
+def test_weather_predictors_is_gone():
+    # nothing read it once --exclude-weather went; the process-only run
+    # names its predictors, and varclus tags weather as not PROCESS_PREDICTORS
+    assert "WEATHER_PREDICTORS" not in pemskit.__all__
+    assert not hasattr(pemskit, "WEATHER_PREDICTORS")
+    assert not hasattr(pemskit.ingest, "WEATHER_PREDICTORS")
+
+
 def test_forest_config_has_only_the_knobs_in_use():
     fields = [f.name for f in dataclasses.fields(pemskit.ForestConfig)]
     assert fields == ["n_trees", "seed"]

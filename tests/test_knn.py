@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pemskit import knn
 from pemskit.errors import ConfigError, DataError, DegenerateDataError
 from pemskit.ingest import Dataset
 from pemskit.knn import (
@@ -725,6 +726,67 @@ def test_fit_standardizes_on_training_rows_only(tiny_ds):
          tiny_ds.column("tit")[train].std(ddof=1)])
     assert model.n_training == train.shape[0]
     assert np.array_equal(model.train_rows, train)
+
+
+# fit_knn, predict and predict_rows take raw values into the model's frame
+# in place (stats.standardize); the copying form it replaced is the
+# reference, bit for bit.
+
+def _copying_frame(model, x):
+    with np.errstate(over="ignore"):
+        return (x - model.means) / model.stds
+
+
+@pytest.fixture()
+def scanned_queries(monkeypatch) -> list[np.ndarray]:
+    """The standardized queries of each knn._scan call, while a test runs."""
+    seen, scan = [], knn._scan
+
+    def capturing_scan(train_z, q_z, own, k, train_aug):
+        seen.append(q_z.copy())
+        return scan(train_z, q_z, own, k, train_aug)
+
+    monkeypatch.setattr(knn, "_scan", capturing_scan)
+    return seen
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_frame_step_matches_the_copying_form(scanned_queries, weighting):
+    ds = make_dataset(rows_per_year=60, seed=4)
+    assignment = split(ds, seed=4)
+    model = fit_knn(ds, assignment, k=4, weighting=weighting)
+    x = ds.matrix(model.predictors)
+    train = assignment.rows("Training")
+    assert model.train_z.tobytes() == _copying_frame(model, x[train]).tobytes()
+    rows = np.arange(0, ds.n_records, 3)
+    predicted = predict_rows(model, ds, rows)
+    assert scanned_queries[-1].tobytes() == \
+        _copying_frame(model, x[rows]).tobytes()
+    for i, row in enumerate(rows[::5].tolist()):
+        assert predicted[5 * i] == _oracle_predict(model, x[row], row)
+        assert predict(model, ds.record(row)) == _oracle_predict(model, x[row])
+        assert scanned_queries[-1].tobytes() == \
+            _copying_frame(model, x[row]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_frame_step_of_a_far_query_overflows_quietly(scanned_queries):
+    # 1.7e308 over a spread below 1 passes float64's end: both forms give
+    # ±inf without a warning, and the query is refused as too far
+    ds = make_dataset(rows_per_year=60, seed=4)
+    model = fit_knn(ds, split(ds, seed=4), k=3)
+    x = ds.matrix(model.predictors)[0]
+    j = model.predictors.index("afdp")
+    assert model.stds[j] < 1.0
+    for value in (1.7e308, -1.7e308):
+        record = dict(ds.record(0), afdp=value)
+        with pytest.raises(DataError, match="the record is too far"):
+            predict(model, record)
+        raw = x.copy()
+        raw[j] = value
+        want = _copying_frame(model, raw)
+        assert np.isinf(want[j])
+        assert scanned_queries[-1][0].tobytes() == want.tobytes()
 
 
 def test_fit_rejects_bad_configuration(tiny_ds):

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pemskit import cli, drift, stats, varclus
+from pemskit import cli, drift, knn, stats, varclus
 from pemskit.ingest import PREDICTORS, TARGET, Dataset
 
 YEARS = (2011, 2012, 2013, 2014, 2015)
@@ -68,6 +68,15 @@ def _command(ds: Dataset, name: str, out_dir, plots: bool):
 def test_kernel_scales_its_one_copy_in_place(big_ds, kernel, bound):
     peak = _peak(big_ds, lambda: kernel(big_ds))
     assert peak <= bound, f"peak {peak:.2f} matrices"
+
+
+def test_fit_knn_scales_its_one_copy_in_place(big_ds):
+    # the full matrix (1.0) and its Training rows (0.7) meet once, when
+    # the rows are taken; std's centered temporary (0.7) comes after the
+    # full matrix is freed.  Scaling a new matrix per step reads 2.23
+    assignment = knn.split(big_ds, seed=1)
+    peak = _peak(big_ds, lambda: knn.fit_knn(big_ds, assignment, k=3))
+    assert peak <= 2.0, f"peak {peak:.2f} matrices"
 
 
 # At 20,000 rows `drift` reads 1.23 matrices and `correlate --plots`

@@ -152,6 +152,19 @@ def test_a_chart_without_points_says_so(chart, series):
         chart(series, "t", "x", "y")
 
 
+@pytest.mark.parametrize("chart", [scatter, line])
+def test_a_series_whose_x_and_y_differ_in_length_is_refused(chart):
+    # each axis spans every value given, so a value with no partner
+    # would stretch an axis (to 100 here) that no point reaches
+    with pytest.raises(ValueError,
+                       match=r"^series 'b' has 4 x values and 3 y values$"):
+        chart([("a", [0.5], [0.5]), ("b", [1.0, 2.0, 3.0, 100.0],
+                                     [1.0, 2.0, 3.0])], "t", "x", "y")
+    with pytest.raises(ValueError,
+                       match=r"^series 'a' has 1 x values and 2 y values$"):
+        chart([("a", [1.0], [0.0, 40.0])], "t", "x", "y")
+
+
 # ------------------------------------------- bulk 2-decimal formatting
 
 def _reference_fmt(v: float) -> str:
@@ -232,9 +245,7 @@ def test_charts_across_chunk_boundaries_match_the_per_point_path():
               ("c", list(range(svgplot._CHUNK)),
                (rng.normal(size=svgplot._CHUNK) - 9).tolist()),
               ("d", [0.0, -0.0, 1e-9], [np.float32(0.1), 3, -2.0]),
-              # the axes span the x and y that no point is drawn with
-              ("e", [-0.0, 0.0, 2500.0], [0.0, -0.0]),
-              ("f", [1.0], [0.0, 40.0])]
+              ("e", [-0.0, 0.0, 2500.0], [0.0, -0.0, 40.0])]
     arrays = [(label, np.asarray(sx, dtype=np.float64),
                np.asarray(sy, dtype=np.float64)) for label, sx, sy in series]
     for chart, polyline in ((scatter, False), (line, True)):
