@@ -124,6 +124,17 @@ dispatch="$(python -c "import sys; sys.path.insert(0, 'tests'); from conftest im
 echo "disabled SIMD dispatch targets: $dispatch"
 NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit screen --trees 5 --plots --data-dir "$work/data" --out-dir "$work/screen-no-simd"
 diff -r "$work/screen" "$work/screen-no-simd"
+# every chart coordinate is formatted by IEEE-exact elementwise
+# operations, so the charts keep their bytes without SIMD dispatch too
+NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit correlate --plots --data-dir "$work/data" --out-dir "$work/correlate-no-simd"
+NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit knn --k-max 3 --plots --data-dir "$work/data" --out-dir "$work/knn-no-simd"
+same_svgs() {
+  for svg in "$1"/*.svg; do
+    cmp "$svg" "$2/$(basename "$svg")"
+  done
+}
+same_svgs "$work/correlate" "$work/correlate-no-simd"
+same_svgs "$work/knn" "$work/knn-no-simd"
 # the same on data printed to five significant digits, as the UCI
 # export is: its tied values must sort the same on every SIMD level
 # and every CPU count
@@ -150,17 +161,23 @@ test "$(ls "$work/report")" = report.json
 taskset -c 0 pemskit report --trees 2 --k-max 3 --data-dir "$work/data" --out-dir "$work/report-one-cpu"
 diff -r "$work/report" "$work/report-one-cpu"
 # the same diffs at the north star's scale, 5 years x 7,400 rows: a
-# scan has 25.9k training rows there, and a tree nodes of every size
+# scan has 25.9k training rows there, a tree nodes of every size, and
+# a scatter 37k points
 python -c "import sys; from pemskit import make_dataset, write_year_files; write_year_files(make_dataset(rows_per_year=7400, seed=1, drift=0.3), sys.argv[1])" "$work/real"
-pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn"
-taskset -c 0 pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn-one-cpu"
+pemskit knn --k-max 10 --seed 1 --plots --data-dir "$work/real" --out-dir "$work/real-knn"
+taskset -c 0 pemskit knn --k-max 10 --seed 1 --plots --data-dir "$work/real" --out-dir "$work/real-knn-one-cpu"
 diff -r "$work/real-knn" "$work/real-knn-one-cpu"
-OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Prescott pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn-prescott"
+OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Prescott pemskit knn --k-max 10 --seed 1 --plots --data-dir "$work/real" --out-dir "$work/real-knn-prescott"
 diff -r "$work/real-knn" "$work/real-knn-prescott"
-OPENBLAS_CORETYPE=Haswell pemskit knn --k-max 10 --seed 1 --data-dir "$work/real" --out-dir "$work/real-knn-haswell"
+OPENBLAS_CORETYPE=Haswell pemskit knn --k-max 10 --seed 1 --plots --data-dir "$work/real" --out-dir "$work/real-knn-haswell"
 diff -r "$work/real-knn" "$work/real-knn-haswell"
 pemskit screen --trees 4 --seed 1 --data-dir "$work/real" --out-dir "$work/real-screen"
 taskset -c 0 pemskit screen --trees 4 --seed 1 --data-dir "$work/real" --out-dir "$work/real-screen-one-cpu"
 diff -r "$work/real-screen" "$work/real-screen-one-cpu"
 NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit screen --trees 4 --seed 1 --data-dir "$work/real" --out-dir "$work/real-screen-no-simd"
 diff -r "$work/real-screen" "$work/real-screen-no-simd"
+NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit knn --k-max 10 --seed 1 --plots --data-dir "$work/real" --out-dir "$work/real-knn-no-simd"
+same_svgs "$work/real-knn" "$work/real-knn-no-simd"
+pemskit correlate --plots --data-dir "$work/real" --out-dir "$work/real-correlate"
+NPY_DISABLE_CPU_FEATURES="$dispatch" pemskit correlate --plots --data-dir "$work/real" --out-dir "$work/real-correlate-no-simd"
+same_svgs "$work/real-correlate" "$work/real-correlate-no-simd"

@@ -248,23 +248,38 @@ def _table(columns: Sequence[str], rows: Iterable[Sequence]) -> Table:
     return {"columns": list(columns), "rows": [list(r) for r in rows]}
 
 
+class _Records:
+    """The rows of a per-record table, the i-th holding each array's i-th
+    value.  They leave numpy _BLOCK_ROWS records at a time, so a 37k-row
+    table is never held as Python rows."""
+
+    def __init__(self, values: Sequence[np.ndarray]):
+        self.values = values
+
+    def blocks(self) -> Iterator[list[np.ndarray]]:
+        """Each block of _BLOCK_ROWS records, as one slice per array."""
+        for start in range(0, len(self.values[0]), _BLOCK_ROWS):
+            yield [v[start:start + _BLOCK_ROWS] for v in self.values]
+
+    def __iter__(self) -> Iterator[tuple]:
+        for block in self.blocks():
+            yield from zip(*(column.tolist() for column in block))
+
+
 def _per_record(columns: Sequence[str], *values: np.ndarray) -> Table:
     """A table with one row per record, the i-th row holding each array's
-    i-th value.  Its rows are an iterator that leaves numpy _BLOCK_ROWS
-    records at a time, so a 37k-row table is never held as Python rows."""
-    def rows() -> Iterator[tuple]:
-        for start in range(0, len(values[0]), _BLOCK_ROWS):
-            yield from zip(*(v[start:start + _BLOCK_ROWS].tolist()
-                             for v in values))
-    return {"columns": list(columns), "rows": rows()}
+    i-th value."""
+    return {"columns": list(columns), "rows": _Records(values)}
 
 
 def _csv_cell(v) -> str:
-    if type(v) is float:    # most cells; skips the checks below
-        return repr(v)
-    if v is None:
-        return ""
-    return str(v)
+    return "" if v is None else str(v)
+
+
+def _csv_cells(column: np.ndarray) -> Iterator[str]:
+    """The CSV cells of a per-record table's column: repr of each number,
+    _csv_cell of each object (a partition label)."""
+    return map(_csv_cell if column.dtype == object else repr, column.tolist())
 
 
 def _write_text(path: Path, text: str) -> Path:
@@ -281,8 +296,14 @@ def emit_table(out_dir: Path, name: str, table: Table, fmt: str) -> Path:
         with atomic_open(path) as fh:
             fh.write(",".join(table["columns"]) + "\n")
             # line by line, so a 37k-row table is never one string
-            fh.writelines(",".join(map(_csv_cell, row)) + "\n"
-                          for row in table["rows"])
+            rows = table["rows"]
+            if isinstance(rows, _Records):     # cells made a column at a time
+                for block in rows.blocks():
+                    fh.writelines(",".join(cells) + "\n" for cells in
+                                  zip(*map(_csv_cells, block)))
+            else:
+                fh.writelines(",".join(map(_csv_cell, row)) + "\n"
+                              for row in rows)
         return path
     rows = list(table["rows"])      # json.dumps takes no iterator
     return _write_text(out_dir / f"{name}.json",

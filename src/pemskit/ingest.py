@@ -175,9 +175,14 @@ class Dataset:
         except KeyError:
             raise DataError(f"unknown variable '{name}'") from None
 
-    def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Records-by-variables matrix for the named columns (a copy)."""
-        return np.column_stack([self.column(n) for n in names])
+    def matrix(self, names: Sequence[str],
+               rows: np.ndarray | None = None) -> np.ndarray:
+        """Records-by-variables matrix for the named columns (a copy): of
+        every record, or of the records an index array ``rows`` names,
+        gathered column by column so that no other row is copied."""
+        if rows is None:
+            return np.column_stack([self.column(n) for n in names])
+        return np.column_stack([self.column(n)[rows] for n in names])
 
     def subset(self, index) -> "Dataset":
         """New Dataset holding the rows selected by a mask or index array."""

@@ -217,7 +217,7 @@ def fit_knn(ds: Dataset, assignment: SplitAssignment,
     n_train = train_rows.shape[0]
     if n_train == 0:
         raise DegenerateDataError("training partition is empty")
-    x = ds.matrix(names)[train_rows]
+    x = ds.matrix(names, train_rows)
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1) if n_train > 1 else np.ones(len(names))
     for name, s in zip(names, stds):
@@ -507,7 +507,7 @@ def _row_sweep(model: KnnModel, ds: Dataset, rows: np.ndarray,
                k: int) -> np.ndarray:
     """predict_rows of the checked ``rows`` for every k' <= k, row k'-1
     (see _sweep)."""
-    q_z = standardize(ds.matrix(model.predictors)[rows], model.means,
+    q_z = standardize(ds.matrix(model.predictors, rows), model.means,
                       model.stds)
     own = _self_positions(model.train_rows, rows) if model.leave_self_out \
         else np.full(rows.shape[0], -1, dtype=np.int64)

@@ -52,6 +52,33 @@ def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int],
                  for i in range(bins))
 
 
+def quantiles(x: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """np.quantile(x, qs) of a non-empty 1-D float64 array of finite
+    values, qs in [0, 1], bit for bit: numpy's default linear method,
+    done here so that no np.unique call imports numpy.ma.
+
+    The same set of ranks goes to ndarray.partition, so a tie of 0.0 and
+    -0.0 lands as numpy's does; gamma is taken from the lower rank after
+    clipping (at n = 1, -0.0 stays -0.0), and the interpolation is
+    numpy's two-sided one."""
+    n = x.shape[0]
+    virtual = (n - 1) * np.asarray(qs, dtype=np.float64)
+    lower = np.floor(virtual)
+    upper = lower + 1.0
+    top = virtual >= n - 1      # the largest value, at rank -1
+    lower[top] = upper[top] = -1.0
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    ranks = sorted({0, -1, *lower.tolist(), *upper.tolist()})
+    ordered = x.copy()
+    ordered.partition(np.array(ranks, dtype=np.intp))
+    a, b = ordered[lower], ordered[upper]
+    gamma = virtual - lower
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    return out.tolist()
+
+
 def summarize(ds: Dataset, variables: Sequence[str]) -> list[VariableSummary]:
     """One summary per named variable; DEFAULT_BINS equal-width bins over
     [min, max].
@@ -69,7 +96,7 @@ def summarize(ds: Dataset, variables: Sequence[str]) -> list[VariableSummary]:
     for name in names:
         col = ds.column(name)
         std = float(col.std(ddof=1)) if col.size > 1 else 0.0
-        q1, med, q3 = (float(q) for q in np.quantile(col, [0.25, 0.5, 0.75]))
+        q1, med, q3 = quantiles(col, (0.25, 0.5, 0.75))
         out.append(VariableSummary(
             name=name,
             count=int(col.size),
@@ -138,5 +165,5 @@ def flag_high_nox(ds: Dataset) -> np.ndarray:
     """Boolean mask of records with NOx strictly above its
     DEFAULT_HIGH_NOX_QUANTILE quantile."""
     nox = ds.column(TARGET)
-    threshold = float(np.quantile(nox, DEFAULT_HIGH_NOX_QUANTILE))
+    threshold, = quantiles(nox, (DEFAULT_HIGH_NOX_QUANTILE,))
     return nox > threshold

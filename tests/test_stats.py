@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pemskit.errors import DegenerateDataError
 from pemskit.ingest import PREDICTORS, Dataset
@@ -12,6 +13,7 @@ from pemskit.stats import (
     eigenpairs,
     flag_high_nox,
     gram,
+    quantiles,
     summarize,
 )
 from pemskit.synthetic import make_dataset
@@ -225,3 +227,21 @@ def test_correlation_in_place_matches_the_copying_form():
     for ds, names in [*cases, (noise, PREDICTORS)]:
         ours = correlation_matrix(ds, names).matrix
         assert ours.tobytes() == _copying_correlation(ds, names).tobytes()
+
+
+# finite, and no two a difference apart that overflows: a Dataset
+# refuses a column whose spread overflows
+_QUANTILE_VALUES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]))      # ties and signed zeros
+
+
+@given(st.lists(_QUANTILE_VALUES, min_size=1, max_size=40),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_quantiles_match_numpy_bit_for_bit(values, qs):
+    x = np.array(values)
+    want = np.quantile(x, qs)
+    assert np.array(quantiles(x, qs)).tobytes() == want.tobytes()
+    for q in qs:
+        assert np.float64(quantiles(x, [q])[0]).tobytes() == \
+            np.float64(np.quantile(x, q)).tobytes()

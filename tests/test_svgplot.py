@@ -267,3 +267,29 @@ def test_axis_ends_match_the_per_point_path_on_any_floats(points, zeros):
     for chart, polyline in ((scatter, False), (line, True)):
         assert chart(series, "t", "x", "y") == \
             _reference_chart(series, "t", "x", "y", polyline)
+
+
+# ------------------------------------------ the numpy formatting kernel
+
+def _with_neighbours(v: float) -> list[float]:
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def test_kernel_matches_the_one_value_rule_at_hundredths_ties_and_ends():
+    cases = [
+        # every hundredth in [-1000, 1000] and the floats either side of it
+        *(w for k in range(-100_000, 100_001)
+          for w in _with_neighbours(k / 100)),
+        # the exact ties k/200, which round half to even
+        *(k / 200 for k in range(-200_000, 200_001)),
+        -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+        # the last floats of the integer form, and the first of %.2f's
+        *_with_neighbours(2.0 ** 40), *_with_neighbours(-2.0 ** 40),
+    ]
+    assert _fmt_all(cases) == [_reference_fmt(v) for v in cases]
+
+
+def test_bars_whose_edges_and_counts_differ_in_length_are_refused():
+    with pytest.raises(ValueError, match=r"^2 lower edges, 2 upper edges "
+                                         r"and 1 counts do not make bars$"):
+        bars([0.0, 1.0], [1.0, 2.0], [5], "t", "x")
